@@ -33,9 +33,8 @@ from .riemann_roch import (LinearFunctional, PrincipalityResult, RationalFunctio
                            RRBasis, basis_transition, coordinates,
                            function_to_json, h0, h1, is_principal,
                            product_coordinates, rr_basis)
-from .secant import (OffsecantReport, SecantQuery, SecantResult,
-                     offsecant_experiment, sample_subspace, secant_member,
-                     secant_table)
+from .secant import (OffsecantReport, SecantResult, offsecant_experiment,
+                     sample_subspace, secant_member, secant_table)
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,7 @@ from .curves import (Divisor, HyperellipticCurve, curve_from_json,
                      enumerate_effective_divisors)
 from .errors import ExhaustionError, InputError
 from .fields import FieldElement
-from .linalg import Matrix, det, rank
+from .linalg import Matrix, det_rows, linear_combination, rank
 from .riemann_roch import (LinearFunctional, RationalFunction, coordinates,
                            is_principal, rr_basis)
 
@@ -92,31 +92,11 @@ class ExtensionDatum:
 
     def det_payload(self, coords):
         """det of the balanced boundary matrix, as a payload."""
-        return _det_small(self.curve.field, self.boundary_payload_rows(coords))
+        return det_rows(self.curve.field, self.boundary_payload_rows(coords))
 
     def __repr__(self):
         return (f"ExtensionDatum(n={self.n}, m={self.m}, "
                 f"g={self.curve.genus} on {self.curve!r})")
-
-
-def _det_small(F, rows):
-    m = len(rows)
-    if m == 0:
-        return F.pone
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return F.sub(F.mul(rows[0][0], rows[1][1]),
-                     F.mul(rows[0][1], rows[1][0]))
-    if m == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
-        t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
-        t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
-        return F.add(F.sub(t1, t2), t3)
-    return det(Matrix(F, rows)).payload
 
 
 def make_datum(curve: HyperellipticCurve, N: Divisor, M: Divisor) -> ExtensionDatum:
@@ -323,32 +303,43 @@ def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
     complete = points is None and bound == full_bound
     up = _twist_witness(datum, Lp, Mp)
-    base = curve.canonical_divisor() - Lp + Mp
+    D, examined = _witness_scan(e, curve.canonical_divisor() - Lp + Mp,
+                                bound, up, points)
+    return DestabilizerResult(D, examined, complete, bound)
+
+
+def _witness_scan(e: ExtensionClass, base: Divisor, bound: int,
+                  multiplier: RationalFunction | None = None, points=None):
+    """First effective D of degree <= bound, in divisor enumeration
+    order, such that e vanishes on multiplier * L(base - D).
+
+    The multiplier must map L(base - D) into L(N+K - D); None stands for
+    1.  Returns (D or None, number of divisors examined).  A hit is
+    re-verified before it is returned.
+    """
+    curve = e.datum.curve
+    F = curve.field
     examined = 0
-    if bound >= 0:
-        for D in enumerate_effective_divisors(curve, bound, points=points):
-            examined += 1
-            if _annihilates(e, rr_basis(curve, base - D), up):
-                _reverify_annihilation(e, rr_basis(curve, base - D), up)
-                return DestabilizerResult(D, examined, complete, bound)
-    return DestabilizerResult(None, examined, complete, bound)
+    if bound < 0:
+        return None, examined
+    for D in enumerate_effective_divisors(curve, bound, points=points):
+        examined += 1
+        B = rr_basis(curve, base - D)
+        if all(F.is_zero(e.evaluate(w if multiplier is None else w * multiplier)
+                         .payload) for w in B.basis):
+            _reverify_annihilation(e, B, multiplier)
+            return D, examined
+    return None, examined
 
 
-def _annihilates(e: ExtensionClass, B, up) -> bool:
-    F = e.datum.curve.field
-    for w in B.basis:
-        if not F.is_zero(e.evaluate(w * up).payload):
-            return False
-    return True
-
-
-def _reverify_annihilation(e: ExtensionClass, B, up):
+def _reverify_annihilation(e: ExtensionClass, B, multiplier):
     # witnesses are cheap to double-check and expensive to trust
+    datum = e.datum
     for w in B.basis:
-        val = e.functional.evaluate_coords(
-            coordinates(w * up, e.datum.basis_NK))
-        if not e.datum.curve.field.is_zero(val.payload):
-            raise AssertionError("destabilizer witness failed re-verification")
+        fn = w if multiplier is None else w * multiplier
+        val = e.functional.evaluate_coords(coordinates(fn, datum.basis_NK))
+        if not datum.curve.field.is_zero(val.payload):
+            raise AssertionError("annihilation witness failed re-verification")
 
 
 @dataclass(frozen=True)
@@ -387,12 +378,8 @@ def search_semistable(V, box: int | None = None) -> SearchResult:
             if max(abs(t) for t in tup) != r:
                 continue
             examined += 1
-            coords = [F.pzero] * datum.class_dim
-            for ni, vec in zip(tup, vecs):
-                if ni == 0:
-                    continue
-                c = F.coerce(ni)
-                coords = [F.add(x, F.mul(c, v)) for x, v in zip(coords, vec)]
+            coords = linear_combination(F, [F.coerce(ni) for ni in tup],
+                                        vecs, datum.class_dim)
             if not F.is_zero(datum.det_payload(coords)):
                 e = ExtensionClass(datum, coords)
                 return SearchResult(e, tup, box, examined)

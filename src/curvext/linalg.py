@@ -1,14 +1,19 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Rank, determinant, solving and kernel bases.  Over Q the forward pass is
-fraction-free (Bareiss recurrence on integer-scaled rows) to keep entries
-at determinant size; over finite fields it is ordinary elimination.
+Rank, determinant, solving and kernel bases, all from one forward pass
+per payload representation.  Over Q it is fraction-free (Bareiss
+recurrence on integer-scaled rows) to keep entries at determinant size;
+over finite fields it is ordinary elimination below each pivot.  Rank
+and determinant read the pivots of that pass; rref, kernel bases and
+solving share one back-substitution to the reduced form, which is
+unique, so the choice of forward pass never shows in their results.
 Pivoting is deterministic: the first row with a nonzero entry, scanning
 columns left to right, so results are reproducible across runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -42,26 +47,8 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width if width is not None else 0
 
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, [[field.pzero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[field.pone if i == j else field.pzero
-                            for j in range(n)] for i in range(n)])
-
     def entry(self, i, j) -> FieldElement:
         return FieldElement(self.field, self.rows[i][j])
-
-    def elements(self):
-        """Row-major FieldElement view."""
-        for row in self.rows:
-            for v in row:
-                yield FieldElement(self.field, v)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
@@ -75,26 +62,25 @@ class Matrix:
 
 
 def _scale_rows_to_int(rows):
-    """Clear denominators row by row; preserves rank and kernel."""
+    """Clear denominators row by row; preserves rank and kernel.
+
+    Returns the integer rows and the product of the row scales, by which
+    the determinant grows."""
     out = []
+    scale = 1
     for row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // _igcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for v in row))
+        scale *= den
         out.append([int(v * den) for v in row])
-    return out
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return out, scale
 
 
 def _bareiss_forward(rows):
     """In-place fraction-free elimination on integer rows.
 
-    Returns (pivots, sign) where pivots is a list of (row, col) in order.
+    Returns (pivots, sign, last) where pivots is a list of (row, col) in
+    order and last is the last pivot, which is sign * det when the rows
+    are square and of full rank.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
@@ -125,123 +111,116 @@ def _bareiss_forward(rows):
         r += 1
         if r == n:
             break
-    return pivots, sign
+    return pivots, sign, prev
 
 
-def _field_forward(field, rows):
-    """Ordinary elimination over a finite field; returns pivots list."""
+def _field_forward(F, rows):
+    """In-place elimination below each pivot over a finite field.
+
+    Returns (pivots, product) where product is the signed product of the
+    pivots, which is det when the rows are square and of full rank.
+    """
     n = len(rows)
     m = len(rows[0]) if n else 0
     pivots = []
+    prod = F.pone
     r = 0
     for c in range(m):
         pr = None
         for i in range(r, n):
-            if not field.is_zero(rows[i][c]):
+            if not F.is_zero(rows[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(rows[i][c]):
-                t = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(t, b))
-                           for a, b in zip(rows[i], rows[r])]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            prod = F.neg(prod)
+        piv = rows[r][c]
+        prod = F.mul(prod, piv)
+        inv = F.inv(piv)
+        tail = rows[r][c:]       # rows at and below r are zero left of c
+        for i in range(r + 1, n):
+            row = rows[i]
+            if not F.is_zero(row[c]):
+                t = F.mul(row[c], inv)
+                row[c:] = [F.sub(a, F.mul(t, b)) for a, b in zip(row[c:], tail)]
         pivots.append((r, c))
         r += 1
         if r == n:
             break
-    return pivots
+    return pivots, prod
 
 
-def _echelon(mat: Matrix):
-    """Reduced row echelon form with exact arithmetic.
+def _forward(F, rows):
+    """The forward pass for F on a copy of the payload rows.
 
-    Over Q the forward pass is Bareiss on integer-scaled rows, then the
-    echelon rows are normalized back to Fractions.
+    Returns (rows, pivots, d): echelon rows (integers over Q), the pivot
+    positions in order, and d, the determinant as a payload when the
+    rows are square and of full rank.
     """
-    F = mat.field
     if isinstance(F, Rationals):
-        rows = _scale_rows_to_int([list(r) for r in mat.rows])
-        pivots, _ = _bareiss_forward(rows)
-        frows = [[Fraction(v) for v in row] for row in rows]
-        # back-substitute to reduced form
-        for r, c in reversed(pivots):
-            piv = frows[r][c]
-            frows[r] = [v / piv for v in frows[r]]
-            for i in range(r):
-                t = frows[i][c]
-                if t:
-                    frows[i] = [a - t * b for a, b in zip(frows[i], frows[r])]
-        return frows, pivots
-    rows = [list(r) for r in mat.rows]
-    pivots = _field_forward(F, rows)
+        rows, scale = _scale_rows_to_int(rows)
+        pivots, sign, last = _bareiss_forward(rows)
+        return rows, pivots, Fraction(sign * last, scale)
+    rows = [list(r) for r in rows]
+    pivots, d = _field_forward(F, rows)
+    return rows, pivots, d
+
+
+def _echelon(F, rows):
+    """Reduced row echelon form of payload rows with exact arithmetic: the
+    forward pass, then back-substitution to unit pivots with zeros above
+    them.  Returns (rows, pivots); the rows past the pivots are zero."""
+    rows, pivots, _ = _forward(F, rows)
+    if isinstance(F, Rationals):
+        rows = [[Fraction(v) for v in row] for row in rows]
+    for r, c in reversed(pivots):
+        inv = F.inv(rows[r][c])
+        rows[r][c:] = tail = [F.mul(v, inv) for v in rows[r][c:]]
+        for i in range(r):
+            row = rows[i]
+            t = row[c]
+            if not F.is_zero(t):
+                row[c:] = [F.sub(a, F.mul(t, b)) for a, b in zip(row[c:], tail)]
     return rows, pivots
 
 
 def rank(mat: Matrix) -> int:
-    if mat.nrows == 0 or mat.ncols == 0:
-        return 0
-    F = mat.field
-    if isinstance(F, Rationals):
-        rows = _scale_rows_to_int([list(r) for r in mat.rows])
-        pivots, _ = _bareiss_forward(rows)
-        return len(pivots)
-    rows = [list(r) for r in mat.rows]
-    return len(_field_forward(F, rows))
+    return len(_forward(mat.field, mat.rows)[1])
 
 
 def det(mat: Matrix) -> FieldElement:
     """Determinant of a square matrix; det of the empty 0x0 matrix is 1."""
     if mat.nrows != mat.ncols:
         raise InputError("determinant of a non-square matrix")
-    F = mat.field
-    n = mat.nrows
-    if n == 0:
-        return F.one()
-    if isinstance(F, Rationals):
-        scaled = []
-        scale = Fraction(1)
-        for row in mat.rows:
-            den = 1
-            for v in row:
-                den = den * v.denominator // _igcd(den, v.denominator)
-            scale *= den
-            scaled.append([int(v * den) for v in row])
-        pivots, sign = _bareiss_forward(scaled)
-        if len(pivots) < n:
-            return F.zero()
-        r, c = pivots[-1]
-        return FieldElement(F, Fraction(sign * scaled[r][c]) / scale)
-    rows = [list(r) for r in mat.rows]
-    sign_flip = False
-    acc = F.pone
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return F.zero()
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign_flip = not sign_flip
-        piv = rows[r][c]
-        acc = F.mul(acc, piv)
-        inv = F.inv(piv)
-        for i in range(r + 1, n):
-            if not F.is_zero(rows[i][c]):
-                t = F.mul(rows[i][c], inv)
-                rows[i] = [F.sub(a, F.mul(t, b)) for a, b in zip(rows[i], rows[r])]
-        r += 1
-    if sign_flip:
-        acc = F.neg(acc)
-    return FieldElement(F, acc)
+    return FieldElement(mat.field, det_rows(mat.field, mat.rows))
+
+
+def det_rows(F: FieldDescriptor, rows):
+    """Determinant of square payload rows over F, as a payload.
+
+    Up to 3x3 by the closed cofactor forms, which are cheaper there than
+    elimination; beyond that by the forward pass.
+    """
+    m = len(rows)
+    if m == 0:
+        return F.pone
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return F.sub(F.mul(rows[0][0], rows[1][1]),
+                     F.mul(rows[0][1], rows[1][0]))
+    if m == 3:
+        a, b, c = rows[0]
+        d, e, f = rows[1]
+        g, h, i = rows[2]
+        t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
+        t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
+        t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
+        return F.add(F.sub(t1, t2), t3)
+    _, pivots, d = _forward(F, rows)
+    return d if len(pivots) == m else F.pzero
 
 
 def solve(mat: Matrix, rhs):
@@ -254,27 +233,15 @@ def solve(mat: Matrix, rhs):
     b = [v.payload if isinstance(v, FieldElement) else F.coerce(v) for v in rhs]
     if len(b) != mat.nrows:
         raise InputError("right-hand side length mismatch")
-    aug = Matrix(F, [list(row) + [bv] for row, bv in zip(mat.rows, b)]
-                 if mat.nrows else [])
-    if mat.nrows == 0:
-        return [F.zero()] * mat.ncols
-    rows, pivots = _echelon(aug)
     n_cols = mat.ncols
+    rows, pivots = _echelon(F, [row + (bv,) for row, bv in zip(mat.rows, b)])
+    x = [F.pzero] * n_cols
+    # reduced form with free variables at zero: x[c] is row r's rhs, and
+    # a pivot in the rhs column means the system is inconsistent
     for r, c in pivots:
         if c == n_cols:
             return None
-    x = [F.pzero] * n_cols
-    for r, c in pivots:
-        # reduced form: row r is e_c plus free-column entries
-        acc = rows[r][n_cols]
-        for j in range(c + 1, n_cols):
-            if not F.is_zero(rows[r][j]) and not F.is_zero(x[j]):
-                acc = F.sub(acc, F.mul(rows[r][j], x[j]))
-        x[c] = acc
-    # rows below the pivots must be consistent (all-zero rows with zero rhs)
-    for i in range(len(pivots), mat.nrows):
-        if not F.is_zero(rows[i][n_cols]):
-            return None
+        x[c] = rows[r][n_cols]
     return [FieldElement(F, v) for v in x]
 
 
@@ -286,16 +253,7 @@ def kernel_basis(mat: Matrix):
     deterministic.
     """
     F = mat.field
-    if mat.ncols == 0:
-        return []
-    if mat.nrows == 0:
-        basis = []
-        for j in range(mat.ncols):
-            v = [F.pzero] * mat.ncols
-            v[j] = F.pone
-            basis.append([FieldElement(F, x) for x in v])
-        return basis
-    rows, pivots = _echelon(mat)
+    rows, pivots = _echelon(F, mat.rows)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for j in range(mat.ncols):
@@ -315,9 +273,7 @@ def rref(mat: Matrix) -> Matrix:
     Unit pivots, zeros above and below each pivot, pivot columns strictly
     increasing down the rows; deterministic for a given input.
     """
-    if mat.nrows == 0:
-        return Matrix(mat.field, [], ncols=mat.ncols)
-    rows, pivots = _echelon(mat)
+    rows, pivots = _echelon(mat.field, mat.rows)
     return Matrix(mat.field, [rows[r] for r, _ in pivots], ncols=mat.ncols)
 
 
@@ -326,3 +282,13 @@ def from_columns(field, columns) -> Matrix:
     if not cols:
         return Matrix(field, [])
     return Matrix(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
+
+
+def linear_combination(F: FieldDescriptor, coeffs, vectors, width: int):
+    """sum_i coeffs[i] * vectors[i] over F, as a list of width payloads;
+    zero coefficients are skipped, which leaves the sum unchanged."""
+    acc = [F.pzero] * width
+    for c, vec in zip(coeffs, vectors):
+        if not F.is_zero(c):
+            acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
+    return acc

@@ -8,6 +8,7 @@ with a narrow rational-root fallback over Q used by the curve layer.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from .errors import InputError
@@ -270,9 +271,7 @@ class Poly:
             raise InputError("rational_roots is a Q-only helper")
         if self.is_zero():
             raise InputError("zero polynomial")
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         k = 0
         while ints[k] == 0:
@@ -302,12 +301,6 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != self.field.pone else f"x^{i}")
         return " + ".join(reversed(parts))
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -358,10 +351,6 @@ def _moebius(n):
             return 0
         out = -out
     return out
-
-
-def residue_pow(a: Poly, e: int, modulus: Poly) -> Poly:
-    return a.powmod(e, modulus)
 
 
 def residue_inverse(a: Poly, modulus: Poly) -> Poly:

@@ -8,36 +8,23 @@ d = n/2 - 1 is the obstruction to semi-stability of the extension.
 
 The experiment samples random subspaces V of class space and records
 whether V escapes Sigma_d, cross-checking the determinant test against
-membership on every class it touches.  Per-trial seeds are split from
-the master seed by hashing "seed:trial", so results do not depend on
-scheduling or thread count.
+membership on every class it touches.  Trials run one after another;
+per-trial seeds are split from the master seed by hashing "seed:trial",
+so each trial's draws depend on nothing but the seed and its index.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
 from .curves import Divisor, enumerate_effective_divisors
 from .errors import InputError
-from .extensions import ExtensionClass, ExtensionDatum
-from .linalg import Matrix, kernel_basis, rank
+from .extensions import ExtensionClass, ExtensionDatum, _witness_scan
+from .linalg import Matrix, kernel_basis, linear_combination, rank
 from .riemann_roch import coordinates, rr_basis
-
-
-@dataclass(frozen=True)
-class SecantQuery:
-    e: ExtensionClass
-    d: int
-    domain: str                  # "exhaustive-finite-field" | "explicit-point-set"
-    points: tuple | None = None
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise InputError("secant index must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -60,16 +47,6 @@ def _annihilator_rows(datum: ExtensionDatum, D: Divisor):
             for w in B.basis]
 
 
-def _annihilates_rows(F, rows, coords) -> bool:
-    for row in rows:
-        acc = F.pzero
-        for c, v in zip(coords, row):
-            acc = F.add(acc, F.mul(c, v))
-        if not F.is_zero(acc):
-            return False
-    return True
-
-
 def secant_member(e: ExtensionClass, d: int | None = None,
                   points=None) -> SecantResult:
     """Decide e in Sigma_d, returning the smallest witness divisor.
@@ -84,29 +61,13 @@ def secant_member(e: ExtensionClass, d: int | None = None,
         if datum.n < 2:
             raise InputError("n = 0 datum has no default secant index")
         d = datum.n // 2 - 1
-    q = SecantQuery(e, d,
-                    "explicit-point-set" if points is not None
-                    else "exhaustive-finite-field",
-                    None if points is None else tuple(points))
-    if q.domain == "exhaustive-finite-field" and datum.curve.field.order() is None:
+    if d < 0:
+        raise InputError("secant index must be nonnegative")
+    if points is None and datum.curve.field.order() is None:
         raise InputError("infinite base field: supply candidate points")
-    F = datum.curve.field
-    coords = e.coords
-    examined = 0
-    for D in enumerate_effective_divisors(datum.curve, q.d, points=points):
-        examined += 1
-        if _annihilates_rows(F, _annihilator_rows(datum, D), coords):
-            _reverify_member(e, D)
-            return SecantResult(D, q.d, examined, points is None)
-    return SecantResult(None, q.d, examined, points is None)
-
-
-def _reverify_member(e: ExtensionClass, D: Divisor):
-    datum = e.datum
-    B = rr_basis(datum.curve, datum.N + datum.curve.canonical_divisor() - D)
-    for w in B.basis:
-        if not datum.curve.field.is_zero(e.evaluate(w).payload):
-            raise AssertionError("secant witness failed re-verification")
+    D, examined = _witness_scan(e, datum.N + datum.curve.canonical_divisor(),
+                                d, points=points)
+    return SecantResult(D, d, examined, points is None)
 
 
 def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
@@ -127,10 +88,8 @@ def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
         ker = kernel_basis(Matrix(F, rows, ncols=datum.class_dim))
         kvecs = [tuple(v.payload for v in vec) for vec in ker]
         for cs in _iproduct(payloads, repeat=len(kvecs)):
-            acc = [F.pzero] * datum.class_dim
-            for c, vec in zip(cs, kvecs):
-                acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
-            members.add(tuple(acc))
+            members.add(tuple(linear_combination(F, cs, kvecs,
+                                                 datum.class_dim)))
     return frozenset(members)
 
 
@@ -185,21 +144,26 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _random_payload(F, rng):
-    p = F.characteristic()
+def _sample_frame(F, rng, s: int, width: int, height: int = 9):
+    """Full-rank s x width payload rows.  Finite fields draw entries
+    uniformly; over the rationals entries come from the integer box
+    [-height, height]."""
     q = F.order()
-    k = 1
-    while p ** k < q:
-        k += 1
-    digits = [rng.randrange(p) for _ in range(k)]
-    return F.coerce(digits if k > 1 else digits[0])
+    if q is None:
+        def draw():
+            return F.coerce(rng.randint(-height, height))
+    else:
+        p = F.characteristic()
+        k = 1
+        while p ** k < q:
+            k += 1
 
-
-def _sample_subspace(F, rng, s: int, width: int):
+        def draw():
+            digits = [rng.randrange(p) for _ in range(k)]
+            return F.coerce(digits if k > 1 else digits[0])
     # rejection sampling keeps the distribution uniform over full-rank frames
     while True:
-        rows = [[_random_payload(F, rng) for _ in range(width)]
-                for _ in range(s)]
+        rows = [[draw() for _ in range(width)] for _ in range(s)]
         if rank(Matrix(F, rows, ncols=width)) == s:
             return rows
 
@@ -212,20 +176,11 @@ def sample_subspace(datum: ExtensionDatum, s: int, seed: int,
     come from the integer box [-height, height].  Rank-deficient draws
     are rejected and redrawn, so the frame is always independent.
     """
-    F = datum.curve.field
     if s < 1 or s > datum.class_dim:
         raise InputError(
             f"subspace dimension {s} outside 1..{datum.class_dim}")
     rng = random.Random(_trial_seed(seed, 0))
-    width = datum.class_dim
-    if F.order() is None:
-        while True:
-            rows = [[F.coerce(rng.randint(-height, height))
-                     for _ in range(width)] for _ in range(s)]
-            if rank(Matrix(F, rows, ncols=width)) == s:
-                break
-    else:
-        rows = _sample_subspace(F, rng, s, width)
+    rows = _sample_frame(datum.curve.field, rng, s, datum.class_dim, height)
     return [ExtensionClass(datum, row) for row in rows]
 
 
@@ -242,6 +197,9 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
     With s below n - m + g the existence hypothesis is not met and
     failed trials are legitimate; the report records the gate rather
     than refusing to run.
+
+    ``threads`` is validated and otherwise ignored: the trials are pure
+    Python and run serially, so the report cannot depend on it.
     """
     curve = datum.curve
     F = curve.field
@@ -258,21 +216,17 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
         raise InputError("need at least one thread")
     d = datum.n // 2 - 1
     table = secant_table(datum, d)
-    datum.pair_tensor()          # build once, share read-only across threads
     payloads = list(F.iter_payloads())
     width = datum.class_dim
 
     def run_trial(trial: int) -> tuple:
         rng = random.Random(_trial_seed(seed, trial))
-        frame = _sample_subspace(F, rng, s, width)
+        frame = _sample_frame(F, rng, s, width)
         examined = 0
         violations = 0
         witness = None
         for cs in _iproduct(payloads, repeat=s):
-            acc = [F.pzero] * width
-            for c, vec in zip(cs, frame):
-                acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
-            coords = tuple(acc)
+            coords = tuple(linear_combination(F, cs, frame, width))
             examined += 1
             member = coords in table
             if not F.is_zero(datum.det_payload(coords)) and member:
@@ -282,11 +236,7 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
                 break
         return TrialOutcome(trial, witness is not None, examined, witness), violations
 
-    if threads == 1:
-        raw = [run_trial(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run_trial, range(trials)))
+    raw = [run_trial(t) for t in range(trials)]
     outcomes = tuple(out for out, _ in raw)
     violations = sum(v for _, v in raw)
     successes = sum(1 for out in outcomes if out.success)

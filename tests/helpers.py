@@ -198,6 +198,14 @@ class TinyExt:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def inv(self, a):
+        """Brute force over the field: the one b with a*b = 1."""
+        one = self.embed(1)
+        return next(b for b in self.elements() if self.mul(a, b) == one)
+
     def mul(self, a, b):
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
@@ -219,6 +227,48 @@ class TinyExt:
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), self.embed(c))
         return acc
+
+
+def tiny_rref(K, rows):
+    """Textbook reduced row echelon over a TinyExt; returns (reduced
+    nonzero rows, pivot column list)."""
+    zero = K.embed(0)
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = K.inv(rows[r][c])
+        rows[r] = [K.mul(v, inv) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [K.sub(a, K.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def tiny_det(K, rows):
+    """Leibniz expansion over a TinyExt: a sum over permutations, so it
+    shares nothing with elimination."""
+    from itertools import permutations
+    n = len(rows)
+    acc = K.embed(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = K.embed(1)
+        for i, j in enumerate(perm):
+            term = K.mul(term, rows[i][j])
+        acc = K.sub(acc, term) if inversions % 2 else K.add(acc, term)
+    return acc
 
 
 def brute_point_count(p, f_coeffs, ext_minpoly=None):

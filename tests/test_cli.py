@@ -29,6 +29,7 @@ from helpers import curve_g1_f5, datum_on_infinity
 # child process runs the same tree whatever the working directory
 SRC = str(Path(curvext.__file__).resolve().parent.parent)
 MODULE = [sys.executable, "-m", "curvext"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, argv):
@@ -234,6 +235,27 @@ def test_experiment_thread_count_is_invisible(tree, capsys):
     res = report["result"]
     assert res["trials"] == 3 and res["violations"] == 0
     assert [o["trial"] for o in res["outcomes"]] == [0, 1, 2]
+
+
+def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):
+    """Every call of the benchmark's cli-mix catalog, run in process,
+    gives its recorded exit code and report digest, so a change to any
+    report byte fails here and not only in the benchmark.  The catalog
+    and its argv and digest helpers are read from perfbench/ without
+    writing there (no bytecode cache)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    catalog = workloads.load_goldens()["cli-mix"]
+    for fname, obj in catalog["files"].items():
+        (tmp_path / fname).write_text(json.dumps(obj), encoding="utf-8")
+    differ = []
+    for entry in catalog["entries"]:
+        code, out, _ = run(capsys, workloads.cli_argv(entry, str(tmp_path)))
+        got = (code, workloads.report_digest(json.loads(out)))
+        if got != (entry["code"], entry["digest"]):
+            differ.append(" ".join(entry["argv"]))
+    assert catalog["entries"] and differ == []
 
 
 def test_relative_curve_path_resolves_against_the_class_file(tree, capsys):

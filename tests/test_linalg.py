@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from curvext import (InputError, Matrix, PrimeField, Rationals, det,
-                     from_columns, kernel_basis, rank, rref, solve)
-from helpers import frac_det, frac_rref, modp_rank
+from curvext import (ExtensionField, InputError, Matrix, PrimeField,
+                     Rationals, det, from_columns, kernel_basis, rank, rref,
+                     solve)
+from curvext.linalg import det_rows
+from helpers import (TinyExt, frac_det, frac_rref, modp_rank, tiny_det,
+                     tiny_rref)
 
 Q = Rationals()
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def rand_matrix_q(rng, nr, nc):
@@ -109,3 +113,51 @@ def test_rref_is_idempotent_and_canonical():
         scaled = [[3 * v for v in r] for r in rows]
         assert [[v for v in r] for r in rref(Matrix(Q, scaled)).rows] == \
                [[v for v in r] for r in R.rows]
+
+
+@pytest.mark.parametrize("p,minpoly", [(3, [1, 0, 1]), (2, [1, 1, 0, 1])])
+def test_extension_field_matches_tiny_oracle(p, minpoly):
+    """rank, det, rref and kernel_basis over F_9 and F_8 (characteristic
+    2, where negation is the identity) against TinyExt elimination."""
+    F = ExtensionField(p, minpoly)
+    K = TinyExt(p, minpoly)
+    elems = K.elements()
+    rng = random.Random(17 + p)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.choice(elems) for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.3:            # force a dependent row
+            rows.append([K.add(a, b) for a, b in zip(rows[0], rows[-1])])
+        M = Matrix(F, rows)
+        want_rows, want_pivots = tiny_rref(K, rows)
+        assert rank(M) == len(want_pivots)
+        assert [list(r) for r in rref(M).rows] == want_rows
+        free = [j for j in range(nc) if j not in want_pivots]
+        want_kernel = []
+        for j in free:
+            vec = [K.embed(0)] * nc
+            vec[j] = K.embed(1)
+            for row, c in zip(want_rows, want_pivots):
+                vec[c] = K.sub(K.embed(0), row[j])
+            want_kernel.append(vec)
+        assert [[v.payload for v in k] for k in kernel_basis(M)] == want_kernel
+        n = min(len(rows), nc)
+        square = [r[:n] for r in rows[:n]]
+        assert det(Matrix(F, square)).payload == tiny_det(K, square)
+
+
+def test_det_rows_across_the_closed_form_cut():
+    """Payload-row determinants for m = 0..5, closed forms up to 3x3 and
+    elimination beyond, against frac_det over Q and mod 7."""
+    rng = random.Random(18)
+    for m in range(6):
+        for trial in range(25):
+            ints = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(m)]
+            if m >= 2 and trial % 5 == 0:    # singular: repeat a row
+                ints[-1] = list(ints[0])
+            fracs = [[Fraction(v, rng.randint(1, 4)) for v in row]
+                     for row in ints]
+            assert det_rows(Q, fracs) == frac_det(fracs)
+            mod7 = [[v % 7 for v in row] for row in ints]
+            assert det_rows(F7, mod7) == frac_det(ints) % 7
+            assert det(Matrix(F7, mod7)).payload == frac_det(ints) % 7

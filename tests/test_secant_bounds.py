@@ -1,15 +1,18 @@
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import curvext.extensions
 from curvext import (BoundInputs, Divisor, ExtensionClass, InputError,
-                     NotApplicable, clifford_sandwich, compute_m, det_test,
+                     NotApplicable, brute_force_destabilizer,
+                     clifford_sandwich, compute_m, det_test,
                      secant_member, secant_table, sample_subspace,
                      offsecant_experiment, theorem1_delta0, theorem2_bound)
-from helpers import (all_classes, curve_g1_f5, curve_g1_q, curve_g1w_f3,
-                     datum_on_infinity)
+from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
+                     curve_g1w_f3, datum_on_infinity)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,39 @@ def test_secant_membership_matches_table_exhaustively():
             assert tuple(e.coords) not in table
 
 
+@pytest.mark.parametrize("make", [datum_on_infinity, chain_datum])
+def test_secant_witness_is_the_default_destabilizer(make):
+    """At d = n/2 - 1 secant membership is the destabilizer search on the
+    datum's own pair: same witness, same divisor count, for every class.
+    chain_datum has a nonconstant u, so the twist multiplier is live."""
+    datum = make(curve_g1w_f3(), 4)
+    members = 0
+    for e in all_classes(datum):
+        sec = secant_member(e)
+        dst = brute_force_destabilizer(e)
+        assert (sec.witness, sec.examined, sec.complete) == \
+               (dst.witness, dst.examined, dst.complete)
+        members += sec.member
+    assert 0 < members < datum.curve.field.order() ** datum.class_dim
+
+
+def test_witness_hits_are_reverified(monkeypatch):
+    """The re-verifier recomputes coordinates on its own; if that
+    recomputation disagrees, a hit raises instead of being returned."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 4)
+    e = _evaluation_class(datum, curve.point(2, 2))
+    j = next(i for i, c in enumerate(e.coords) if c)
+
+    def skewed(fn, B):
+        return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
+    monkeypatch.setattr(curvext.extensions, "coordinates", skewed)
+    with pytest.raises(AssertionError, match="re-verification"):
+        secant_member(e)
+    with pytest.raises(AssertionError, match="re-verification"):
+        brute_force_destabilizer(e)
+
+
 def test_secant_guards_and_explicit_domains():
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)
@@ -254,6 +290,15 @@ def test_offsecant_experiment_is_thread_invariant():
     r8 = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=8)
     again = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=1)
     assert r1.to_json(F) == r8.to_json(F) == again.to_json(F)
+
+
+def test_offsecant_experiment_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("offsecant_experiment started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    datum = datum_on_infinity(curve_g1_f5(), 4)
+    rpt = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=8)
+    assert rpt.trials == 6
 
 
 def test_offsecant_experiment_guards():
