@@ -13,9 +13,9 @@ from .bounds import (BoundInputs, Theorem2Result, clifford_sandwich,
 from .curves import (CurvePoint, Divisor, HyperellipticCurve, LocalExpansion,
                      curve_from_json, curve_to_json, divisor_from_json,
                      divisor_to_json, enumerate_closed_points,
-                     enumerate_effective_divisors, local_expansion,
-                     make_curve, point_expansions, point_from_json,
-                     point_to_json, valuation, verify_expansion)
+                     enumerate_effective_divisors, make_curve,
+                     point_expansions, point_from_json, point_to_json,
+                     valuation, verify_expansion)
 from .errors import (CurvextError, ExhaustionError, InputError,
                      MembershipError, NotApplicable, PrecisionExceeded)
 from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
@@ -31,8 +31,7 @@ from .linalg import Matrix, det, from_columns, kernel_basis, rank, rref, solve
 from .polys import Poly, hensel_sqrt, iter_monic, iter_monic_irreducible
 from .riemann_roch import (LinearFunctional, PrincipalityResult, RationalFunction,
                            RRBasis, basis_transition, coordinates,
-                           function_to_json, h0, h1, is_principal,
-                           product_coordinates, rr_basis)
+                           function_to_json, h0, h1, is_principal, rr_basis)
 from .secant import (OffsecantReport, SecantResult, offsecant_experiment,
                      sample_subspace, secant_member, secant_table)
 

@@ -15,6 +15,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import InputError, NotApplicable
+from .fields import Rationals
 from .riemann_roch import h0
 
 _WORK_DIGITS = 65
@@ -53,17 +54,10 @@ def theorem1_delta0(n: int, g: int, m: int) -> int:
 
 
 def _as_fraction(name, value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(
-            f"{name} must be exact; pass an int, Fraction or string")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse {name} = {value!r}") from exc
-    raise InputError(f"{name} must be a rational number, got {value!r}")
+    try:
+        return Rationals().coerce(value)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .curves import (curve_from_json, divisor_from_json, divisor_to_json,
                      point_from_json)
 from .errors import CurvextError, ExhaustionError, InputError, NotApplicable
 from .extensions import (brute_force_destabilizer, class_from_json,
-                         make_datum, prop1_certificate, search_semistable,
-                         subspace_from_json)
+                         load_json, make_datum, prop1_certificate,
+                         search_semistable, subspace_from_json)
 from .riemann_roch import function_to_json, rr_basis
 from .secant import offsecant_experiment, secant_member
 
@@ -38,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _parse_inline(text: str, what: str):
     try:
         return json.loads(text)
@@ -56,11 +46,11 @@ def _parse_inline(text: str, what: str):
 
 
 def _load_curve(path: str):
-    return curve_from_json(_load_json(path))
+    return curve_from_json(load_json(path))
 
 
 def _load_class(path: str):
-    return class_from_json(_load_json(path), base_dir=os.path.dirname(path) or ".")
+    return class_from_json(load_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -74,7 +64,7 @@ def _frac_str(x: Fraction) -> str:
 
 def _cmd_curve_validate(args, inputs):
     inputs["file"] = args.file
-    curve = curve_from_json(_load_json(args.file))
+    curve = curve_from_json(load_json(args.file))
     result = {"status": "ok", "valid": True, "genus": curve.genus,
               "f_degree": curve.f.degree, "label": curve.label}
     return result, [], {}
@@ -130,7 +120,7 @@ def _cmd_ext_prop1(args, inputs):
 
 def _cmd_ext_search(args, inputs):
     inputs["file"] = args.file
-    obj = _load_json(args.file)
+    obj = load_json(args.file)
     datum, V = subspace_from_json(obj, base_dir=os.path.dirname(args.file) or ".")
     sr = search_semistable(V)
     F = datum.curve.field
@@ -147,7 +137,7 @@ def _cmd_ext_destab(args, inputs):
     points = None
     if args.points is not None:
         inputs["points"] = args.points
-        pts = _load_json(args.points)
+        pts = load_json(args.points)
         if not isinstance(pts, list):
             raise InputError("points file must hold a JSON list of points")
         points = [point_from_json(e.datum.curve, p) for p in pts]

@@ -527,15 +527,6 @@ class _Laurent:
                 return self.offset + i
         return None
 
-    def invert(self):
-        v = self.leading_index()
-        if v is None:
-            raise PrecisionExceeded("cannot invert a series with no certified term")
-        lead = v - self.offset
-        unit = self.coeffs[lead:]
-        inv = _s_inv(self.ring, unit, len(unit))
-        return _Laurent(self.ring, -v, inv)
-
 
 def _laurent_polyval(ring, poly: Poly, X: _Laurent) -> _Laurent:
     """Horner evaluation of a base-coefficient polynomial at a Laurent series."""
@@ -815,37 +806,6 @@ def valuation(fn, point: CurvePoint) -> int:
         if v is not None:
             return v - v_den
         prec *= 2
-
-
-def local_expansion(fn, point: CurvePoint, precision: int) -> LocalExpansion:
-    """Expansion of a nonzero rational function at a place, ``precision``
-    coefficients starting at its exact leading exponent."""
-    curve = point.curve
-    if precision < 1:
-        raise InputError("precision must be positive")
-    v = valuation(fn, point)
-    inner = precision + _num_bound(curve, fn.a, fn.b, point) \
-        + 2 * fn.c.degree + curve.genus + 2
-    while True:
-        if inner > _PRECISION_CAP:
-            raise PrecisionExceeded("requested expansion exceeds the precision cap")
-        env = _expansion_env(curve, point, inner)
-        num = _num_series(curve, env, fn.a, fn.b)
-        if fn.c.degree >= 1 or not fn.c.is_one():
-            C = _laurent_polyval(env.ring, fn.c, env.x)
-            total = num.mul(C.invert())
-        else:
-            total = num
-        # the window must certify the leading term and cover the request
-        if total.leading_index() == v and total.end >= v + precision:
-            break
-        inner *= 2
-    start = v - total.offset
-    coeffs = total.coeffs[start:start + precision]
-    cut = _Laurent(env.ring, v, coeffs)
-    exp = _laurent_to_expansion(point, env, cut)
-    exp.precision = len(coeffs)
-    return exp
 
 
 # ---------------------------------------------------------------------------

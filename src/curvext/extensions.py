@@ -392,14 +392,24 @@ def search_semistable(V, box: int | None = None) -> SearchResult:
 # JSON forms
 # ---------------------------------------------------------------------------
 
+def load_json(path: str):
+    """Read one JSON file; a missing, unreadable or malformed file is an
+    input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def datum_from_json(obj, base_dir: str = ".") -> ExtensionDatum:
     if not isinstance(obj, dict) or not {"curve", "N", "M"} <= set(obj):
         raise InputError("datum JSON needs 'curve', 'N', 'M'")
     cv = obj["curve"]
     if isinstance(cv, str):
-        path = cv if os.path.isabs(cv) else os.path.join(base_dir, cv)
-        with open(path, "r", encoding="utf-8") as fh:
-            cv = json.load(fh)
+        cv = load_json(cv if os.path.isabs(cv) else os.path.join(base_dir, cv))
     curve = curve_from_json(cv)
     N = divisor_from_json(curve, obj["N"])
     M = divisor_from_json(curve, obj["M"])

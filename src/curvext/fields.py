@@ -9,6 +9,12 @@ representations is equality in the field:
 * extension-field elements are fixed-length coefficient tuples of the
   residue polynomial, reduced modulo the defining polynomial.
 
+``ExtensionField`` is built on ``polys.Poly``: its defining polynomial is
+a ``Poly`` over ``PrimeField(p)``, and reduction, inversion and the
+irreducibility test are polynomial operations from ``polys``.  Its one
+payload kernel of its own is ``mul``, kept on int tuples because
+extension-field enumeration is almost all multiplication.
+
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  ``FieldElement`` wraps one payload with operator
@@ -50,125 +56,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dense F_p[x] helpers on plain int lists (low degree first, trimmed)
-# ---------------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] = (a[k + i] - c * cb) % p
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pxgcd(a, b, p):
-    """Extended gcd on int-list polynomials mod p: g, s, t with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [(-c) % p for c in _pmul(q, s1, p)], p)
-        t0, t1 = t1, _padd(t0, [(-c) % p for c in _pmul(q, t1, p)], p)
-    return r0, s0, t0
-
-
-def _irreducible_mod_p(poly, p):
-    """Rabin test for a monic int-list polynomial over F_p."""
-    d = len(poly) - 1
-    if d <= 0:
-        return False
-    x = [0, 1]
-    xq = _ppowmod(x, p ** d, poly, p)
-    if _ptrim(_padd(xq, [(-c) % p for c in x], p)):
-        return False
-    for ell in _prime_factors(d):
-        e = d // ell
-        xe = _ppowmod(x, p ** e, poly, p)
-        g = _pgcd(_padd(xe, [(-c) % p for c in x], p), poly, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +108,10 @@ class Rationals(FieldDescriptor):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"cannot parse {value!r} as a rational") from exc
         if isinstance(value, FieldElement) and value.field == self:
             return value.payload
         raise InputError(f"cannot coerce {value!r} into Q")
@@ -347,27 +237,31 @@ class PrimeField(FieldDescriptor):
 class ExtensionField(FieldDescriptor):
     """F_{p^k} presented as F_p[t]/(minpoly); payloads are k-tuples of ints.
 
-    ``minpoly`` is given low degree first, must be monic of degree k >= 2,
-    and is checked for irreducibility at construction.
+    ``minpoly`` is given low degree first as ints, must be monic of degree
+    k >= 2, and is checked for irreducibility at construction.  It is kept
+    as ``modulus``, a ``Poly`` over ``PrimeField(p)``.
     """
 
     def __init__(self, p: int, minpoly):
-        if not is_prime(p) or p >= 1 << 64:
-            raise InputError(f"{p} is not a prime < 2**64")
-        mp = [int(c) % p for c in minpoly]
-        while mp and mp[-1] == 0:
-            mp.pop()
-        if len(mp) < 3:
+        from .polys import Poly  # polys imports this module
+        base = PrimeField(p)
+        if not isinstance(minpoly, (list, tuple)):
+            raise InputError(
+                f"extension minpoly must be a coefficient list, got {minpoly!r}")
+        modulus = Poly(base, [base.payload_from_json(c) for c in minpoly])
+        if modulus.degree < 2:
             raise InputError("extension minpoly must have degree >= 2")
-        if mp[-1] != 1:
+        if not modulus.is_monic():
             raise InputError("extension minpoly must be monic")
-        if not _irreducible_mod_p(mp, p):
-            raise InputError(f"minpoly {mp} is reducible over F_{p}")
+        if not modulus.is_irreducible():
+            raise InputError(f"minpoly {list(modulus.coeffs)} is reducible over F_{p}")
         self.p = p
-        self.k = len(mp) - 1
-        self.minpoly = tuple(mp)
+        self.k = modulus.degree
+        self.base = base
+        self.modulus = modulus
+        self.minpoly = modulus.coeffs
         self.pzero = (0,) * self.k
-        self.pone = tuple([1 % p] + [0] * (self.k - 1))
+        self.pone = (1,) + (0,) * (self.k - 1)
 
     def _wrap(self, lst):
         return tuple(lst) + (0,) * (self.k - len(lst))
@@ -380,9 +274,10 @@ class ExtensionField(FieldDescriptor):
         if isinstance(value, FieldElement) and value.field == self:
             return value.payload
         if isinstance(value, (list, tuple)):
-            lst = [int(c) % self.p for c in value]
+            lst = [self.base.coerce(c) for c in value]
             if len(lst) > self.k:
-                lst = _pmod(_ptrim(lst), list(self.minpoly), self.p)
+                from .polys import Poly
+                lst = (Poly(self.base, lst) % self.modulus).coeffs
             return self._wrap(lst)
         raise InputError(f"cannot coerce {value!r} into F_{self.p}^{self.k}")
 
@@ -399,17 +294,25 @@ class ExtensionField(FieldDescriptor):
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        prod = _pmul(_ptrim(list(a)), _ptrim(list(b)), self.p)
-        return self._wrap(_pmod(prod, list(self.minpoly), self.p))
+        p, k, mp = self.p, self.k, self.minpoly
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        # fold each t^d, d >= k, through the monic minpoly, top degree first
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
+            if c:
+                for j in range(k):
+                    prod[d - k + j] -= c * mp[j]
+        return tuple(c % p for c in prod[:k])
 
     def inv(self, a):
-        lst = _ptrim(list(a))
-        if not lst:
+        from .polys import Poly, residue_inverse
+        if not any(a):
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        g, s, _ = _pxgcd(lst, list(self.minpoly), self.p)
-        # irreducible modulus: g is a nonzero constant
-        c = pow(g[0], self.p - 2, self.p)
-        return self._wrap([x * c % self.p for x in s])
+        return self._wrap(residue_inverse(Poly(self.base, a), self.modulus).coeffs)
 
     def characteristic(self):
         return self.p
@@ -434,7 +337,7 @@ class ExtensionField(FieldDescriptor):
         if isinstance(v, list):
             if len(v) > self.k:
                 raise InputError("extension element has too many coordinates")
-            return self.coerce(v)
+            return self._wrap([self.base.payload_from_json(c) for c in v])
         raise InputError(f"bad {self!r} value in JSON: {v!r}")
 
     def __eq__(self, other):

@@ -12,7 +12,7 @@ import math
 from itertools import product
 
 from .errors import InputError
-from .fields import FieldDescriptor, FieldElement, _prime_factors
+from .fields import FieldDescriptor, FieldElement
 
 
 class Poly:
@@ -154,7 +154,9 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = F.inv(other.lc())
+        lead = other.lc()
+        # every modulus in the package is monic: skip the inverse there
+        inv_lead = lead if lead == F.pone else F.inv(lead)
         q = [F.pzero] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and rem:
             c = F.mul(rem[-1], inv_lead)
@@ -342,6 +344,20 @@ def count_monic_irreducible(q: int, d: int) -> int:
         if d % e == 0:
             total += _moebius(e) * q ** (d // e)
     return total // d
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _moebius(n):

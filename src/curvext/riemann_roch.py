@@ -373,12 +373,6 @@ def coordinates(fn: RationalFunction, B: RRBasis):
     return sol
 
 
-def product_coordinates(s: RationalFunction, t: RationalFunction,
-                        target: RRBasis):
-    """Coordinates of s*t in the target basis (cup-product plumbing)."""
-    return coordinates(s * t, target)
-
-
 def basis_transition(src: RRBasis, dst: RRBasis,
                      mul: RationalFunction | None = None) -> Matrix:
     """Matrix whose column i gives mul*src[i] in dst coordinates; with

@@ -305,7 +305,26 @@ def test_search_exhaustion_exits_two(tree, capsys):
     assert report["inputs"]["file"] == tree["dead"]
 
 
+F25_FIELD = {"Fpk": {"p": 5, "minpoly": [2, 0, 1]}}
+MALFORMED_CURVES = [
+    {"field": {"Fpk": {"p": "5", "minpoly": [2, 0, 1]}}, "f": [1, 0, 0, 1]},
+    {"field": {"Fpk": {"p": 5, "minpoly": "x"}}, "f": [1, 0, 0, 1]},
+    {"field": {"Fpk": {"p": 5, "minpoly": [2, "a", 1]}}, "f": [1, 0, 0, 1]},
+    {"field": {"Fpk": {"p": 5, "minpoly": [2, 0.9, 1]}}, "f": [1, 0, 0, 1]},
+    {"field": F25_FIELD, "f": [[1.5, 0], 0, 0, 1]},
+    {"field": F25_FIELD, "f": [[True, 2], 0, 0, 1]},
+    {"field": "Q", "f": ["abc", 0, 0, 1]},
+    {"field": "Q", "f": ["1/0", 0, 0, 1]},
+]
+
+
 def test_input_errors_exit_one(tree, capsys):
+    root = Path(tree["root"])
+
+    def dump(name, obj):
+        (root / name).write_text(json.dumps(obj), encoding="utf-8")
+        return str(root / name)
+
     cases = [
         ["curve", "validate", tree["root"] + "/missing.json"],
         ["curve", "validate", tree["bad"]],
@@ -314,6 +333,15 @@ def test_input_errors_exit_one(tree, capsys):
          "--trials", "1"],
         ["secant", "member", tree["cls"], "--d", "-1"],
     ]
+    for i, obj in enumerate(MALFORMED_CURVES):
+        cases.append(["curve", "validate", dump(f"malformed{i}.json", obj)])
+    # a class file whose curve path is missing or not JSON
+    for curve in ("nowhere.json", "bad.json"):
+        cls = {"datum": {"curve": curve,
+                         "N": [{"point": "infinity", "mult": 4}],
+                         "M": [{"point": "infinity", "mult": 2}]},
+               "e": [1, 0, 2, 3]}
+        cases.append(["ext", "det", dump(f"cls_{curve}", cls)])
     for argv in cases:
         code, report, _ = run_json(capsys, argv)
         assert code == 1, argv

@@ -1,4 +1,8 @@
+import importlib
 import itertools
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,23 @@ def test_closed_points_match_brute_counts(make, p, fc, quad, cubic):
     assert by_degree[1] + 2 * by_degree[2] == brute_point_count(p, fc, quad)
     if cubic is not None:
         assert by_degree[1] + 3 * by_degree[3] == brute_point_count(p, fc, cubic)
+
+
+def test_benchmark_point_enum_counts(monkeypatch):
+    """The benchmark's point-enum curves (F37, F25, F7) give the point
+    counts by degree pinned in perfbench/goldens.json, so a change to
+    enumeration or to F_{p^k} arithmetic fails here and not only in the
+    benchmark.  The curve list is read from perfbench/ without writing
+    there (no bytecode cache)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    pinned = workloads.load_goldens()["point-enum"]
+    assert sorted(pinned) == sorted(name for name, _, _ in workloads.ENUM_CURVES)
+    for name, spec, max_degree in workloads.ENUM_CURVES:
+        pts = enumerate_closed_points(curve_from_json(spec), max_degree)
+        assert Counter(str(pt.degree) for pt in pts) == pinned[name], name
 
 
 def test_point_list_is_sorted_and_cached():

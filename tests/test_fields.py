@@ -72,6 +72,26 @@ def test_f9_against_hand_rolled_tables():
         assert acc == F9.pone
 
 
+@pytest.mark.parametrize("p,minpoly", [(3, [1, 2, 0, 1]),       # F_27
+                                       (3, [2, 1, 0, 0, 1])],   # F_81
+                         ids=["F27", "F81"])
+def test_extension_kernels_match_tiny_oracle(p, minpoly):
+    F = ExtensionField(p, minpoly)
+    K = TinyExt(p, minpoly)
+    elems = K.elements()
+    for a in elems:
+        for b in elems:
+            assert F.mul(a, b) == K.mul(a, b)
+    rng = random.Random(5)
+    for a in rng.sample(elems[1:], 20):
+        assert F.inv(a) == K.inv(a)
+    # an over-long coefficient list is the polynomial evaluated at t
+    t = (0, 1) + (0,) * (F.k - 2)
+    for _ in range(20):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(F.k + 1, 3 * F.k))]
+        assert F.coerce(coeffs) == K.polyval(coeffs, t)
+
+
 def test_rationals_exactness():
     Q = Rationals()
     assert Q.coerce("2/6") == Fraction(1, 3)
@@ -81,6 +101,9 @@ def test_rationals_exactness():
         Q.coerce(0.5)
     with pytest.raises(InputError):
         Q.coerce(True)
+    for text in ("abc", "1/0"):
+        with pytest.raises(InputError):
+            Q.coerce(text)
     assert Q.order() is None and Q.characteristic() == 0
 
 
@@ -98,6 +121,11 @@ def test_reducible_minpoly_is_rejected():
     # t^2 + 2 has the root t = 1 mod 3
     with pytest.raises(InputError):
         ExtensionField(3, [2, 0, 1])
+    # quartics with no root mod 3: (t^2+1)^2 fails the first Rabin step;
+    # (t^2+1)(t^2+t+2) divides t^81 - t and fails only the gcd step
+    for minpoly in ([1, 0, 2, 0, 1], [2, 1, 0, 1, 1]):
+        with pytest.raises(InputError, match="reducible"):
+            ExtensionField(3, minpoly)
 
 
 def test_element_operators():
@@ -121,3 +149,24 @@ def test_field_json_round_trip():
         field_from_json({"Fp": 4})
     with pytest.raises(InputError):
         field_from_json("R")
+
+
+@pytest.mark.parametrize("inner", [
+    {"p": "5", "minpoly": [2, 0, 1]},
+    {"p": True, "minpoly": [1, 1]},
+    {"p": 5, "minpoly": "x"},
+    {"p": 5, "minpoly": [2, "a", 1]},
+    {"p": 5, "minpoly": [2, 0.9, 1]},
+    {"p": 5, "minpoly": [2, 0, True]},
+], ids=repr)
+def test_extension_descriptor_takes_ints_only(inner):
+    with pytest.raises(InputError):
+        field_from_json({"Fpk": inner})
+
+
+def test_extension_element_json_takes_ints_only():
+    for bad in ([1.5, 0], [True, 2], [1, "2"], [0, 0, 1], 1.5, True):
+        with pytest.raises(InputError):
+            F25.payload_from_json(bad)
+    assert F25.payload_from_json([7, -1]) == (2, 4)
+    assert F25.payload_from_json(6) == (1, 0)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvext import InputError, Poly, PrimeField, Rationals, hensel_sqrt
+from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
+                     hensel_sqrt)
 from curvext.polys import (count_monic_irreducible, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_is_square, residue_sqrt)
@@ -11,6 +12,7 @@ from curvext.polys import (count_monic_irreducible, iter_monic,
 Q = Rationals()
 F5 = PrimeField(5)
 F3 = PrimeField(3)
+F9 = ExtensionField(3, [1, 0, 1])
 
 
 def rand_poly(F, rng, max_deg):
@@ -21,11 +23,12 @@ def rand_poly(F, rng, max_deg):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for _ in range(deg + 1)]
     else:
-        coeffs = [rng.randrange(F.order()) for _ in range(deg + 1)]
+        pool = list(F.iter_payloads())
+        coeffs = [pool[rng.randrange(len(pool))] for _ in range(deg + 1)]
     return Poly(F, coeffs)
 
 
-@pytest.mark.parametrize("F", [Q, F5], ids=repr)
+@pytest.mark.parametrize("F", [Q, F5, F9], ids=repr)
 def test_divmod_identity(F):
     rng = random.Random(3)
     for _ in range(60):
@@ -36,6 +39,10 @@ def test_divmod_identity(F):
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
+        # a monic divisor skips the inverse of its leading coefficient;
+        # both paths give the same remainder and rescaled quotient
+        qm, rm = a.divmod(b.monic())
+        assert rm == r and qm == q.scale(b.lc())
 
 
 @pytest.mark.parametrize("F", [Q, F5], ids=repr)
@@ -48,7 +55,7 @@ def test_xgcd_bezout(F):
             continue
         g, s, t = a.xgcd(b)
         assert s * a + t * b == g
-        assert g.is_monic
+        assert g.is_monic()
         assert (a % g).is_zero() and (b % g).is_zero()
 
 

@@ -5,7 +5,7 @@ import pytest
 from curvext import (Divisor, InputError, LinearFunctional, MembershipError,
                      Poly, RationalFunction, basis_transition, coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
-                     is_principal, product_coordinates, rr_basis, valuation)
+                     is_principal, rr_basis, valuation)
 from helpers import (curve_g1_f5, curve_g1_q, curve_g1w_f3, curve_g2_f3,
                      curve_g2_f7, curve_g2_q, curve_g3_f5, random_divisor)
 
@@ -124,7 +124,7 @@ def test_product_coordinates_reconstruct_the_product():
     B6 = rr_basis(curve, curve.infinity_divisor(10))
     for s in B3:
         for t in B3:
-            co = product_coordinates(s, t, B6)
+            co = coordinates(s * t, B6)
             back = RationalFunction.zero(curve)
             for v, b in zip(co, B6):
                 back = back + b * v

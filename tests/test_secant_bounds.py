@@ -100,8 +100,11 @@ def test_theorem2_gate_and_input_guards():
         BoundInputs(k=6, **ok)                # above lattice rank n+g-1 = 5
     with pytest.raises(InputError):
         BoundInputs(n=4, g=2, m=2, degF=1, c1sq=0.5, k=4)   # float forbidden
-    with pytest.raises(InputError):
-        BoundInputs(n=4, g=2, m=2, degF=1, c1sq="x", k=4)
+    for bad in ("x", "1/0", True):
+        with pytest.raises(InputError, match="c1sq"):
+            BoundInputs(n=4, g=2, m=2, degF=1, c1sq=bad, k=4)
+    # a decimal string is read exactly, not through a float
+    assert BoundInputs(k=4, **dict(ok, c1sq="0.1")).c1sq == Fraction(1, 10)
     with pytest.raises(InputError):
         BoundInputs(n=4, g=2, m=5, degF=1, c1sq=0, k=4)     # m over the sandwich
     with pytest.raises(InputError):
