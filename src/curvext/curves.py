@@ -830,14 +830,13 @@ def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
         fbar = curve.f % p
         if fbar.is_zero():
             out.append(CurvePoint(curve, "ramified", p, Poly.zero(curve.field)))
-        elif residue_is_square(fbar, p):
-            b = residue_sqrt(fbar, p)
-            nb = (-b) % p
+            continue
+        b = residue_sqrt(fbar, p)
+        if b is not None:
             out.append(CurvePoint(curve, "split", p, b))
-            out.append(CurvePoint(curve, "split", p, nb))
-        else:
-            if 2 * p.degree <= max_degree:
-                out.append(CurvePoint(curve, "nonsplit", p, None))
+            out.append(CurvePoint(curve, "split", p, (-b) % p))
+        elif 2 * p.degree <= max_degree:
+            out.append(CurvePoint(curve, "nonsplit", p, None))
     out = [pt for pt in out if pt.degree <= max_degree]
     out.sort(key=lambda pt: pt.key())
     curve._point_cache[key] = out
@@ -893,9 +892,18 @@ def curve_to_json(curve: HyperellipticCurve):
 def curve_from_json(obj) -> HyperellipticCurve:
     if not isinstance(obj, dict) or "field" not in obj or "f" not in obj:
         raise InputError("curve JSON needs 'field' and 'f'")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"curve label must be a string, got {label!r}")
     field = field_from_json(obj["field"])
-    coeffs = [field.payload_from_json(v) for v in obj["f"]]
-    return make_curve(field, coeffs, obj.get("label"))
+    coeffs = [field.payload_from_json(v) for v in _json_list(obj["f"], "f")]
+    return make_curve(field, coeffs, label)
+
+
+def _json_list(v, name):
+    if not isinstance(v, list):
+        raise InputError(f"'{name}' must be a coefficient list, got {v!r}")
+    return v
 
 
 def point_from_json(curve: HyperellipticCurve, obj) -> CurvePoint:
@@ -905,11 +913,13 @@ def point_from_json(curve: HyperellipticCurve, obj) -> CurvePoint:
         raise InputError(f"bad point literal: {obj!r}")
     F = curve.field
     if "xminpoly" in obj:
-        p = Poly(F, [F.payload_from_json(v) for v in obj["xminpoly"]])
+        p = Poly(F, [F.payload_from_json(v)
+                     for v in _json_list(obj["xminpoly"], "xminpoly")])
         yb = obj.get("ybranch")
         if yb is None:
             return curve.closed_point(p, None)
-        return curve.closed_point(p, Poly(F, [F.payload_from_json(v) for v in yb]))
+        return curve.closed_point(
+            p, Poly(F, [F.payload_from_json(v) for v in _json_list(yb, "ybranch")]))
     if "x" in obj:
         y = obj.get("y")
         if y is None:

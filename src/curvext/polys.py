@@ -4,12 +4,18 @@ Coefficients are stored low degree first as payloads, with no trailing
 zeros (the zero polynomial has an empty tuple).  Everything here is exact;
 irreducibility testing and enumeration are only offered over finite fields,
 with a narrow rational-root fallback over Q used by the curve layer.
+
+Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
+the Euler criterion, and square roots by Tonelli-Shanks, which cost a
+few ``powmod`` calls whatever the field's size.  A square root is
+normalized to the first root in key order, so point enumeration stays
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 
 from .errors import InputError
 from .fields import FieldDescriptor, FieldElement
@@ -306,10 +312,15 @@ class Poly:
 
 
 def _divisors(n):
-    if n == 0:
-        return [1]
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n >= 1, ascending, from its prime factors (trial
+    division up to sqrt(n)); [1] for n = 0."""
+    out = [1]
+    for ell in _prime_factors(n):
+        e = 0
+        while n % ell == 0:
+            n, e = n // ell, e + 1
+        out = [d * ell ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +400,80 @@ def residue_is_square(a: Poly, modulus: Poly) -> bool:
     return r.powmod((qk - 1) // 2, modulus).is_one()
 
 
-_SQRT_BRUTE_CAP = 1 << 16
-
-
 def residue_sqrt(a: Poly, modulus: Poly):
-    """Smallest b (by payload key) with b**2 = a in F_q[x]/(modulus), or None.
+    """A square root of a in F_q[x]/(modulus), or None if a is a nonsquare.
 
-    Brute force over the residue field, adequate for desk-scale orders;
-    refuses fields larger than the cap rather than degrading silently.
+    Tonelli-Shanks (Shanks 1973) for irreducible ``modulus`` of degree d:
+    the residue field has order Q = q**d, and Q - 1 = 2**s * t with t odd.
+    The first guess is a**((t+1)/2), off from a root by the factor
+    b = a**t, whose order is a power of two; a is a square iff that
+    order divides 2**(s-1), so squareness is decided on the way.  Each
+    round shrinks the order of b with a power of z = n**t for a
+    nonsquare n, which is found only when some round needs it.
+
+    Of the two roots r and -r, returns the one whose padded payload-key
+    tuple (c_0 first) is smaller: the first root in key order of the
+    residue field.
     """
     F = a.field
     q = F.order()
     if q is None:
         raise InputError("residue_sqrt requires a finite field")
-    size = q ** modulus.degree
-    if size > _SQRT_BRUTE_CAP:
-        raise InputError(f"residue field of order {size} exceeds the sqrt search cap")
     r = a % modulus
     if r.is_zero():
-        return Poly.zero(F)
-    payloads = sorted(F.iter_payloads(), key=F.payload_key)
-    for tup in product(payloads, repeat=modulus.degree):
-        b = Poly(F, list(tup))
-        if ((b * b - r) % modulus).is_zero():
-            return b
-    return None
+        return r
+    d = modulus.degree
+    s, t = 0, q ** d - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    h = r.powmod((t - 1) // 2, modulus)
+    root = (h * r) % modulus
+    b = (h * root) % modulus
+    m, z = s, None
+    while not b.is_one():
+        # least i with b**(2**i) = 1; none below m only in the first
+        # round, where it says a is a nonsquare
+        i, c = 0, b
+        while i < m and not c.is_one():
+            c, i = (c * c) % modulus, i + 1
+        if i == m:
+            return None
+        if z is None:
+            z = _nonsquare_power(modulus, t, s)
+        w = z
+        for _ in range(m - i - 1):
+            w = (w * w) % modulus
+        z = (w * w) % modulus
+        root = (root * w) % modulus
+        b = (b * z) % modulus
+        m = i
+    return min(root, (-root) % modulus,
+               key=lambda y: tuple(F.payload_key(y.coeff(j)) for j in range(d)))
+
+
+def _nonsquare_power(modulus: Poly, t: int, s: int) -> Poly:
+    """z = n**t for the first nonsquare n of F_q[x]/(modulus) in a fixed
+    order of nonzero residues; z has order exactly 2**s.
+
+    For odd d = deg modulus a nonsquare of F_q stays one in F_{q^d}, so
+    the constants come first and always contain one.  For even d every
+    constant is a square; x + c comes first instead, a nonsquare iff its
+    norm p(-c) is one in F_q, which the Weil bound guarantees for some c
+    once q > (d-1)**2.  Smaller cases go on through all residues.
+    """
+    F, d = modulus.field, modulus.degree
+    family = (Poly(F, [c] if d % 2 else [c, F.pone]) for c in F.iter_payloads())
+    rest = (Poly(F, tup) for tup in product(F.iter_payloads(), repeat=d))
+    for n in chain(family, rest):
+        if not n:
+            continue
+        z = n.powmod(t, modulus)
+        c = z
+        for _ in range(s - 1):
+            c = (c * c) % modulus
+        if not c.is_one():
+            return z
+    raise InputError(f"no nonsquare modulo {modulus!r}; it is not irreducible")
 
 
 def hensel_sqrt(f: Poly, p: Poly, branch: Poly, precision: int) -> Poly:

@@ -7,9 +7,10 @@ point counts can be checked against brute force.
 """
 
 from fractions import Fraction
+import itertools
 import random
 
-from curvext import (Divisor, ExtensionClass, PrimeField, Rationals,
+from curvext import (Divisor, ExtensionClass, Poly, PrimeField, Rationals,
                      make_curve, make_datum)
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,24 @@ def tiny_det(K, rows):
             term = K.mul(term, rows[i][j])
         acc = K.sub(acc, term) if inversions % 2 else K.add(acc, term)
     return acc
+
+
+def brute_residue_sqrts(modulus):
+    """Oracle for polys.residue_sqrt: {coefficient tuple of a: root} for
+    every square a of F_q[x]/(modulus).
+
+    One scan of the residue field with the first root kept, so each root
+    is the first b in key order of the padded coefficient tuple (c_0
+    first) with b**2 = a, exactly what the brute-force residue_sqrt
+    returned.  Desk-scale residue fields only.
+    """
+    F = modulus.field
+    payloads = sorted(F.iter_payloads(), key=F.payload_key)
+    roots = {}
+    for tup in itertools.product(payloads, repeat=modulus.degree):
+        b = Poly(F, tup)
+        roots.setdefault(((b * b) % modulus).coeffs, b)
+    return roots
 
 
 def brute_point_count(p, f_coeffs, ext_minpoly=None):

@@ -315,6 +315,17 @@ MALFORMED_CURVES = [
     {"field": F25_FIELD, "f": [[True, 2], 0, 0, 1]},
     {"field": "Q", "f": ["abc", 0, 0, 1]},
     {"field": "Q", "f": ["1/0", 0, 0, 1]},
+    {"field": {"Fp": 5}, "f": 5},
+    {"field": {"Fp": 5}, "f": {"0": 1}},
+    {"field": {"Fp": 5}, "f": [1, 0, 0, 1], "label": 7},
+    {"field": {"Fp": 5}, "f": [1, 0, 0, 1], "label": ["g1"]},
+]
+
+# divisors on the y^2 = x^3+1 curve over F5 whose point JSON is malformed
+MALFORMED_DIVISORS = [
+    [{"point": {"xminpoly": 3}, "mult": 1}],
+    [{"point": {"xminpoly": [0, 1], "ybranch": 1}, "mult": 1}],
+    [{"point": {"xminpoly": "x"}, "mult": 1}],
 ]
 
 
@@ -335,6 +346,8 @@ def test_input_errors_exit_one(tree, capsys):
     ]
     for i, obj in enumerate(MALFORMED_CURVES):
         cases.append(["curve", "validate", dump(f"malformed{i}.json", obj)])
+    for div in MALFORMED_DIVISORS:
+        cases.append(["rr", "basis", tree["curve"], "--divisor", json.dumps(div)])
     # a class file whose curve path is missing or not JSON
     for curve in ("nowhere.json", "bad.json"):
         cls = {"datum": {"curve": curve,

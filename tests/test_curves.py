@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,6 +13,7 @@ from curvext import (Divisor, InputError, Poly, PrimeField, RationalFunction,
                      enumerate_effective_divisors, make_curve, point_expansions,
                      point_from_json, point_to_json, valuation,
                      verify_expansion)
+from curvext.polys import residue_sqrt
 from helpers import (brute_point_count, curve_g1_f5, curve_g1_q, curve_g1w_f3,
                      curve_g2_f3, curve_g2_f7, curve_g3_f5)
 
@@ -60,6 +62,29 @@ def test_benchmark_point_enum_counts(monkeypatch):
     for name, spec, max_degree in workloads.ENUM_CURVES:
         pts = enumerate_closed_points(curve_from_json(spec), max_degree)
         assert Counter(str(pt.degree) for pt in pts) == pinned[name], name
+
+
+def test_enumeration_over_larger_primes():
+    """F101 to degree 2, which took the brute-force square root tens of
+    seconds, and square roots in F_{257^2}, which it refused outright."""
+    fc = [1, 1, 0, 0, 0, 1]
+    curve = make_curve(PrimeField(101), fc)
+    pts = enumerate_closed_points(curve, 2)
+    assert sum(1 for pt in pts if pt.degree == 1) == brute_point_count(101, fc)
+    assert len(set(pts)) == len(pts)
+    for pt in pts:
+        if pt.kind == "split":
+            assert ((pt.ybranch * pt.ybranch - curve.f) % pt.xminpoly).is_zero()
+
+    F = PrimeField(257)
+    p = Poly(F, [3, 0, 1])                      # -3 is a nonsquare mod 257
+    assert p.is_irreducible()
+    rng = random.Random(5)
+    for _ in range(6):
+        b = Poly(F, [rng.randrange(257), rng.randrange(1, 257)])
+        r = residue_sqrt((b * b) % p, p)
+        # the two roots are b and -b; the smaller by key (c_0 first) wins
+        assert r == min(b, (-b) % p, key=lambda y: (y.coeff(0), y.coeff(1)))
 
 
 def test_point_list_is_sorted_and_cached():
@@ -316,6 +341,11 @@ def test_closed_point_guards():
         curve.point(0, None)                    # f(0) = 1 splits
     assert curve.infinity().is_weierstrass()
     assert curve.infinity().degree == 1
+    # over Q the rational-root check factors the constant, so a place
+    # over x^2 - 1000000007 validates at once
+    g1q = curve_g1_q()
+    far = point_from_json(g1q, {"xminpoly": [-1000000007, 0, 1], "ybranch": None})
+    assert far.kind == "nonsplit" and far.degree == 4
 
 
 def test_json_round_trips():

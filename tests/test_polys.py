@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
                      hensel_sqrt)
-from curvext.polys import (count_monic_irreducible, iter_monic,
+from curvext.polys import (_divisors, count_monic_irreducible, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_is_square, residue_sqrt)
+from helpers import brute_residue_sqrts
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -122,6 +124,49 @@ def test_residue_arithmetic():
     assert (r * r) % p == sq
 
 
+# (field, modulus degree, moduli checked: None for all of them)
+SQRT_CASES = [(F3, 1, None), (F3, 2, None), (F3, 3, None), (F3, 4, None),
+              (F5, 1, None), (F5, 2, None), (F5, 3, None),
+              (PrimeField(7), 1, None), (PrimeField(7), 2, None),
+              (PrimeField(7), 3, None),
+              (F9, 2, None), (ExtensionField(5, [2, 0, 1]), 2, 12)]
+
+
+@pytest.mark.parametrize("F,d,sample", SQRT_CASES, ids=repr)
+def test_residue_sqrt_matches_brute_force(F, d, sample):
+    """Tonelli-Shanks against the brute-force oracle on every residue of
+    every monic irreducible modulus of degree d: the oracle's root for a
+    square (the first in key order), None for a nonsquare, zero for zero.
+    Even d over F9 and F25 is the case where every constant is a square.
+    F25 checks 12 seeded moduli of its 300, which keeps the test to
+    seconds."""
+    moduli = [p for p in iter_monic_irreducible(F, d) if p.degree == d]
+    if sample is not None:
+        moduli = random.Random(7).sample(moduli, sample)
+    payloads = list(F.iter_payloads())
+    for p in moduli:
+        roots = brute_residue_sqrts(p)
+        assert len(roots) == (F.order() ** d + 1) // 2
+        for tup in product(payloads, repeat=d):
+            a = Poly(F, tup)
+            assert residue_sqrt(a, p) == roots.get(a.coeffs), (p, a)
+    assert residue_sqrt(Poly(F, []), moduli[0]).is_zero()
+
+
+def test_residue_sqrt_when_every_x_plus_c_is_a_square():
+    """Over F3 in degree 6 some moduli make every x + c a square, so the
+    nonsquare for Tonelli-Shanks comes from the scan past that family."""
+    x = Poly.x(F3)
+    moduli = [p for p in iter_monic_irreducible(F3, 6) if p.degree == 6
+              and all(residue_is_square(x + Poly(F3, [c]), p) for c in range(3))]
+    assert len(moduli) == 12
+    for p in moduli[:2]:
+        roots = brute_residue_sqrts(p)
+        for tup in product(range(3), repeat=6):
+            a = Poly(F3, tup)
+            assert residue_sqrt(a, p) == roots.get(a.coeffs), (p, a)
+
+
 def test_hensel_sqrt_lifts():
     # y^2 = f near a split place: branch b has b^2 = f mod p; lift to p^r
     f = Poly(F5, [1, 0, 0, 1])               # x^3 + 1
@@ -140,6 +185,19 @@ def test_rational_roots_exact():
     assert f.rational_roots() == []
     g = Poly(Q, [-6, 11, -6, 1])              # (x-1)(x-2)(x-3)
     assert sorted(g.rational_roots()) == [1, 2, 3]
+    # constants near 10^9 cost a trial division to sqrt, not a scan to n
+    big = 1000000007
+    assert Poly(Q, [-big, 0, 1]).rational_roots() == []
+    h = Poly(Q, [-2 * big, 2 - 3 * big, 3])   # (x - big)(3x + 2)
+    assert h.rational_roots() == [Fraction(-2, 3), big]
+
+
+def test_divisors_match_the_definition():
+    for n in range(2000):
+        expect = [d for d in range(1, n + 1) if n % d == 0] or [1]
+        assert _divisors(n) == expect, n
+    assert _divisors(10 ** 12) == sorted(2 ** i * 5 ** j for i in range(13)
+                                         for j in range(13))
 
 
 def test_poly_guards():
