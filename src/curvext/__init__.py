@@ -10,14 +10,12 @@ any kernel.
 
 from .bounds import (BoundInputs, Theorem2Result, clifford_sandwich,
                      compute_m, theorem1_delta0, theorem2_bound)
-from .curves import (CurvePoint, Divisor, HyperellipticCurve, LocalExpansion,
-                     curve_from_json, curve_to_json, divisor_from_json,
-                     divisor_to_json, enumerate_closed_points,
-                     enumerate_effective_divisors, make_curve,
-                     point_expansions, point_from_json, point_to_json,
-                     valuation, verify_expansion)
-from .errors import (CurvextError, ExhaustionError, InputError,
-                     MembershipError, NotApplicable, PrecisionExceeded)
+from .curves import (CurvePoint, Divisor, HyperellipticCurve, curve_from_json,
+                     curve_to_json, divisor_from_json, divisor_to_json,
+                     enumerate_closed_points, enumerate_effective_divisors,
+                     make_curve, point_from_json, point_to_json, valuation)
+from .errors import (CurvextError, ExhaustionError, InputError, InternalError,
+                     MembershipError, NotApplicable)
 from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
                          ExtensionDatum, Prop1Certificate, SearchResult,
                          boundary_matrix, brute_force_destabilizer,

@@ -4,7 +4,8 @@ Every command writes one JSON report object to stdout with the fixed
 top-level fields {command, inputs, result, witnesses, timings} in sorted
 key order, and a short human-readable table to stderr.  Exit codes:
 0 success, 1 malformed input, 2 mathematically not applicable (gate
-violations, exhausted searches).
+violations, exhausted searches), 3 a witness that failed its own
+re-verification (an internal error).
 
 Reports are deterministic: the timings field carries work counters, not
 wall-clock times (those go to stderr only), and thread count never
@@ -23,7 +24,8 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .curves import (curve_from_json, divisor_from_json, divisor_to_json,
                      point_from_json)
-from .errors import CurvextError, ExhaustionError, InputError, NotApplicable
+from .errors import (CurvextError, ExhaustionError, InputError, InternalError,
+                     NotApplicable)
 from .extensions import (brute_force_destabilizer, class_from_json,
                          load_json, make_datum, prop1_certificate,
                          search_semistable, subspace_from_json)
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
     except ExhaustionError as exc:
         result = {"status": "exhausted", "message": str(exc)}
         witnesses, timings, code = [], {}, 2
+    except InternalError as exc:
+        result = {"status": "internal-error", "message": str(exc)}
+        witnesses, timings, code = [], {}, 3
     except CurvextError as exc:
         result = {"status": "input-error", "message": str(exc)}
         witnesses, timings, code = [], {}, 1

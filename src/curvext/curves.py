@@ -16,24 +16,20 @@ Conventions, fixed once and used everywhere:
     is the quadratic extension of k[x]/(p) generated by y; such places
     have degree 2*deg(p) and carry no ybranch.
 
-Local expansions develop x and y as exact Laurent series in the
-uniformizer with coefficients in the residue field; valuations scan a
-numerator expansion for its first nonzero coefficient, raising precision
-per the documented policy (start at bound + g + 2, double, hard cap 512).
+Valuations are exact and closed-form: polynomial orders at the place,
+the parities of v(x) and v(y) at Weierstrass places, the independence of
+1 and y at nonsplit places, and a Hensel lift of the branch at split
+places.  No series and no precision policy are involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as _iproduct
 from math import isqrt
 
-from .errors import InputError, PrecisionExceeded
-from .fields import (FieldDescriptor, FieldElement, Rationals,
-                     field_from_json, field_to_json)
-from .polys import Poly, iter_monic_irreducible, residue_inverse, residue_is_square, residue_sqrt
-
-_PRECISION_CAP = 512
+from .errors import InputError
+from .fields import FieldDescriptor, field_from_json, field_to_json
+from .polys import (Poly, hensel_sqrt, iter_monic_irreducible, residue_is_square,
+                    residue_sqrt)
 
 _KIND_RANK = {"infinity": 0, "ramified": 1, "split": 2, "nonsplit": 3}
 
@@ -309,431 +305,8 @@ class Divisor:
 
 
 # ---------------------------------------------------------------------------
-# residue rings for expansion coefficients
+# valuations
 # ---------------------------------------------------------------------------
-
-class _BaseRing:
-    """The base field itself, for places whose residue field is the base."""
-
-    def __init__(self, field):
-        self.F = field
-        self.zero = field.pzero
-        self.one = field.pone
-
-    def scalar(self, payload):
-        return payload
-
-    def add(self, a, b):
-        return self.F.add(a, b)
-
-    def sub(self, a, b):
-        return self.F.sub(a, b)
-
-    def mul(self, a, b):
-        return self.F.mul(a, b)
-
-    def neg(self, a):
-        return self.F.neg(a)
-
-    def inv(self, a):
-        return self.F.inv(a)
-
-    def is_zero(self, a):
-        return self.F.is_zero(a)
-
-    def mul_int(self, a, k):
-        return self.F.mul(a, self.F.coerce(k))
-
-    def coords(self, a):
-        return [a]
-
-
-class _QuotRing:
-    """k[x]/(p) for monic irreducible p; elements are reduced Polys."""
-
-    def __init__(self, p: Poly):
-        self.p = p
-        self.F = p.field
-        self.zero = Poly.zero(self.F)
-        self.one = Poly.one(self.F)
-        self.xbar = Poly.x(self.F) % p
-
-    def scalar(self, payload):
-        return Poly(self.F, [payload])
-
-    def reduce(self, q: Poly):
-        return q % self.p
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return residue_inverse(a, self.p)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def mul_int(self, a, k):
-        return a.scale(self.F.coerce(k))
-
-    def coords(self, a):
-        return [a.coeff(i) for i in range(self.p.degree)]
-
-
-class _QuadRing:
-    """Quadratic extension of k[x]/(p) by a square root of fbar.
-
-    Elements are pairs (u, v) of reduced Polys meaning u + v*yhat with
-    yhat^2 = fbar; a field exactly when fbar is a nonsquare mod p.
-    """
-
-    def __init__(self, quot: _QuotRing, fbar: Poly):
-        self.q = quot
-        self.fbar = fbar % quot.p
-        self.zero = (quot.zero, quot.zero)
-        self.one = (quot.one, quot.zero)
-        self.yhat = (quot.zero, quot.one)
-
-    def scalar(self, payload):
-        return (self.q.scalar(payload), self.q.zero)
-
-    def lift(self, a: Poly):
-        return (a, self.q.zero)
-
-    def add(self, a, b):
-        return (self.q.add(a[0], b[0]), self.q.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.q.sub(a[0], b[0]), self.q.sub(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.q.neg(a[0]), self.q.neg(a[1]))
-
-    def mul(self, a, b):
-        u = self.q.add(self.q.mul(a[0], b[0]),
-                       self.q.mul(self.q.mul(a[1], b[1]), self.fbar))
-        v = self.q.add(self.q.mul(a[0], b[1]), self.q.mul(a[1], b[0]))
-        return (u, v)
-
-    def inv(self, a):
-        n = self.q.sub(self.q.mul(a[0], a[0]),
-                       self.q.mul(self.q.mul(a[1], a[1]), self.fbar))
-        w = self.q.inv(n)
-        return (self.q.mul(a[0], w), self.q.neg(self.q.mul(a[1], w)))
-
-    def is_zero(self, a):
-        return a[0].is_zero() and a[1].is_zero()
-
-    def mul_int(self, a, k):
-        return (self.q.mul_int(a[0], k), self.q.mul_int(a[1], k))
-
-    def coords(self, a):
-        return self.q.coords(a[0]) + self.q.coords(a[1])
-
-
-# -- truncated power/Laurent series over a residue ring ---------------------
-
-def _s_add(ring, a, b):
-    return [ring.add(x, y) for x, y in zip(a, b)]
-
-
-def _s_sub(ring, a, b):
-    return [ring.sub(x, y) for x, y in zip(a, b)]
-
-
-def _s_mul(ring, a, b, prec):
-    out = [ring.zero] * prec
-    for i, x in enumerate(a):
-        if i >= prec:
-            break
-        if ring.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= prec:
-                break
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return out
-
-
-def _s_inv(ring, a, prec):
-    """Inverse of a unit power series (a[0] invertible)."""
-    inv0 = ring.inv(a[0])
-    out = [ring.zero] * prec
-    out[0] = inv0
-    for n in range(1, prec):
-        acc = ring.zero
-        for k in range(1, min(n, len(a) - 1) + 1):
-            acc = ring.add(acc, ring.mul(a[k], out[n - k]))
-        out[n] = ring.neg(ring.mul(inv0, acc))
-    return out
-
-
-def _s_polyval(ring, coeffs, X, prec):
-    """Evaluate a polynomial with ring coefficients at a power series."""
-    acc = [ring.zero] * prec
-    for c in reversed(coeffs):
-        acc = _s_mul(ring, acc, X, prec)
-        acc[0] = ring.add(acc[0], c)
-    return acc
-
-
-def _s_pad(ring, a, prec):
-    if len(a) >= prec:
-        return a[:prec]
-    return a + [ring.zero] * (prec - len(a))
-
-
-@dataclass
-class _Laurent:
-    """Series valid on exponents [offset, offset + len(coeffs))."""
-    ring: object
-    offset: int
-    coeffs: list
-
-    @property
-    def end(self):
-        return self.offset + len(self.coeffs)
-
-    def mul(self, other):
-        end = min(self.offset + other.end, other.offset + self.end)
-        off = self.offset + other.offset
-        return _Laurent(self.ring, off,
-                        _s_mul(self.ring, self.coeffs, other.coeffs, end - off))
-
-    def add(self, other):
-        off = min(self.offset, other.offset)
-        end = min(self.end, other.end)
-        out = [self.ring.zero] * (end - off)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.offset + i
-                if off <= e < end:
-                    out[e - off] = self.ring.add(out[e - off], c)
-        return _Laurent(self.ring, off, out)
-
-    def leading_index(self):
-        """Exponent of the first exactly-nonzero coefficient, or None."""
-        for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
-                return self.offset + i
-        return None
-
-
-def _laurent_polyval(ring, poly: Poly, X: _Laurent) -> _Laurent:
-    """Horner evaluation of a base-coefficient polynomial at a Laurent series."""
-    if poly.is_zero():
-        return _Laurent(ring, 0, [ring.zero] * len(X.coeffs))
-    acc = _Laurent(ring, 0, _s_pad(ring, [ring.scalar(poly.coeffs[-1])],
-                                   len(X.coeffs)))
-    for c in reversed(poly.coeffs[:-1]):
-        acc = acc.mul(X)
-        acc = acc.add(_Laurent(ring, 0, _s_pad(ring, [ring.scalar(c)],
-                                               len(X.coeffs))))
-    return acc
-
-
-# -- expansion environments ---------------------------------------------------
-
-class _ExpansionEnv:
-    """x and y of the curve as Laurent series at one place."""
-
-    __slots__ = ("ring", "x", "y", "uniformizer", "residue_dim")
-
-    def __init__(self, ring, x, y, uniformizer, residue_dim):
-        self.ring = ring
-        self.x = x
-        self.y = y
-        self.uniformizer = uniformizer
-        self.residue_dim = residue_dim
-
-
-def _newton_series(ring, coeffs, init, prec, extra_shift=None):
-    """Solve P(u) = 0 for a power series u with u(0) = init, where P has
-    ring-series coefficients ``coeffs`` (list indexed by u-power, each a
-    full-precision series).  Quadratic Newton in the t-adic metric."""
-    dcoeffs = [None] * (len(coeffs) - 1)
-    for i in range(1, len(coeffs)):
-        dcoeffs[i - 1] = [ring.mul_int(c, i) for c in coeffs[i]]
-    cur = [init]
-    n = 1
-    while n < prec:
-        n = min(2 * n, prec)
-        cur = _s_pad(ring, cur, n)
-        cut = [c[:n] for c in coeffs]
-        dcut = [c[:n] for c in dcoeffs]
-        num = _s_polyval_series(ring, cut, cur, n)
-        den = _s_polyval_series(ring, dcut, cur, n)
-        step = _s_mul(ring, num, _s_inv(ring, den, n), n)
-        cur = _s_sub(ring, cur, step)
-    return cur
-
-
-def _s_polyval_series(ring, coeff_series, X, prec):
-    """Horner evaluation where the polynomial coefficients are themselves
-    series (lowest u-power first)."""
-    acc = [ring.zero] * prec
-    for c in reversed(coeff_series):
-        acc = _s_mul(ring, acc, X, prec)
-        acc = _s_add(ring, acc, _s_pad(ring, list(c), prec))
-    return acc
-
-
-def _series_const(ring, value, prec):
-    out = [ring.zero] * prec
-    out[0] = value
-    return out
-
-
-def _env_infinity(curve, prec) -> _ExpansionEnv:
-    F = curve.field
-    ring = _BaseRing(F)
-    g = curve.genus
-    d = 2 * g + 1
-    lead = curve.f.lc()
-    # solve u^{2g} = sum_i f_i u^i t^{2(d-i)} for u = t^2 * x
-    coeffs = []
-    for i in range(d + 1):
-        c = [ring.zero] * prec
-        e = 2 * (d - i)
-        fi = curve.f.coeff(i)
-        if e < prec and not F.is_zero(fi):
-            c[e] = fi
-        coeffs.append(c)
-    coeffs[2 * g] = list(coeffs[2 * g])
-    coeffs[2 * g][0] = F.sub(coeffs[2 * g][0], F.pone)
-    u = _newton_series(ring, coeffs, F.inv(lead), prec)
-    ug = _series_const(ring, F.pone, prec)
-    for _ in range(g):
-        ug = _s_mul(ring, ug, u, prec)
-    x = _Laurent(ring, -2, u)
-    y = _Laurent(ring, -d, ug)
-    return _ExpansionEnv(ring, x, y, "1/t", 1)
-
-
-def _env_affine(curve, point, prec) -> _ExpansionEnv:
-    F = curve.field
-    p = point.xminpoly
-    quot = _QuotRing(p)
-    if point.kind == "ramified":
-        # t = y; x solves f(x) = t^2 starting at xbar
-        coeffs = []
-        for i in range(curve.f.degree + 1):
-            c = _series_const(quot, quot.scalar(curve.f.coeff(i)), prec)
-            coeffs.append(c)
-        coeffs[0] = list(coeffs[0])
-        if prec > 2:
-            coeffs[0][2] = quot.sub(coeffs[0][2], quot.one)
-        elif prec == 2:
-            pass  # t^2 is beyond the window; constant term alone drives Newton
-        xi = _newton_series(quot, coeffs, quot.xbar, prec)
-        x = _Laurent(quot, 0, xi)
-        ycoeffs = [quot.zero] * prec
-        if prec > 1:
-            ycoeffs[1] = quot.one
-        y = _Laurent(quot, 0, ycoeffs)
-        return _ExpansionEnv(quot, x, y, "y", p.degree)
-    # t = p(x); x solves p(x) = t starting at xbar
-    coeffs = []
-    for i in range(p.degree + 1):
-        coeffs.append(_series_const(quot, quot.scalar(p.coeff(i)), prec))
-    coeffs[0] = list(coeffs[0])
-    if prec > 1:
-        coeffs[0][1] = quot.sub(coeffs[0][1], quot.one)
-    xi = _newton_series(quot, coeffs, quot.xbar, prec)
-    if point.kind == "split":
-        fxi = _s_polyval(quot, [quot.scalar(c) for c in curve.f.coeffs], xi, prec)
-        y0 = point.ybranch % p
-        yser = _newton_sqrt(quot, fxi, y0, prec)
-        x = _Laurent(quot, 0, xi)
-        y = _Laurent(quot, 0, yser)
-        return _ExpansionEnv(quot, x, y, repr(p), p.degree)
-    # nonsplit: coefficients live in the quadratic extension by yhat
-    ring = _QuadRing(quot, curve.f % p)
-    xi2 = [ring.lift(c) for c in xi]
-    fxi = _s_polyval(ring, [ring.scalar(c) for c in curve.f.coeffs], xi2, prec)
-    yser = _newton_sqrt(ring, fxi, ring.yhat, prec)
-    x = _Laurent(ring, 0, xi2)
-    y = _Laurent(ring, 0, yser)
-    return _ExpansionEnv(ring, x, y, repr(p), 2 * p.degree)
-
-
-def _newton_sqrt(ring, F_series, init, prec):
-    """Square root of a unit series from an exact starting value
-    (init^2 = F_series[0]), characteristic != 2."""
-    half = None
-    cur = [init]
-    n = 1
-    while n < prec:
-        n = min(2 * n, prec)
-        cur = _s_pad(ring, cur, n)
-        inv_cur = _s_inv(ring, cur, n)
-        t = _s_mul(ring, F_series[:n], inv_cur, n)
-        s = _s_add(ring, cur, t)
-        if half is None:
-            half = ring.inv(ring.mul_int(ring.one, 2))
-        cur = [ring.mul(c, half) for c in s]
-    return cur
-
-
-def _expansion_env(curve, point, prec) -> _ExpansionEnv:
-    if point.kind == "infinity":
-        return _env_infinity(curve, prec)
-    return _env_affine(curve, point, prec)
-
-
-@dataclass
-class LocalExpansion:
-    """Truncated Laurent expansion at a place.
-
-    ``coefficients[i]`` is the coefficient of t**(offset + i) in the
-    uniformizer t named by ``uniformizer``.  Each coefficient is a list of
-    base FieldElements: the coordinates in the power basis of the residue
-    field (length ``residue_dim``; plain places have residue_dim 1).
-    """
-    point: CurvePoint
-    uniformizer: str
-    offset: int
-    coefficients: list
-    precision: int
-    residue_dim: int
-
-
-def _laurent_to_expansion(point, env, L: _Laurent) -> LocalExpansion:
-    F = point.curve.field
-    coeffs = [[FieldElement(F, c) for c in env.ring.coords(v)] for v in L.coeffs]
-    return LocalExpansion(point, env.uniformizer, L.offset, coeffs,
-                          len(L.coeffs), env.residue_dim)
-
-
-def point_expansions(point: CurvePoint, precision: int):
-    """Expansions of the coordinate functions x and y at a place."""
-    if precision < 1:
-        raise InputError("precision must be positive")
-    env = _expansion_env(point.curve, point, precision)
-    return (_laurent_to_expansion(point, env, env.x),
-            _laurent_to_expansion(point, env, env.y))
-
-
-def verify_expansion(point: CurvePoint, precision: int) -> bool:
-    """Residual check: y^2 - f(x) vanishes identically to the precision."""
-    env = _expansion_env(point.curve, point, precision)
-    lhs = env.y.mul(env.y)
-    rhs = _laurent_polyval(env.ring, point.curve.f, env.x)
-    diff = lhs.add(rhs.mul(_Laurent(env.ring, 0,
-                                    _series_const(env.ring,
-                                                  env.ring.mul_int(env.ring.one, -1),
-                                                  len(env.x.coeffs)))))
-    return diff.leading_index() is None
-
 
 def _ord_at(poly: Poly, p: Poly) -> int:
     """Multiplicity of the irreducible p in poly (poly nonzero)."""
@@ -746,46 +319,23 @@ def _ord_at(poly: Poly, p: Poly) -> int:
         n += 1
 
 
-def _den_valuation(curve, c: Poly, point) -> int:
+def _poly_valuation(poly: Poly, point: CurvePoint) -> int:
+    """v_P of a nonzero polynomial in x: -2 deg at infinity, else the
+    ramification index times the multiplicity of xminpoly."""
     if point.kind == "infinity":
-        return -2 * c.degree
-    if c.degree < 1:
-        return 0
-    return point.ramification * _ord_at(c, point.xminpoly)
-
-
-def _num_bound(curve, a: Poly, b: Poly, point) -> int:
-    """A-priori upper bound for v(a + b*y) at the place."""
-    if point.kind == "infinity":
-        cands = []
-        if not a.is_zero():
-            cands.append(-2 * a.degree)
-        if not b.is_zero():
-            cands.append(-2 * b.degree - (2 * curve.genus + 1))
-        return abs(min(cands))
-    if b.is_zero():
-        target = a
-    else:
-        target = curve.norm_poly(a, b)
-    return point.ramification * _ord_at(target, point.xminpoly)
-
-
-def _num_series(curve, env, a: Poly, b: Poly) -> _Laurent:
-    if b.is_zero():
-        return _laurent_polyval(env.ring, a, env.x)
-    B = _laurent_polyval(env.ring, b, env.x)
-    By = B.mul(env.y)
-    if a.is_zero():
-        return By
-    return _laurent_polyval(env.ring, a, env.x).add(By)
+        return -2 * poly.degree
+    return point.ramification * _ord_at(poly, point.xminpoly)
 
 
 def valuation(fn, point: CurvePoint) -> int:
-    """Exact valuation of a nonzero rational function at a place.
+    """Exact valuation of a nonzero rational function (a + b*y)/c at a place.
 
-    The numerator a + b*y is expanded at the place; precision starts at
-    (a-priori bound) + g + 2 and doubles until the leading coefficient is
-    certified nonzero, with a hard cap of 512 terms.
+    Away from split places v(a + b*y) = min(v(a), v(b) + v(y)): at infinity
+    and at ramified places v(a) and v(b*y) differ in parity, and at a
+    nonsplit place 1 and y are independent over the residue field.  At a
+    split place y agrees with the Hensel lift Y_R of its branch modulo p^R,
+    and R = ord_p(a^2 - b^2 f) + 1 exceeds v(a + b*y), since the valuations
+    at the place and its conjugate add up to ord_p of that norm.
     """
     curve = point.curve
     if fn.curve != curve:
@@ -793,19 +343,19 @@ def valuation(fn, point: CurvePoint) -> int:
     a, b, c = fn.a, fn.b, fn.c
     if a.is_zero() and b.is_zero():
         raise InputError("the zero function has no valuation")
-    v_den = _den_valuation(curve, c, point)
-    bound = _num_bound(curve, a, b, point)
-    prec = bound + curve.genus + 2
-    while True:
-        if prec > _PRECISION_CAP:
-            raise PrecisionExceeded(
-                f"no certified leading term within {_PRECISION_CAP} terms at {point!r}")
-        env = _expansion_env(curve, point, prec)
-        num = _num_series(curve, env, a, b)
-        v = num.leading_index()
-        if v is not None:
-            return v - v_den
-        prec *= 2
+    v_den = _poly_valuation(c, point)
+    if point.kind == "split":
+        p = point.xminpoly
+        r = _ord_at(curve.norm_poly(a, b), p) + 1
+        Y = hensel_sqrt(curve.f, p, point.ybranch, r)
+        return _ord_at((a + b * Y) % p ** r, p) - v_den
+    v_y = {"infinity": -curve.f.degree, "ramified": 1, "nonsplit": 0}[point.kind]
+    cands = []
+    if not a.is_zero():
+        cands.append(_poly_valuation(a, point))
+    if not b.is_zero():
+        cands.append(_poly_valuation(b, point) + v_y)
+    return min(cands) - v_den
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ``InputError`` (and plain ``ValueError``)
-exit 1, ``NotApplicable`` exit 2, everything else is a hard failure.
+``cli.main`` maps these onto a report status and an exit code:
+``NotApplicable`` gives "not-applicable" and ``ExhaustionError`` gives
+"exhausted", both exit 2; ``InternalError`` gives "internal-error", exit
+3; every other ``CurvextError`` gives "input-error", exit 1.  A command
+that succeeds reports "ok" and exits 0.
 """
 
 
@@ -21,8 +24,8 @@ class MembershipError(CurvextError):
     """A function was asserted to lie in a section space but does not."""
 
 
-class PrecisionExceeded(CurvextError):
-    """A local expansion hit the hard precision cap without certifying a term."""
+class InternalError(CurvextError):
+    """A result failed its own re-verification: a bug, not bad input."""
 
 
 class ExhaustionError(CurvextError):

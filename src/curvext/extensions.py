@@ -23,7 +23,7 @@ from itertools import product as _iproduct
 from .curves import (Divisor, HyperellipticCurve, curve_from_json,
                      divisor_from_json, divisor_to_json,
                      enumerate_effective_divisors)
-from .errors import ExhaustionError, InputError
+from .errors import ExhaustionError, InputError, InternalError
 from .fields import FieldElement
 from .linalg import Matrix, det_rows, linear_combination, rank
 from .riemann_roch import (LinearFunctional, RationalFunction, coordinates,
@@ -339,7 +339,7 @@ def _reverify_annihilation(e: ExtensionClass, B, multiplier):
         fn = w if multiplier is None else w * multiplier
         val = e.functional.evaluate_coords(coordinates(fn, datum.basis_NK))
         if not datum.curve.field.is_zero(val.payload):
-            raise AssertionError("annihilation witness failed re-verification")
+            raise InternalError("annihilation witness failed re-verification")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import Divisor, HyperellipticCurve, _ord_at
+from .curves import Divisor, HyperellipticCurve, _poly_valuation
 from .errors import InputError, MembershipError
 from .fields import FieldElement
 from .linalg import Matrix, from_columns, kernel_basis, rref, solve
@@ -187,20 +187,15 @@ def _constraint_points(D: Divisor, c: Poly):
     """Map point -> required numerator valuation r = v_P(c) - m_P, for
     every affine place where r >= 1 (includes conjugates of split
     support, which c covers but D need not)."""
-    def vc(pt):
-        if c.degree < 1:
-            return 0
-        return pt.ramification * _ord_at(c, pt.xminpoly)
-
     req = {}
     for pt, m in D.items:
         if pt.kind != "infinity":
-            req[pt] = vc(pt) - m
+            req[pt] = _poly_valuation(c, pt) - m
     for pt, m in D.items:
         if m > 0 and pt.kind == "split":
             conj = pt.conjugate()
             if conj not in req:
-                req[conj] = vc(conj)
+                req[conj] = _poly_valuation(c, conj)
     return {pt: r for pt, r in req.items() if r >= 1}
 
 

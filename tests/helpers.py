@@ -10,8 +10,9 @@ from fractions import Fraction
 import itertools
 import random
 
-from curvext import (Divisor, ExtensionClass, Poly, PrimeField, Rationals,
-                     make_curve, make_datum)
+from curvext import (Divisor, ExtensionClass, ExtensionField, Poly, PrimeField,
+                     Rationals, make_curve, make_datum)
+from curvext.polys import residue_inverse
 
 # ---------------------------------------------------------------------------
 # fixture curves (label -> constructor args); all models verified squarefree
@@ -56,6 +57,12 @@ def curve_g2_f7():
 
 def curve_g2_f3():
     return make_curve(F3, [1, 2, 0, 0, 0, 1], label="g2/F3: y^2 = x^5+2x+1")
+
+
+def curve_g2_f9():
+    # F9 = F3[t]/(t^2+1); f = x(x^4+t) has places of every kind in degree <= 2
+    F9 = ExtensionField(3, [1, 0, 1])
+    return make_curve(F9, [0, (0, 1), 0, 0, 0, 1], label="g2/F9: y^2 = x^5+tx")
 
 
 def curve_g3_f5():
@@ -104,6 +111,19 @@ def all_classes(datum):
     payloads = list(F.iter_payloads())
     for tup in product(payloads, repeat=datum.class_dim):
         yield ExtensionClass(datum, list(tup))
+
+
+def evaluation_class(datum, P):
+    """The point-evaluation functional w -> w(P) in class coordinates."""
+    vals = []
+    F = datum.curve.field
+    x0 = F.neg(P.xminpoly.coeffs[0])
+    y0 = P.ybranch.coeffs[0]
+    for w in datum.basis_NK.basis:
+        # w = (a + b*y)/c with c(P) != 0 for affine P off the poles
+        num = F.add(w.a.evaluate(x0), F.mul(w.b.evaluate(x0), y0))
+        vals.append(F.div(num, w.c.evaluate(x0)))
+    return ExtensionClass(datum, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +345,375 @@ def random_divisor(curve, rng: random.Random, points, max_abs_degree):
             D = D + Divisor(curve, [(pt, mult)])
             budget -= abs(mult) * pt.degree
     return D
+
+
+# ---------------------------------------------------------------------------
+# truncated Laurent expansions at a place (oracle for curves.valuation)
+#
+# x and y are developed as exact series in a uniformizer with coefficients
+# in the residue field, by Newton iteration; a valuation is the exponent of
+# the first nonzero coefficient of the numerator's series.  Nothing here
+# calls curves.valuation or its order-at-a-place helpers.
+# ---------------------------------------------------------------------------
+
+_SERIES_CAP = 512
+
+
+class _BaseRing:
+    """The base field itself, for places whose residue field is the base."""
+
+    def __init__(self, field):
+        self.F = field
+        self.zero = field.pzero
+        self.one = field.pone
+
+    def scalar(self, payload):
+        return payload
+
+    def add(self, a, b):
+        return self.F.add(a, b)
+
+    def sub(self, a, b):
+        return self.F.sub(a, b)
+
+    def mul(self, a, b):
+        return self.F.mul(a, b)
+
+    def neg(self, a):
+        return self.F.neg(a)
+
+    def inv(self, a):
+        return self.F.inv(a)
+
+    def is_zero(self, a):
+        return self.F.is_zero(a)
+
+    def mul_int(self, a, k):
+        return self.F.mul(a, self.F.coerce(k))
+
+    def coords(self, a):
+        return [a]
+
+
+class _QuotRing:
+    """k[x]/(p) for monic irreducible p; elements are reduced Polys."""
+
+    def __init__(self, p):
+        self.p = p
+        self.F = p.field
+        self.zero = Poly.zero(self.F)
+        self.one = Poly.one(self.F)
+        self.xbar = Poly.x(self.F) % p
+
+    def scalar(self, payload):
+        return Poly(self.F, [payload])
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return residue_inverse(a, self.p)
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def mul_int(self, a, k):
+        return a.scale(self.F.coerce(k))
+
+    def coords(self, a):
+        return [a.coeff(i) for i in range(self.p.degree)]
+
+
+class _QuadRing:
+    """Quadratic extension of k[x]/(p) by a square root of fbar: pairs
+    (u, v) of reduced Polys meaning u + v*yhat with yhat^2 = fbar."""
+
+    def __init__(self, quot, fbar):
+        self.q = quot
+        self.fbar = fbar % quot.p
+        self.zero = (quot.zero, quot.zero)
+        self.one = (quot.one, quot.zero)
+        self.yhat = (quot.zero, quot.one)
+
+    def scalar(self, payload):
+        return (self.q.scalar(payload), self.q.zero)
+
+    def lift(self, a):
+        return (a, self.q.zero)
+
+    def add(self, a, b):
+        return (self.q.add(a[0], b[0]), self.q.add(a[1], b[1]))
+
+    def sub(self, a, b):
+        return (self.q.sub(a[0], b[0]), self.q.sub(a[1], b[1]))
+
+    def neg(self, a):
+        return (self.q.neg(a[0]), self.q.neg(a[1]))
+
+    def mul(self, a, b):
+        u = self.q.add(self.q.mul(a[0], b[0]),
+                       self.q.mul(self.q.mul(a[1], b[1]), self.fbar))
+        v = self.q.add(self.q.mul(a[0], b[1]), self.q.mul(a[1], b[0]))
+        return (u, v)
+
+    def inv(self, a):
+        n = self.q.sub(self.q.mul(a[0], a[0]),
+                       self.q.mul(self.q.mul(a[1], a[1]), self.fbar))
+        w = self.q.inv(n)
+        return (self.q.mul(a[0], w), self.q.neg(self.q.mul(a[1], w)))
+
+    def is_zero(self, a):
+        return a[0].is_zero() and a[1].is_zero()
+
+    def mul_int(self, a, k):
+        return (self.q.mul_int(a[0], k), self.q.mul_int(a[1], k))
+
+    def coords(self, a):
+        return self.q.coords(a[0]) + self.q.coords(a[1])
+
+
+def _s_add(ring, a, b):
+    return [ring.add(x, y) for x, y in zip(a, b)]
+
+
+def _s_sub(ring, a, b):
+    return [ring.sub(x, y) for x, y in zip(a, b)]
+
+
+def _s_mul(ring, a, b, prec):
+    out = [ring.zero] * prec
+    for i, x in enumerate(a[:prec]):
+        if ring.is_zero(x):
+            continue
+        for j, y in enumerate(b[:prec - i]):
+            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return out
+
+
+def _s_inv(ring, a, prec):
+    """Inverse of a unit power series (a[0] invertible)."""
+    inv0 = ring.inv(a[0])
+    out = [ring.zero] * prec
+    out[0] = inv0
+    for n in range(1, prec):
+        acc = ring.zero
+        for k in range(1, min(n, len(a) - 1) + 1):
+            acc = ring.add(acc, ring.mul(a[k], out[n - k]))
+        out[n] = ring.neg(ring.mul(inv0, acc))
+    return out
+
+
+def _s_pad(ring, a, prec):
+    return a[:prec] + [ring.zero] * (prec - len(a))
+
+
+def _s_const(ring, value, prec):
+    return _s_pad(ring, [value], prec)
+
+
+def _s_polyval(ring, coeff_series, X, prec):
+    """Horner evaluation of a polynomial whose coefficients are series
+    (lowest power first) at a power series X."""
+    acc = [ring.zero] * prec
+    for c in reversed(coeff_series):
+        acc = _s_add(ring, _s_mul(ring, acc, X, prec), _s_pad(ring, list(c), prec))
+    return acc
+
+
+class _Laurent:
+    """Series valid on exponents [offset, offset + len(coeffs))."""
+
+    def __init__(self, ring, offset, coeffs):
+        self.ring = ring
+        self.offset = offset
+        self.coeffs = coeffs
+
+    @property
+    def end(self):
+        return self.offset + len(self.coeffs)
+
+    def mul(self, other):
+        end = min(self.offset + other.end, other.offset + self.end)
+        off = self.offset + other.offset
+        return _Laurent(self.ring, off,
+                        _s_mul(self.ring, self.coeffs, other.coeffs, end - off))
+
+    def add(self, other):
+        off = min(self.offset, other.offset)
+        end = min(self.end, other.end)
+        out = [self.ring.zero] * (end - off)
+        for src in (self, other):
+            for i, c in enumerate(src.coeffs):
+                e = src.offset + i
+                if off <= e < end:
+                    out[e - off] = self.ring.add(out[e - off], c)
+        return _Laurent(self.ring, off, out)
+
+    def leading_index(self):
+        """Exponent of the first exactly-nonzero coefficient, or None."""
+        for i, c in enumerate(self.coeffs):
+            if not self.ring.is_zero(c):
+                return self.offset + i
+        return None
+
+
+def _laurent_polyval(ring, poly, X):
+    """Horner evaluation of a base-coefficient polynomial at a Laurent series."""
+    n = len(X.coeffs)
+    if poly.is_zero():
+        return _Laurent(ring, 0, [ring.zero] * n)
+    acc = _Laurent(ring, 0, _s_const(ring, ring.scalar(poly.coeffs[-1]), n))
+    for c in reversed(poly.coeffs[:-1]):
+        acc = acc.mul(X).add(_Laurent(ring, 0, _s_const(ring, ring.scalar(c), n)))
+    return acc
+
+
+def _newton_series(ring, coeffs, init, prec):
+    """Solve P(u) = 0 for a power series u with u(0) = init, where P has
+    series coefficients ``coeffs`` (indexed by u-power).  Quadratic Newton
+    in the t-adic metric."""
+    dcoeffs = [[ring.mul_int(c, i) for c in coeffs[i]] for i in range(1, len(coeffs))]
+    cur = [init]
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        cur = _s_pad(ring, cur, n)
+        num = _s_polyval(ring, [c[:n] for c in coeffs], cur, n)
+        den = _s_polyval(ring, [c[:n] for c in dcoeffs], cur, n)
+        cur = _s_sub(ring, cur, _s_mul(ring, num, _s_inv(ring, den, n), n))
+    return cur
+
+
+def _newton_sqrt(ring, F_series, init, prec):
+    """Square root of a unit series from init with init^2 = F_series[0]."""
+    half = ring.inv(ring.mul_int(ring.one, 2))
+    cur = [init]
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        cur = _s_pad(ring, cur, n)
+        s = _s_add(ring, cur, _s_mul(ring, F_series[:n], _s_inv(ring, cur, n), n))
+        cur = [ring.mul(c, half) for c in s]
+    return cur
+
+
+def _expansion_env(pt, prec):
+    """(ring, x series, y series, residue dimension) at the place."""
+    curve = pt.curve
+    F = curve.field
+    if pt.kind == "infinity":
+        # u = t^2 x solves u^{2g} = sum_i f_i u^i t^{2(d-i)}; then y = u^g / t^d
+        ring = _BaseRing(F)
+        g, d = curve.genus, curve.f.degree
+        coeffs = []
+        for i in range(d + 1):
+            c = [ring.zero] * prec
+            if 2 * (d - i) < prec:
+                c[2 * (d - i)] = curve.f.coeff(i)
+            coeffs.append(c)
+        coeffs[2 * g][0] = F.sub(coeffs[2 * g][0], F.pone)
+        u = _newton_series(ring, coeffs, F.inv(curve.f.lc()), prec)
+        ug = _s_const(ring, F.pone, prec)
+        for _ in range(g):
+            ug = _s_mul(ring, ug, u, prec)
+        return ring, _Laurent(ring, -2, u), _Laurent(ring, -d, ug), 1
+    p = pt.xminpoly
+    quot = _QuotRing(p)
+    if pt.kind == "ramified":
+        # t = y; x solves f(x) = t^2 starting at xbar
+        coeffs = [_s_const(quot, quot.scalar(c), prec) for c in curve.f.coeffs]
+        if prec > 2:
+            coeffs[0][2] = quot.sub(coeffs[0][2], quot.one)
+        xi = _newton_series(quot, coeffs, quot.xbar, prec)
+        ys = _s_pad(quot, [quot.zero, quot.one], prec)
+        return quot, _Laurent(quot, 0, xi), _Laurent(quot, 0, ys), p.degree
+    # t = p(x); x solves p(x) = t starting at xbar
+    coeffs = [_s_const(quot, quot.scalar(c), prec) for c in p.coeffs]
+    if prec > 1:
+        coeffs[0][1] = quot.sub(coeffs[0][1], quot.one)
+    xi = _newton_series(quot, coeffs, quot.xbar, prec)
+    if pt.kind == "split":
+        ring, y0, dim = quot, pt.ybranch % p, p.degree
+    else:
+        # nonsplit: coefficients live in the quadratic extension by yhat
+        ring = _QuadRing(quot, curve.f % p)
+        xi = [ring.lift(c) for c in xi]
+        y0, dim = ring.yhat, 2 * p.degree
+    fxi = _s_polyval(ring, [[ring.scalar(c)] for c in curve.f.coeffs], xi, prec)
+    ys = _newton_sqrt(ring, fxi, y0, prec)
+    return ring, _Laurent(ring, 0, xi), _Laurent(ring, 0, ys), dim
+
+
+class SeriesExpansion:
+    """``coefficients[i]`` is the coefficient of t**(offset + i): its
+    coordinates (payloads) in the power basis of the residue field."""
+
+    def __init__(self, ring, L, residue_dim):
+        self.offset = L.offset
+        self.coefficients = [ring.coords(v) for v in L.coeffs]
+        self.residue_dim = residue_dim
+
+
+def series_expansions(pt, precision):
+    """Expansions of the coordinate functions x and y at a place."""
+    ring, x, y, dim = _expansion_env(pt, precision)
+    return SeriesExpansion(ring, x, dim), SeriesExpansion(ring, y, dim)
+
+
+def series_residual_vanishes(pt, precision):
+    """Residual check: y^2 - f(x) vanishes identically to the precision."""
+    ring, x, y, _ = _expansion_env(pt, precision)
+    minus_one = _Laurent(ring, 0, _s_const(ring, ring.mul_int(ring.one, -1),
+                                           len(x.coeffs)))
+    fx = _laurent_polyval(ring, pt.curve.f, x)
+    return y.mul(y).add(fx.mul(minus_one)).leading_index() is None
+
+
+def _ord(poly, p):
+    n = 0
+    while (poly % p).is_zero():
+        poly, n = poly // p, n + 1
+    return n
+
+
+def series_valuation(fn, pt):
+    """v_pt(fn) read off the numerator's expansion.
+
+    Precision starts at an a-priori bound on the numerator's valuation
+    plus g + 2 and doubles until the leading coefficient is nonzero.
+    """
+    curve = pt.curve
+    a, b, c = fn.a, fn.b, fn.c
+    if pt.kind == "infinity":
+        v_den = -2 * c.degree
+        cands = [] if a.is_zero() else [2 * a.degree]
+        if not b.is_zero():
+            cands.append(2 * b.degree + curve.f.degree)
+        bound = max(cands)
+    else:
+        v_den = pt.ramification * _ord(c, pt.xminpoly)
+        target = a if b.is_zero() else curve.norm_poly(a, b)
+        bound = pt.ramification * _ord(target, pt.xminpoly)
+    prec = bound + curve.genus + 2
+    while True:
+        assert prec <= _SERIES_CAP, f"no leading term within {_SERIES_CAP} terms"
+        ring, x, y, _ = _expansion_env(pt, prec)
+        if b.is_zero():
+            num = _laurent_polyval(ring, a, x)
+        else:
+            num = _laurent_polyval(ring, b, x).mul(y)
+            if not a.is_zero():
+                num = _laurent_polyval(ring, a, x).add(num)
+        v = num.leading_index()
+        if v is not None:
+            return v - v_den
+        prec *= 2

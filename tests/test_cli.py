@@ -20,10 +20,11 @@ from pathlib import Path
 import pytest
 
 import curvext.__main__
+import curvext.extensions
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
 from curvext.cli import main
-from helpers import curve_g1_f5, datum_on_infinity
+from helpers import curve_g1_f5, datum_on_infinity, evaluation_class
 
 # the directory holding the curvext package this suite imported, so a
 # child process runs the same tree whatever the working directory
@@ -220,6 +221,28 @@ def test_secant_member_reports(tree, capsys):
     assert res["member"] is False and res["d"] == 0
     assert report["witnesses"] == []
     assert report["inputs"]["d"] == 0
+
+
+def test_failed_reverification_exits_three(tmp_path, monkeypatch, capsys):
+    """A witness that fails its own re-verification gives one
+    internal-error report and exit 3, not a traceback."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 4)
+    e = evaluation_class(datum, curve.point(2, 2))
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(class_to_json(e)), encoding="utf-8")
+    j = next(i for i, c in enumerate(e.coords) if c)
+
+    def skewed(fn, B):
+        return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
+    monkeypatch.setattr(curvext.extensions, "coordinates", skewed)
+    for argv in (["secant", "member", str(path)], ["ext", "destab", str(path)]):
+        code, out, _ = run(capsys, argv)
+        assert code == 3
+        report = json.loads(out)
+        assert report["result"]["status"] == "internal-error"
+        assert "re-verification" in report["result"]["message"]
+        assert report["witnesses"] == [] and report["timings"] == {}
 
 
 def test_experiment_thread_count_is_invisible(tree, capsys):

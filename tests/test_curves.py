@@ -10,12 +10,13 @@ import pytest
 from curvext import (Divisor, InputError, Poly, PrimeField, RationalFunction,
                      Rationals, curve_from_json, curve_to_json, divisor_from_json,
                      divisor_to_json, enumerate_closed_points,
-                     enumerate_effective_divisors, make_curve, point_expansions,
-                     point_from_json, point_to_json, valuation,
-                     verify_expansion)
+                     enumerate_effective_divisors, make_curve, point_from_json,
+                     point_to_json, rr_basis, valuation)
 from curvext.polys import residue_sqrt
 from helpers import (brute_point_count, curve_g1_f5, curve_g1_q, curve_g1w_f3,
-                     curve_g2_f3, curve_g2_f7, curve_g3_f5)
+                     curve_g2_f3, curve_g2_f7, curve_g2_f9, curve_g2_q,
+                     curve_g3_f5, random_divisor, series_expansions,
+                     series_residual_vanishes, series_valuation)
 
 Q = Rationals()
 
@@ -136,6 +137,41 @@ def test_valuations_at_affine_places():
     assert valuation(x - one, ns) == 1
 
 
+def _oracle_places():
+    """(curve, places, divisor draws): every place of degree <= 2 over
+    F_p and F9; over Q infinity and split, ramified and inert places."""
+    for make in (curve_g2_f3, curve_g1w_f3, curve_g2_f7, curve_g2_f9):
+        curve = make()
+        yield curve, enumerate_closed_points(curve, 2), 3
+    g1 = curve_g1_q()                           # y^2 = x^3 + 1
+    yield g1, [g1.infinity(), g1.point(0, 1), g1.point(2, 3), g1.point(-1, 0),
+               g1.point(1, None)], 8
+    g2 = curve_g2_q()                           # f = (x^2+x+1)(x^3-x^2+1)
+    yield g2, [g2.infinity(), g2.point(0, 1), g2.point(0, -1), g2.point(1, None),
+               g2.closed_point(Poly(Q, [1, 1, 1]), Poly.zero(Q))], 8
+
+
+def test_valuations_match_the_series_oracle():
+    """Closed-form valuations equal the Laurent-series oracle on the rr
+    bases of seeded random divisors, at places of all four kinds."""
+    pairs = 0
+    kinds = set()
+    for curve, places, draws in _oracle_places():
+        rng = random.Random(curve.label)
+        for _ in range(draws):
+            D = random_divisor(curve, rng, places, 4)
+            D = D + curve.infinity_divisor(max(0, 2 * curve.genus + 3 - D.degree))
+            for fn in rr_basis(curve, D):
+                for pt in places:
+                    assert valuation(fn, pt) == series_valuation(fn, pt), (fn, pt)
+                    pairs += 1
+                    kinds.add((curve.field.order(), pt.kind))
+    assert pairs > 1000
+    for q in (3, 7, 9, None):
+        assert {k for o, k in kinds if o == q} == {"infinity", "ramified", "split",
+                                                 "nonsplit"}
+
+
 @pytest.mark.parametrize("make", [curve_g1_f5, curve_g1w_f3, curve_g2_f3])
 def test_principal_divisors_have_degree_zero(make):
     """deg div(fn) = 0 once every possible support degree is enumerated.
@@ -162,7 +198,8 @@ def test_principal_divisors_have_degree_zero(make):
 
 
 # ---------------------------------------------------------------------------
-# local expansions: library residual plus an independent series check
+# local expansions of the valuation oracle: its own residual plus an
+# independent series check
 # ---------------------------------------------------------------------------
 
 def _series(offset, coeffs, valid_to):
@@ -199,7 +236,7 @@ def _series_add(a, b, reduce):
 
 def _expansion_to_series(exp):
     assert exp.residue_dim == 1
-    coeffs = [cs[0].payload for cs in exp.coefficients]
+    coeffs = [cs[0] for cs in exp.coefficients]
     return _series(exp.offset, coeffs, exp.offset + len(coeffs))
 
 
@@ -215,7 +252,7 @@ def test_expansions_satisfy_curve_equation_independently():
         else:
             targets.append(curve.point(0, 1))
         for pt in targets:
-            xe, ye = point_expansions(pt, 12)
+            xe, ye = series_expansions(pt, 12)
             xs = _expansion_to_series(xe)
             ys = _expansion_to_series(ye)
             lhs = _series_mul(ys, ys, reduce)
@@ -234,12 +271,12 @@ def test_expansions_satisfy_curve_equation_independently():
 def test_expansion_offsets_and_library_residual():
     for make in (curve_g1_f5, curve_g1w_f3, curve_g2_f3, curve_g3_f5):
         curve = make()
-        xe, ye = point_expansions(curve.infinity(), 8)
+        xe, ye = series_expansions(curve.infinity(), 8)
         assert xe.offset == -2
         assert ye.offset == -(2 * curve.genus + 1)
         for pt in enumerate_closed_points(curve, 2):
-            assert verify_expansion(pt, 10)
-            xe, ye = point_expansions(pt, 6)
+            assert series_residual_vanishes(pt, 10)
+            xe, ye = series_expansions(pt, 6)
             assert xe.residue_dim == ye.residue_dim
             assert xe.residue_dim == (pt.degree if pt.kind != "infinity" else 1)
 

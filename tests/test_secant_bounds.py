@@ -7,12 +7,12 @@ import pytest
 
 import curvext.extensions
 from curvext import (BoundInputs, Divisor, ExtensionClass, InputError,
-                     NotApplicable, brute_force_destabilizer,
+                     InternalError, NotApplicable, brute_force_destabilizer,
                      clifford_sandwich, compute_m, det_test,
                      secant_member, secant_table, sample_subspace,
                      offsecant_experiment, theorem1_delta0, theorem2_bound)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, datum_on_infinity)
+                     curve_g1w_f3, datum_on_infinity, evaluation_class)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +151,11 @@ def test_compute_m_is_h0():
 # secant membership
 # ---------------------------------------------------------------------------
 
-def _evaluation_class(datum, P):
-    """The point-evaluation functional w -> w(P) in class coordinates."""
-    vals = []
-    F = datum.curve.field
-    x0 = F.neg(P.xminpoly.coeffs[0])
-    y0 = P.ybranch.coeffs[0]
-    for w in datum.basis_NK.basis:
-        # w = (a + b*y)/c with c(P) != 0 for affine P off the poles
-        num = F.add(w.a.evaluate(x0), F.mul(w.b.evaluate(x0), y0))
-        vals.append(F.div(num, w.c.evaluate(x0)))
-    return ExtensionClass(datum, vals)
-
-
 def test_point_evaluation_lies_on_the_first_secant():
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)       # d defaults to 1
     P = curve.point(2, 2)
-    e = _evaluation_class(datum, P)
+    e = evaluation_class(datum, P)
     res = secant_member(e)
     assert res.member and res.complete and res.d == 1
     assert res.witness == Divisor(curve, [(P, 1)])
@@ -212,15 +199,15 @@ def test_witness_hits_are_reverified(monkeypatch):
     recomputation disagrees, a hit raises instead of being returned."""
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)
-    e = _evaluation_class(datum, curve.point(2, 2))
+    e = evaluation_class(datum, curve.point(2, 2))
     j = next(i for i, c in enumerate(e.coords) if c)
 
     def skewed(fn, B):
         return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
     monkeypatch.setattr(curvext.extensions, "coordinates", skewed)
-    with pytest.raises(AssertionError, match="re-verification"):
+    with pytest.raises(InternalError, match="re-verification"):
         secant_member(e)
-    with pytest.raises(AssertionError, match="re-verification"):
+    with pytest.raises(InternalError, match="re-verification"):
         brute_force_destabilizer(e)
 
 
@@ -233,7 +220,7 @@ def test_secant_guards_and_explicit_domains():
     qcurve = curve_g1_q()
     qdatum = datum_on_infinity(qcurve, 4)
     qP = qcurve.point(2, 3)
-    qe = _evaluation_class(qdatum, qP)
+    qe = evaluation_class(qdatum, qP)
     with pytest.raises(InputError):           # infinite field, no domain
         secant_member(qe)
     res = secant_member(qe, points=[qP, qcurve.point(0, 1)])
