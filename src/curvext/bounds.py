@@ -38,6 +38,13 @@ def clifford_sandwich(n: int, g: int) -> tuple:
     return (n // 2, n // 2 + max(g - 1, 0))
 
 
+def _check_clifford(n: int, g: int, m: int):
+    lo, hi = clifford_sandwich(n, g)
+    _check_positive_int("m", m)
+    if not lo <= m <= hi:
+        raise InputError(f"m = {m} outside the Clifford range [{lo}, {hi}]")
+
+
 def compute_m(curve, M) -> int:
     """m = h0(M), the size of the quadric in the determinant test."""
     return h0(curve, M)
@@ -46,10 +53,7 @@ def compute_m(curve, M) -> int:
 def theorem1_delta0(n: int, g: int, m: int) -> int:
     """delta0 = n - m + g - 1: no projective space of that dimension or
     larger fits inside the secant variety Sigma_{n/2-1}."""
-    lo, hi = clifford_sandwich(n, g)
-    _check_positive_int("m", m)
-    if not lo <= m <= hi:
-        raise InputError(f"m = {m} outside the Clifford range [{lo}, {hi}]")
+    _check_clifford(n, g, m)
     return n - m + g - 1
 
 
@@ -70,11 +74,7 @@ class BoundInputs:
     k: int           # index of the successive minimum
 
     def __post_init__(self):
-        lo, hi = clifford_sandwich(self.n, self.g)
-        _check_positive_int("m", self.m)
-        if not lo <= self.m <= hi:
-            raise InputError(
-                f"m = {self.m} outside the Clifford range [{lo}, {hi}]")
+        _check_clifford(self.n, self.g, self.m)
         _check_positive_int("degF", self.degF)
         _check_positive_int("k", self.k)
         if self.k > self.n + self.g - 1:

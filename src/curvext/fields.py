@@ -84,9 +84,6 @@ class FieldDescriptor:
     def is_zero(self, a) -> bool:
         return a == self.pzero
 
-    def is_finite(self) -> bool:
-        return self.order() is not None
-
     def iter_payloads(self):
         raise InputError(f"{self!r} is not a finite field")
 
@@ -183,8 +180,6 @@ class PrimeField(FieldDescriptor):
             return value % self.p
         if isinstance(value, FieldElement) and value.field == self:
             return value.payload
-        if isinstance(value, str):
-            return int(value) % self.p
         raise InputError(f"cannot coerce {value!r} into F_{self.p}")
 
     def add(self, a, b):
@@ -397,7 +392,7 @@ class FieldElement:
             return self.field == other.field and self.payload == other.payload
         try:
             return self.payload == self.field.coerce(other)
-        except (InputError, ValueError):
+        except InputError:
             return NotImplemented
 
     def __hash__(self):
@@ -405,9 +400,6 @@ class FieldElement:
 
     def __bool__(self):
         return not self.field.is_zero(self.payload)
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.payload))
 
     def is_zero(self):
         return self.field.is_zero(self.payload)

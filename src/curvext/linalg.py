@@ -248,9 +248,11 @@ def solve(mat: Matrix, rhs):
 def kernel_basis(mat: Matrix):
     """Basis of the right kernel, one vector per free column, in column order.
 
-    The vector for free column j has coordinate 1 at j and zeros at the
-    other free columns; this is the reduced-echelon kernel basis and is
-    deterministic.
+    The vector for free column j has coordinate 1 at j, zeros at the
+    other free columns, and nonzeros only at pivot columns left of j.
+    Read right to left, the vectors are therefore the reduced row
+    echelon form of the kernel with the columns reversed; rr_basis
+    takes its normal form from this.
     """
     F = mat.field
     rows, pivots = _echelon(F, mat.rows)

@@ -204,12 +204,6 @@ class Poly:
             acc = F.add(F.mul(acc, v), c)
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly(self.field, [c])
-        return acc
-
     # -- gcd family ----------------------------------------------------------
 
     def gcd(self, other: "Poly") -> "Poly":

@@ -12,9 +12,12 @@ is complete because any member of L(D), written in lowest terms, has
 denominator dividing c.
 
 Basis normalization: the pole orders at infinity of the basis elements
-are strictly increasing and each element has coefficient 1 at its
-highest-pole monomial.  This makes bases, coordinates, and everything
-built on them reproducible across runs.
+are strictly increasing, each element has coefficient 1 at its
+highest-pole monomial and 0 at the highest-pole monomials of the
+others.  It costs no pass of its own: the ansatz columns are ordered by
+increasing pole order before the one elimination, whose reduced-echelon
+kernel basis is then already this normal form.  This makes bases,
+coordinates, and everything built on them reproducible across runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from .curves import Divisor, HyperellipticCurve, _poly_valuation
 from .errors import InputError, MembershipError
 from .fields import FieldElement
-from .linalg import Matrix, from_columns, kernel_basis, rref, solve
+from .linalg import Matrix, from_columns, kernel_basis, solve
 from .polys import Poly, hensel_sqrt
 
 
@@ -199,60 +202,40 @@ def _constraint_points(D: Divisor, c: Poly):
     return {pt: r for pt, r in req.items() if r >= 1}
 
 
-def _constraint_rows(curve, pt, r, n_a, n_b):
+def _residue_columns(s: Poly, count: int, modulus: Poly):
+    """Coefficient columns of x^j * s mod modulus for j < count, each
+    deg(modulus) long, multiplying by x once per column."""
+    width = modulus.degree
+    q = s % modulus
+    cols = []
+    for _ in range(count):
+        cols.append([q.coeff(i) for i in range(width)])
+        q = q.shift(1) % modulus
+    return cols
+
+
+def _constraint_rows(curve, pt, r, n_a, order):
     """Linear conditions on the ansatz coefficients enforcing
-    v_pt(a + b*y) >= r.  Returns payload rows of width n_a + n_b."""
+    v_pt(a + b*y) >= r, as congruences a*s + b*t = 0 mod modulus.
+    Returns payload rows with the columns a_0.., b_0.. taken in `order`."""
     F = curve.field
     p = pt.xminpoly
-    X = Poly.x(F)
-
-    def residue_block(count, modulus, mult=None):
-        # column residues for coefficients of x^j (times mult if given)
-        width = modulus.degree
-        cols = []
-        for j in range(count):
-            q = X ** j if j else Poly.one(F)
-            if mult is not None:
-                q = q * mult
-            q = q % modulus
-            cols.append([q.coeff(i) for i in range(width)])
-        return cols, width
-
-    rows = []
+    one, zero = Poly.one(F), Poly.zero(F)
     if pt.kind == "split":
-        pr = p ** r
-        Y = hensel_sqrt(curve.f, p, pt.ybranch, r)
-        acols, w = residue_block(n_a, pr)
-        bcols, _ = residue_block(n_b, pr, mult=Y)
-        for i in range(w):
-            rows.append([col[i] for col in acols] + [col[i] for col in bcols])
-        return rows
-    if pt.kind == "ramified":
-        ka = (r + 1) // 2
-        kb = r // 2
-        if ka and n_a:
-            acols, w = residue_block(n_a, p ** ka)
-            zb = [F.pzero] * n_b
-            for i in range(w):
-                rows.append([col[i] for col in acols] + zb)
-        if kb and n_b:
-            bcols, w = residue_block(n_b, p ** kb)
-            za = [F.pzero] * n_a
-            for i in range(w):
-                rows.append(za + [col[i] for col in bcols])
-        return rows
-    # nonsplit: 1 and yhat are independent over the local ring
-    pr = p ** r
-    if n_a:
-        acols, w = residue_block(n_a, pr)
-        zb = [F.pzero] * n_b
-        for i in range(w):
-            rows.append([col[i] for col in acols] + zb)
-    if n_b:
-        bcols, w = residue_block(n_b, pr)
-        za = [F.pzero] * n_a
-        for i in range(w):
-            rows.append(za + [col[i] for col in bcols])
+        # y is the Hensel-lifted branch Y modulo p^r
+        congruences = [(p ** r, one, hensel_sqrt(curve.f, p, pt.ybranch, r))]
+    elif pt.kind == "ramified":
+        # v(y) = 1: a and b*y have valuations of opposite parity
+        congruences = [(p ** ((r + 1) // 2), one, zero),
+                       (p ** (r // 2), zero, one)]
+    else:
+        # nonsplit: 1 and yhat are independent over the local ring
+        congruences = [(p ** r, one, zero), (p ** r, zero, one)]
+    rows = []
+    for modulus, s, t in congruences:
+        cols = _residue_columns(s, n_a, modulus) \
+            + _residue_columns(t, len(order) - n_a, modulus)
+        rows.extend([cols[j][i] for j in order] for i in range(modulus.degree))
     return rows
 
 
@@ -271,57 +254,44 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
 
     F = curve.field
     g = curve.genus
-    empty = RRBasis(curve, D, (), 0, Poly.one(F), (), ())
-    if D.degree < 0:
-        curve._rr_cache[key] = empty
-        return empty
+    kern = []
+    # deg(div f) = 0, so L(D) = 0 when deg D < 0; from deg D >= 0 on the
+    # ansatz has at least the column a_0
+    if D.degree >= 0:
+        c = _ansatz_denominator(D)
+        degc = c.degree
+        m_inf = D.multiplicity(curve.infinity())
+        # pole orders at infinity of the columns x^j (a) and x^j*y (b),
+        # all distinct, so sorting by them orders the columns totally
+        poles = [2 * j - 2 * degc for j in range(degc + m_inf // 2 + 1)]
+        n_a = len(poles)
+        poles += [2 * j + 2 * g + 1 - 2 * degc
+                  for j in range(degc + (m_inf - (2 * g + 1)) // 2 + 1)]
+        order = sorted(range(len(poles)), key=poles.__getitem__)
+        rows = []
+        req = _constraint_points(D, c)
+        for pt in sorted(req, key=lambda q: q.key()):
+            rows.extend(_constraint_rows(curve, pt, req[pt], n_a, order))
+        kern = kernel_basis(Matrix(F, rows, ncols=len(order)))
 
-    c = _ansatz_denominator(D)
-    degc = c.degree
-    m_inf = D.multiplicity(curve.infinity())
-    a_max = degc + (m_inf // 2)
-    b_max = degc + ((m_inf - (2 * g + 1)) // 2)
-    n_a = max(a_max + 1, 0)
-    n_b = max(b_max + 1, 0)
-    width = n_a + n_b
-    if width == 0:
-        curve._rr_cache[key] = empty
-        return empty
-
-    rows = []
-    req = _constraint_points(D, c)
-    for pt in sorted(req, key=lambda q: q.key()):
-        rows.extend(_constraint_rows(curve, pt, req[pt], n_a, n_b))
-    kern = kernel_basis(Matrix(F, rows, ncols=width))
-    if not kern:
-        curve._rr_cache[key] = empty
-        return empty
-
-    # order monomials by pole order at infinity, highest first
-    poles = [2 * j - 2 * degc for j in range(n_a)] \
-        + [2 * j + 2 * g + 1 - 2 * degc for j in range(n_b)]
-    perm = sorted(range(width), key=lambda t: -poles[t])
-    mat = Matrix(F, [[vec[perm[t]].payload for t in range(width)]
-                     for vec in kern], ncols=width)
-    red = rref(mat)
-
+    # kernel_basis gives free column j a vector with 1 at j, 0 at the
+    # other free columns and nonzeros only left of j: j is its
+    # highest-pole monomial, and the vectors are the normal form
     basis = []
     raw = []
     pole_orders = []
-    for row in reversed(red.rows):
-        vec = [F.pzero] * width
-        lead = None
-        for t, v in enumerate(row):
-            vec[perm[t]] = v
-            if lead is None and not F.is_zero(v):
-                lead = poles[perm[t]]
-        a = Poly(F, vec[:n_a])
-        b = Poly(F, vec[n_a:])
+    for vec in kern:
+        coeffs = [F.pzero] * len(order)
+        for j, v in zip(order, vec):
+            coeffs[j] = v.payload
+        top = max(t for t, v in enumerate(vec) if not F.is_zero(v.payload))
+        a = Poly(F, coeffs[:n_a])
+        b = Poly(F, coeffs[n_a:])
         basis.append(RationalFunction(curve, a, b, c))
         raw.append((a, b))
-        pole_orders.append(lead)
-    out = RRBasis(curve, D, tuple(basis), len(basis), c, tuple(raw),
-                  tuple(pole_orders))
+        pole_orders.append(poles[order[top]])
+    out = RRBasis(curve, D, tuple(basis), len(basis),
+                  c if basis else Poly.one(F), tuple(raw), tuple(pole_orders))
     curve._rr_cache[key] = out
     return out
 

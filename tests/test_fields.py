@@ -117,6 +117,17 @@ def test_prime_field_validation():
     assert PrimeField(5).characteristic() == 5
 
 
+def test_finite_fields_refuse_strings():
+    """Strings are not finite-field values: InputError, never a bare
+    ValueError, and a string never compares equal to an element."""
+    F9 = ExtensionField(3, [1, 0, 1])
+    for F in (PrimeField(5), F9):
+        for text in ("abc", "1/2", "3"):
+            with pytest.raises(InputError, match="cannot coerce"):
+                F.coerce(text)
+        assert F.one() != "1"
+
+
 def test_reducible_minpoly_is_rejected():
     # t^2 + 2 has the root t = 1 mod 3
     with pytest.raises(InputError):

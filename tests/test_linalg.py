@@ -76,6 +76,36 @@ def test_kernel_vectors_annihilate():
                    [[v.payload for v in k] for k in again]
 
 
+def _reversed_kernel(M):
+    """kernel_basis(M) read right to left: the vectors in reverse order,
+    each with its coordinates reversed."""
+    return [[v.payload for v in reversed(k)] for k in reversed(kernel_basis(M))]
+
+
+def test_reversed_kernel_basis_is_the_reduced_echelon_form():
+    """rr_basis relies on this: read right to left, the kernel basis is
+    already the reduced echelon form of its own span.  Over Q against
+    frac_rref; over F_7 (as 1-tuples), F_9 and F_8 against tiny_rref."""
+    rng = random.Random(19)
+    K7 = TinyExt(7, [0, 1])
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 6)
+        got = _reversed_kernel(Matrix(Q, rand_matrix_q(rng, nr, nc)))
+        assert got == frac_rref(got)[0]
+        mod7 = [[rng.randrange(7) for _ in range(nc)] for _ in range(nr)]
+        got = [[(v,) for v in k] for k in _reversed_kernel(Matrix(F7, mod7))]
+        assert got == tiny_rref(K7, got)[0]
+    for p, minpoly in [(3, [1, 0, 1]), (2, [1, 1, 0, 1])]:
+        F = ExtensionField(p, minpoly)
+        K = TinyExt(p, minpoly)
+        elems = K.elements()
+        for _ in range(30):
+            nr, nc = rng.randint(1, 3), rng.randint(1, 5)
+            rows = [[rng.choice(elems) for _ in range(nc)] for _ in range(nr)]
+            got = _reversed_kernel(Matrix(F, rows))
+            assert got == tiny_rref(K, got)[0]
+
+
 def test_solve_round_trip_and_inconsistency():
     rng = random.Random(15)
     for _ in range(40):

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from curvext import (Divisor, InputError, LinearFunctional, MembershipError,
-                     Poly, RationalFunction, basis_transition, coordinates,
+                     Poly, PrimeField, RationalFunction, Rationals,
+                     basis_transition, coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
                      is_principal, rr_basis, valuation)
-from helpers import (curve_g1_f5, curve_g1_q, curve_g1w_f3, curve_g2_f3,
-                     curve_g2_f7, curve_g2_q, curve_g3_f5, random_divisor)
+from helpers import (TinyExt, curve_g1_f5, curve_g1_q, curve_g1w_f3,
+                     curve_g2_f3, curve_g2_f7, curve_g2_f9, curve_g2_q,
+                     curve_g3_f5, frac_rref, random_divisor, series_valuation,
+                     tiny_rref)
 
 
 def infinity_dim_oracle(g, k):
@@ -29,7 +32,7 @@ def test_infinity_dims_match_monomial_count():
             assert h0(curve, D) == infinity_dim_oracle(g, k), (make.__name__, k)
 
 
-@pytest.mark.parametrize("make", [curve_g1_f5, curve_g2_f3])
+@pytest.mark.parametrize("make", [curve_g1_f5, curve_g2_f3, curve_g2_f9])
 def test_rr_identity_on_random_divisors(make):
     curve = make()
     g = curve.genus
@@ -66,6 +69,68 @@ def test_basis_normalization_and_pole_orders():
     P = g2.point(0, 1)
     B2 = rr_basis(g2, Divisor(g2, [(P, 3), (g2.infinity(), 2)]))
     assert list(B2.pole_orders) == sorted(set(B2.pole_orders))
+
+
+def _monomial_rows(B):
+    """Basis elements as rows over the monomials x^j and x^j*y of the
+    shared numerator (a + b*y), columns by descending pole order at
+    infinity: 2j for x^j and 2j + 2g + 1 for x^j*y, less 2 deg c."""
+    curve = B.curve
+    n_a = max((len(a.coeffs) for a, _ in B.raw_pairs), default=0)
+    n_b = max((len(b.coeffs) for _, b in B.raw_pairs), default=0)
+    poles = [2 * j for j in range(n_a)] \
+        + [2 * j + 2 * curve.genus + 1 for j in range(n_b)]
+    cols = sorted(range(n_a + n_b), key=lambda t: -poles[t])
+    return [[a.coeff(t) if t < n_a else b.coeff(t - n_a) for t in cols]
+            for a, b in B.raw_pairs]
+
+
+def _oracle_rref(F, rows):
+    """Textbook reduced echelon rows: frac_rref over Q, tiny_rref over
+    F_p (payloads as 1-tuples) and F_9."""
+    if isinstance(F, Rationals):
+        return frac_rref(rows)[0]
+    if isinstance(F, PrimeField):
+        K = TinyExt(F.p, [0, 1])
+        want = tiny_rref(K, [[(v,) for v in row] for row in rows])[0]
+        return [[v for v, in row] for row in want]
+    return tiny_rref(TinyExt(F.p, list(F.minpoly)), rows)[0]
+
+
+def _divisors_for_normal_form():
+    for make in (curve_g2_f3, curve_g2_f7, curve_g2_f9):
+        curve = make()
+        rng = random.Random(31)
+        pts = enumerate_closed_points(curve, 2)
+        for _ in range(60):
+            yield curve, random_divisor(curve, rng, pts, 3 * curve.genus + 4)
+    curve = curve_g1_q()                        # y^2 = x^3 + 1
+    inf = curve.infinity()
+    split, weier, ns = curve.point(2, 3), curve.point(-1, 0), curve.point(1, None)
+    for items in ([(split, 2), (inf, 1)], [(weier, 3), (split, -1), (inf, 2)],
+                  [(ns, 1), (weier, 1)], [(split, 1), (split.conjugate(), 2)],
+                  [(ns, 2), (split, -1), (inf, 3)]):
+        yield curve, Divisor(curve, items)
+
+
+def test_basis_is_the_normal_form_away_from_infinity():
+    """With constraint rows in play: read from the highest pole down,
+    the monomial rows of a basis are their own reduced echelon form, and
+    each pole order is the valuation at infinity from series expansion."""
+    seen = 0
+    for curve, D in _divisors_for_normal_form():
+        B = rr_basis(curve, D)
+        assert B.dim == len(B.raw_pairs) == len(B.pole_orders)
+        inf = curve.infinity()
+        for fn, (a, b), k in zip(B, B.raw_pairs, B.pole_orders):
+            assert fn == RationalFunction(curve, a, b, B.denominator)
+            assert series_valuation(fn, inf) == -k
+        if B.dim:
+            desc = _monomial_rows(B)[::-1]
+            assert desc == _oracle_rref(curve.field, desc)
+            if B.dim > 1 and any(pt != inf for pt in D.support()):
+                seen += 1
+    assert seen >= 40
 
 
 def test_every_basis_element_respects_the_divisor():
