@@ -37,7 +37,8 @@ _KIND_RANK = {"infinity": 0, "ramified": 1, "split": 2, "nonsplit": 3}
 class HyperellipticCurve:
     """y^2 = f(x) with the conventions above.  Build through make_curve."""
 
-    __slots__ = ("field", "f", "genus", "label", "_rr_cache", "_point_cache")
+    __slots__ = ("field", "f", "genus", "label", "_rr_cache", "_lift_cache",
+                 "_point_cache")
 
     def __init__(self, field: FieldDescriptor, f: Poly, label: str | None = None):
         self.field = field
@@ -45,6 +46,7 @@ class HyperellipticCurve:
         self.genus = (f.degree - 1) // 2
         self.label = label
         self._rr_cache = {}
+        self._lift_cache = {}
         self._point_cache = {}
 
     def __eq__(self, other):
@@ -327,6 +329,18 @@ def _poly_valuation(poly: Poly, point: CurvePoint) -> int:
     return point.ramification * _ord_at(poly, point.xminpoly)
 
 
+def _branch_lift(point: CurvePoint, r: int) -> Poly:
+    """Y_r = the branch of y at a split place modulo xminpoly^r, Hensel
+    lifted once per (place, r) and cached on the curve."""
+    cache = point.curve._lift_cache
+    key = (point.key(), r)
+    Y = cache.get(key)
+    if Y is None:
+        Y = cache[key] = hensel_sqrt(point.curve.f, point.xminpoly,
+                                     point.ybranch, r)
+    return Y
+
+
 def valuation(fn, point: CurvePoint) -> int:
     """Exact valuation of a nonzero rational function (a + b*y)/c at a place.
 
@@ -347,7 +361,7 @@ def valuation(fn, point: CurvePoint) -> int:
     if point.kind == "split":
         p = point.xminpoly
         r = _ord_at(curve.norm_poly(a, b), p) + 1
-        Y = hensel_sqrt(curve.f, p, point.ybranch, r)
+        Y = _branch_lift(point, r)
         return _ord_at((a + b * Y) % p ** r, p) - v_den
     v_y = {"infinity": -curve.f.degree, "ramified": 1, "nonsplit": 0}[point.kind]
     cands = []

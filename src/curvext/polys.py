@@ -3,7 +3,7 @@
 Coefficients are stored low degree first as payloads, with no trailing
 zeros (the zero polynomial has an empty tuple).  Everything here is exact;
 irreducibility testing and enumeration are only offered over finite fields,
-with a narrow rational-root fallback over Q used by the curve layer.
+with rational roots over Q (by l-adic lifting) for the curve layer.
 
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 the Euler criterion, and square roots by Tonelli-Shanks, which cost a
@@ -15,10 +15,11 @@ deterministic.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, product
 
 from .errors import InputError
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, PrimeField, is_prime
 
 
 class Poly:
@@ -267,26 +268,54 @@ class Poly:
         return True
 
     def rational_roots(self):
-        """All roots in Q, via the rational root theorem. Q coefficients only."""
-        from fractions import Fraction
-        if self.field.order() is not None:
+        """All roots in Q, ascending, by l-adic lifting.  Q coefficients only.
+
+        After x^k and repeated factors are stripped off, P has integer
+        coefficients with leading coefficient `lead`, and each rational
+        root is k/lead with |k| <= B = |lead| + max |P_i| (Cauchy bound).
+        For the least prime l with l not dividing lead and P mod l
+        squarefree, every such root reduces to a simple root of P mod l;
+        Newton's iteration lifts each of those until l^e > 2B, where the
+        symmetric residue of lead*root is k itself.  Each candidate k/lead
+        is kept only if P vanishes there exactly.
+        """
+        F = self.field
+        if F.order() is not None:
             raise InputError("rational_roots is a Q-only helper")
         if self.is_zero():
             raise InputError("zero polynomial")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
         k = 0
-        while ints[k] == 0:
+        while F.is_zero(self.coeffs[k]):
             k += 1
-        lead, const = ints[-1], ints[k]
-        roots = set()
-        if k > 0:
-            roots.add(Fraction(0))
-        for pn in _divisors(abs(const)):
-            for qd in _divisors(abs(lead)):
-                for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                    if self.field.is_zero(self.evaluate(cand)):
-                        roots.add(cand)
+        roots = [F.pzero] if k else []
+        P = Poly.from_values(F, self.coeffs[k:])
+        P = P // P.gcd(P.derivative())
+        if P.degree < 1:
+            return roots
+        den = math.lcm(*(c.denominator for c in P.coeffs))
+        ints = [int(c * den) for c in P.coeffs]
+        lead = ints[-1]
+        bound = abs(lead) + max(abs(c) for c in ints[:-1])
+        ell = 2
+        while lead % ell == 0 or not Poly(
+                PrimeField(ell), [c % ell for c in ints]).is_squarefree():
+            ell += 1
+            while not is_prime(ell):
+                ell += 1
+        dints = [i * c for i, c in enumerate(ints)][1:]
+        for r in range(ell):
+            if _eval_int(ints, r) % ell:
+                continue
+            m = ell
+            while m <= 2 * bound:
+                m = m * m
+                r = (r - _eval_int(ints, r) * pow(_eval_int(dints, r), -1, m)) % m
+            num = lead * r % m
+            if num > m // 2:
+                num -= m
+            cand = Fraction(num, lead)
+            if F.is_zero(P.evaluate(cand)):
+                roots.append(cand)
         return sorted(roots)
 
     def __repr__(self):
@@ -305,16 +334,12 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-def _divisors(n):
-    """Positive divisors of n >= 1, ascending, from its prime factors (trial
-    division up to sqrt(n)); [1] for n = 0."""
-    out = [1]
-    for ell in _prime_factors(n):
-        e = 0
-        while n % ell == 0:
-            n, e = n // ell, e + 1
-        out = [d * ell ** i for d in out for i in range(e + 1)]
-    return sorted(out)
+def _eval_int(coeffs, v: int) -> int:
+    """Horner evaluation of an integer coefficient list, low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,24 @@ others.  It costs no pass of its own: the ansatz columns are ordered by
 increasing pole order before the one elimination, whose reduced-echelon
 kernel basis is then already this normal form.  This makes bases,
 coordinates, and everything built on them reproducible across runs.
+
+Work nobody reads is skipped: a basis stores its numerator pairs over
+the one ansatz denominator and builds its RationalFunction objects on
+first access, so h0 and h1 never normalize a function; the orders
+v_P(c) come from the multiplicities c was built from; and the branch
+lift at a split place is cached on the curve per (place, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .curves import Divisor, HyperellipticCurve, _poly_valuation
+from .curves import Divisor, HyperellipticCurve, _branch_lift
 from .errors import InputError, MembershipError
 from .fields import FieldElement
 from .linalg import Matrix, from_columns, kernel_basis, solve
-from .polys import Poly, hensel_sqrt
+from .polys import Poly
 
 
 class RationalFunction:
@@ -161,15 +168,25 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class RRBasis:
-    """Normalized basis of L(D); immutable and safe to share."""
+    """Normalized basis of L(D); immutable and safe to share.
+
+    Only the raw pairs are computed with the space: the RationalFunction
+    objects of ``basis`` are built on first access, so readers of ``dim``
+    alone (h0, h1) never normalize a function.  The branch lifts behind
+    the constraint rows are cached on the curve per (place, r).
+    """
 
     curve: HyperellipticCurve
     divisor: Divisor
-    basis: tuple
     dim: int
     denominator: Poly          # shared ansatz denominator of the raw pairs
     raw_pairs: tuple           # (a, b) with basis[i] = (a + b*y)/denominator
     pole_orders: tuple         # -v_infinity per element, strictly increasing
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(RationalFunction(self.curve, a, b, self.denominator)
+                     for a, b in self.raw_pairs)
 
     def __iter__(self):
         return iter(self.basis)
@@ -178,27 +195,33 @@ class RRBasis:
         return self.dim
 
 
-def _ansatz_denominator(D: Divisor) -> Poly:
-    c = Poly.one(D.curve.field)
+def _ansatz_denominator(D: Divisor):
+    """c = product of xminpoly(P)^{m_P} over the affine positive support
+    of D, and ord_p(c) for each xminpoly p in it."""
+    ords = {}
     for pt, m in D.items:
         if m > 0 and pt.kind != "infinity":
-            c = c * pt.xminpoly ** m
-    return c
+            ords[pt.xminpoly] = ords.get(pt.xminpoly, 0) + m
+    c = Poly.one(D.curve.field)
+    for p, k in ords.items():
+        c = c * p ** k
+    return c, ords
 
 
-def _constraint_points(D: Divisor, c: Poly):
+def _constraint_points(D: Divisor, ords):
     """Map point -> required numerator valuation r = v_P(c) - m_P, for
     every affine place where r >= 1 (includes conjugates of split
-    support, which c covers but D need not)."""
+    support, which c covers but D need not).  v_P(c) is the ramification
+    index times ord_p(c) from `ords`; nothing is divided."""
     req = {}
     for pt, m in D.items:
         if pt.kind != "infinity":
-            req[pt] = _poly_valuation(c, pt) - m
+            req[pt] = pt.ramification * ords.get(pt.xminpoly, 0) - m
     for pt, m in D.items:
         if m > 0 and pt.kind == "split":
             conj = pt.conjugate()
             if conj not in req:
-                req[conj] = _poly_valuation(c, conj)
+                req[conj] = ords[pt.xminpoly]
     return {pt: r for pt, r in req.items() if r >= 1}
 
 
@@ -223,7 +246,7 @@ def _constraint_rows(curve, pt, r, n_a, order):
     one, zero = Poly.one(F), Poly.zero(F)
     if pt.kind == "split":
         # y is the Hensel-lifted branch Y modulo p^r
-        congruences = [(p ** r, one, hensel_sqrt(curve.f, p, pt.ybranch, r))]
+        congruences = [(p ** r, one, _branch_lift(pt, r))]
     elif pt.kind == "ramified":
         # v(y) = 1: a and b*y have valuations of opposite parity
         congruences = [(p ** ((r + 1) // 2), one, zero),
@@ -258,7 +281,7 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     # deg(div f) = 0, so L(D) = 0 when deg D < 0; from deg D >= 0 on the
     # ansatz has at least the column a_0
     if D.degree >= 0:
-        c = _ansatz_denominator(D)
+        c, ords = _ansatz_denominator(D)
         degc = c.degree
         m_inf = D.multiplicity(curve.infinity())
         # pole orders at infinity of the columns x^j (a) and x^j*y (b),
@@ -269,7 +292,7 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
                   for j in range(degc + (m_inf - (2 * g + 1)) // 2 + 1)]
         order = sorted(range(len(poles)), key=poles.__getitem__)
         rows = []
-        req = _constraint_points(D, c)
+        req = _constraint_points(D, ords)
         for pt in sorted(req, key=lambda q: q.key()):
             rows.extend(_constraint_rows(curve, pt, req[pt], n_a, order))
         kern = kernel_basis(Matrix(F, rows, ncols=len(order)))
@@ -277,7 +300,6 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     # kernel_basis gives free column j a vector with 1 at j, 0 at the
     # other free columns and nonzeros only left of j: j is its
     # highest-pole monomial, and the vectors are the normal form
-    basis = []
     raw = []
     pole_orders = []
     for vec in kern:
@@ -287,11 +309,10 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
         top = max(t for t, v in enumerate(vec) if not F.is_zero(v.payload))
         a = Poly(F, coeffs[:n_a])
         b = Poly(F, coeffs[n_a:])
-        basis.append(RationalFunction(curve, a, b, c))
         raw.append((a, b))
         pole_orders.append(poles[order[top]])
-    out = RRBasis(curve, D, tuple(basis), len(basis),
-                  c if basis else Poly.one(F), tuple(raw), tuple(pole_orders))
+    out = RRBasis(curve, D, len(raw), c if raw else Poly.one(F), tuple(raw),
+                  tuple(pole_orders))
     curve._rr_cache[key] = out
     return out
 

@@ -12,7 +12,7 @@ import random
 
 from curvext import (Divisor, ExtensionClass, ExtensionField, Poly, PrimeField,
                      Rationals, make_curve, make_datum)
-from curvext.polys import residue_inverse
+from curvext.polys import _prime_factors, residue_inverse
 
 # ---------------------------------------------------------------------------
 # fixture curves (label -> constructor args); all models verified squarefree
@@ -345,6 +345,71 @@ def random_divisor(curve, rng: random.Random, points, max_abs_degree):
             D = D + Divisor(curve, [(pt, mult)])
             budget -= abs(mult) * pt.degree
     return D
+
+
+# ---------------------------------------------------------------------------
+# rational roots by the rational root theorem (oracle for Poly.rational_roots)
+# ---------------------------------------------------------------------------
+
+def _divisors(n):
+    """Positive divisors of n >= 1, ascending, from its prime factors (trial
+    division up to sqrt(n)); [1] for n = 0."""
+    out = [1]
+    for ell in _prime_factors(n):
+        e = 0
+        while n % ell == 0:
+            n, e = n // ell, e + 1
+        out = [d * ell ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def divisor_rational_roots(poly):
+    """Roots in Q of a nonzero polynomial over Q: every candidate +-p/q
+    with p | constant term and q | leading coefficient, tried exactly."""
+    den = 1
+    for c in poly.coeffs:
+        den = den * Fraction(c).denominator
+    ints = [int(Fraction(c) * den) for c in poly.coeffs]
+    k = 0
+    while ints[k] == 0:
+        k += 1
+    roots = {Fraction(0)} if k else set()
+    for pn in _divisors(abs(ints[k])):
+        for qd in _divisors(abs(ints[-1])):
+            for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
+                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# required numerator orders by repeated division (oracle for
+# riemann_roch._constraint_points)
+# ---------------------------------------------------------------------------
+
+def ansatz_denominator_by_product(D):
+    """c = product of xminpoly(P)^{m_P} over the affine positive support."""
+    c = Poly.one(D.curve.field)
+    for pt, m in D.items:
+        if m > 0 and pt.kind != "infinity":
+            c = c * pt.xminpoly ** m
+    return c
+
+
+def constraint_points_by_division(D, c):
+    """{place: v_P(c) - m_P} where that is >= 1, over the affine support
+    and the conjugates of split positive support, with v_P(c) found by
+    dividing c by xminpoly(P) until a remainder appears."""
+    req = {}
+    for pt, m in D.items:
+        if pt.kind != "infinity":
+            req[pt] = pt.ramification * _ord(c, pt.xminpoly) - m
+    for pt, m in D.items:
+        if m > 0 and pt.kind == "split":
+            conj = pt.conjugate()
+            if conj not in req:
+                req[conj] = _ord(c, conj.xminpoly)
+    return {pt: r for pt, r in req.items() if r >= 1}
 
 
 # ---------------------------------------------------------------------------

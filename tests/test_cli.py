@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -162,6 +163,22 @@ def test_rr_basis_payload(tree, capsys):
     assert len(res["basis"]) == 5
     assert res["basis"][0]["a"] == [1]
     assert report["inputs"]["divisor"] == [{"point": "infinity", "mult": 5}]
+
+
+def test_rr_basis_over_a_semiprime_place_is_quick(tmp_path, capsys):
+    # validating x^2 - (10^9+7)(10^9+9) decides it has no rational root;
+    # by trial division of the constant that took about 10^9 steps
+    N = (10 ** 9 + 7) * (10 ** 9 + 9)
+    path = tmp_path / "g1q.json"
+    path.write_text(json.dumps({"field": "Q", "f": [1, 0, 0, 1]}),
+                    encoding="utf-8")
+    div = [{"point": {"xminpoly": [-N, 0, 1], "ybranch": None}, "mult": 1}]
+    t0 = time.perf_counter()
+    code, report, _ = run_json(
+        capsys, ["rr", "basis", str(path), "--divisor", json.dumps(div)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert report["result"]["dim"] == report["result"]["degree"] == 4
 
 
 def test_ext_det_and_prop1_agree(tree, capsys):

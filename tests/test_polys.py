@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -6,10 +7,10 @@ import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
                      hensel_sqrt)
-from curvext.polys import (_divisors, count_monic_irreducible, iter_monic,
+from curvext.polys import (count_monic_irreducible, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_is_square, residue_sqrt)
-from helpers import brute_residue_sqrts
+from helpers import _divisors, brute_residue_sqrts, divisor_rational_roots
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -185,11 +186,59 @@ def test_rational_roots_exact():
     assert f.rational_roots() == []
     g = Poly(Q, [-6, 11, -6, 1])              # (x-1)(x-2)(x-3)
     assert sorted(g.rational_roots()) == [1, 2, 3]
-    # constants near 10^9 cost a trial division to sqrt, not a scan to n
+    # constant and root near 10^9
     big = 1000000007
     assert Poly(Q, [-big, 0, 1]).rational_roots() == []
     h = Poly(Q, [-2 * big, 2 - 3 * big, 3])   # (x - big)(3x + 2)
     assert h.rational_roots() == [Fraction(-2, 3), big]
+
+
+def _seeded_root_polys(rng, count):
+    """Integer polynomials of degree 1..4 built from linear factors
+    q*x - p (repeats, zero and non-integer roots included), an optional
+    root-free quadratic, and a rational scale."""
+    for _ in range(count):
+        deg = rng.randint(1, 4)
+        f = Poly(Q, [Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 3))])
+        if deg >= 2 and rng.random() < 0.4:
+            f = f * Poly(Q, [rng.choice([1, 2, -2, 3, -5, 6]), 0, 1])
+            deg -= 2
+        roots = []
+        for _ in range(deg):
+            if roots and rng.random() < 0.3:
+                pn, qd = rng.choice(roots)              # a repeated root
+            else:
+                pn, qd = rng.randint(-9, 9), rng.randint(1, 6)
+            roots.append((pn, qd))
+            f = f * Poly(Q, [-pn, qd])
+        yield f
+
+
+def test_rational_roots_match_the_divisor_oracle():
+    rng = random.Random(808)
+    seen_repeat = seen_zero = seen_frac = 0
+    for f in _seeded_root_polys(rng, 300):
+        want = divisor_rational_roots(f)
+        assert f.rational_roots() == want, f
+        seen_zero += Fraction(0) in want
+        seen_frac += any(r.denominator > 1 for r in want)
+        seen_repeat += not f.is_squarefree()
+    assert min(seen_repeat, seen_zero, seen_frac) >= 20
+    # roots in the constant and leading terms' extreme shapes
+    for f in (Poly(Q, [0, 0, 0, 5]), Poly(Q, [Fraction(7, 3)]),
+              Poly(Q, [-1, 0, 0, 0, 16]), Poly(Q, [2, -3, 1]) ** 2):
+        assert f.rational_roots() == divisor_rational_roots(f), f
+
+
+def test_rational_roots_of_a_large_semiprime_constant_are_quick():
+    # x^2 - (10^9+7)(10^9+9): the divisor oracle would need about 10^9
+    # trial divisions; the l-adic lift needs a handful of Newton steps
+    N = (10 ** 9 + 7) * (10 ** 9 + 9)
+    t0 = time.perf_counter()
+    assert Poly(Q, [-N, 0, 1]).rational_roots() == []
+    f = Poly(Q, [-N, 0, 1]) * Poly(Q, [-(10 ** 9 + 7), 10 ** 9 + 9])
+    assert f.rational_roots() == [Fraction(10 ** 9 + 7, 10 ** 9 + 9)]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_divisors_match_the_definition():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from curvext import (Divisor, InputError, LinearFunctional, MembershipError,
-                     Poly, PrimeField, RationalFunction, Rationals,
+from curvext import (Divisor, HyperellipticCurve, InputError, LinearFunctional,
+                     MembershipError, Poly, PrimeField, RationalFunction, Rationals,
                      basis_transition, coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
                      is_principal, rr_basis, valuation)
@@ -292,3 +292,141 @@ def test_function_json_lists_coefficients():
         [curve.field.payload_from_json(v) for v in obj["b"]],
         [curve.field.payload_from_json(v) for v in obj["c"]])
     assert back == fn
+
+
+# ---------------------------------------------------------------------------
+# work rr_basis skips: required orders, branch lifts, basis objects
+# ---------------------------------------------------------------------------
+
+def _q_pool(curve):
+    """Places of y^2 = x^3 + 1 over Q of every kind, both branches of
+    each split place included."""
+    split = [curve.point(0, 1), curve.point(2, 3)]
+    return split + [P.conjugate() for P in split] + [
+        curve.infinity(), curve.point(-1, 0), curve.point(1, None),
+        curve.point(3, None)]
+
+
+def _seeded_pools():
+    yield curve_g1_q(), None
+    for make in (curve_g2_f3, curve_g2_f7, curve_g2_f9):
+        yield make(), 2
+
+
+def _pool(curve, degree):
+    return _q_pool(curve) if degree is None \
+        else enumerate_closed_points(curve, degree)
+
+
+def _forced_divisors(curve, pts):
+    """A split place with its conjugate both positive, a split place with
+    a negative conjugate, and ramified and nonsplit places with m >= 2."""
+    inf = curve.infinity()
+    out = []
+    for P in [pt for pt in pts if pt.kind == "split"][:2]:
+        out.append(("split+conj", Divisor(curve, [(P, 2), (P.conjugate(), 1)])))
+        out.append(("split-conj", Divisor(curve, [(P, 3), (P.conjugate(), -1),
+                                                  (inf, 1)])))
+    for kind in ("ramified", "nonsplit"):
+        for P in [pt for pt in pts if pt.kind == kind][:2]:
+            out.append((kind, Divisor(curve, [(P, 2), (inf, -1)])))
+            out.append((kind, Divisor(curve, [(P, 3)])))
+    return out
+
+
+def test_required_orders_match_repeated_division():
+    from curvext.riemann_roch import _ansatz_denominator, _constraint_points
+    from helpers import (ansatz_denominator_by_product,
+                         constraint_points_by_division)
+    seen = set()
+    for curve, degree in _seeded_pools():
+        pts = _pool(curve, degree)
+        rng = random.Random(417)
+        cases = _forced_divisors(curve, pts)
+        cases += [("random", random_divisor(curve, rng, pts, 3 * curve.genus + 4))
+                  for _ in range(60)]
+        for label, D in cases:
+            c, ords = _ansatz_denominator(D)
+            assert c == ansatz_denominator_by_product(D), D
+            assert _constraint_points(D, ords) \
+                == constraint_points_by_division(D, c), D
+            seen.add(label)
+    assert seen == {"split+conj", "split-conj", "ramified", "nonsplit", "random"}
+
+
+def _rr_cold_pass(curve, pts, rng):
+    """The duality identity on seeded divisors, as the rr-cold benchmark
+    runs it, plus the valuations of each basis element on the support."""
+    K = curve.canonical_divisor()
+    for _ in range(30):
+        D = random_divisor(curve, rng, pts, 4 * curve.genus + 6)
+        assert h0(curve, D) - h0(curve, K - D) == D.degree - curve.genus + 1
+        for fn in rr_basis(curve, D):
+            for pt in D.support():
+                assert valuation(fn, pt) >= -D.multiplicity(pt)
+
+
+def test_branch_lifts_are_cached_once_per_place_and_precision(monkeypatch):
+    import curvext.curves
+    from curvext.polys import hensel_sqrt
+    calls = {}
+
+    def counted(f, p, branch, r):
+        key = (f, p, branch, r)
+        calls[key] = calls.get(key, 0) + 1
+        return hensel_sqrt(f, p, branch, r)
+
+    monkeypatch.setattr(curvext.curves, "hensel_sqrt", counted)
+    for curve, degree in _seeded_pools():
+        calls.clear()
+        pts = _pool(curve, degree)
+        _rr_cold_pass(curve, pts, random.Random(5))
+        cache = curve._lift_cache
+        assert cache and len(calls) == len(cache)
+        assert set(calls.values()) == {1}
+        checked = 0
+        for P in pts:
+            for (key, r), Y in cache.items():
+                if key == P.key():
+                    assert Y == hensel_sqrt(curve.f, P.xminpoly, P.ybranch, r)
+                    assert calls[(curve.f, P.xminpoly, P.ybranch, r)] == 1
+                    checked += 1
+        assert checked == len(cache)
+        # a second pass on the same curve lifts nothing new; a fresh
+        # curve object starts with an empty cache of its own
+        _rr_cold_pass(curve, pts, random.Random(6))
+        assert set(calls.values()) == {1}
+        assert HyperellipticCurve(curve.field, curve.f)._lift_cache == {}
+
+
+def test_dimension_readers_build_no_functions(monkeypatch):
+    built = [0]
+    init = RationalFunction.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted)
+    for curve, degree in _seeded_pools():
+        pts = _pool(curve, degree)
+        rng = random.Random(99)
+        divisors = [random_divisor(curve, rng, pts, 3 * curve.genus + 4)
+                    for _ in range(40)]
+        for D in divisors:
+            h0(curve, D), h1(curve, D)
+        assert built[0] == 0
+        for D in divisors:
+            B = rr_basis(curve, D)
+            first = B.basis
+            assert B.basis is first
+            assert len(first) == B.dim
+            assert list(first) == [
+                RationalFunction(curve, a, b, B.denominator)
+                for a, b in B.raw_pairs]
+            # a twin curve object holds its own cache: an equal basis that
+            # has not built its functions still compares and hashes equal
+            B2 = rr_basis(HyperellipticCurve(curve.field, curve.f), D)
+            assert B2 is not B and "basis" not in vars(B2)
+            assert B2 == B and hash(B2) == hash(B)
+        built[0] = 0
