@@ -401,7 +401,6 @@ def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
             out.append(CurvePoint(curve, "split", p, (-b) % p))
         elif 2 * p.degree <= max_degree:
             out.append(CurvePoint(curve, "nonsplit", p, None))
-    out = [pt for pt in out if pt.degree <= max_degree]
     out.sort(key=lambda pt: pt.key())
     curve._point_cache[key] = out
     return out

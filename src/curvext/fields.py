@@ -128,7 +128,7 @@ class Rationals(FieldDescriptor):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return Fraction(1) / a
 
     def characteristic(self):
         return 0

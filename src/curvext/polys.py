@@ -5,6 +5,11 @@ zeros (the zero polynomial has an empty tuple).  Everything here is exact;
 irreducibility testing and enumeration are only offered over finite fields,
 with rational roots over Q (by l-adic lifting) for the curve layer.
 
+Monic irreducibles are enumerated by a sieve, one block of constant
+term at a time, holding one block's flags and the irreducibles of up to
+half the top degree; the Rabin test ``Poly.is_irreducible`` is kept for
+checking single polynomials given from outside.
+
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 the Euler criterion, and square roots by Tonelli-Shanks, which cost a
 few ``powmod`` calls whatever the field's size.  A square root is
@@ -360,11 +365,55 @@ def iter_monic(field: FieldDescriptor, degree: int):
 
 
 def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
-    """Monic irreducibles of degree 1..max_degree, by degree then lex."""
+    """Monic irreducibles of degree 1..max_degree, by degree then lex.
+
+    The order is ``iter_monic``'s, which varies c_0 slowest, so degree d
+    is sieved one block of constant term t at a time.  For d >= 2 the
+    block t = 0 is skipped (x divides all of it).  Otherwise every
+    product g*h is struck, for g irreducible of degree e <= d/2 with
+    g(0) != 0 and h monic of degree d - e with h(0) = t/g(0); a
+    reducible f has such a factor g, and what is left is yielded.  Each
+    block is sieved when it is first drawn from, so memory is one block
+    of q**(d-1) flags plus the irreducibles of degree <= max_degree/2,
+    and no candidate is tested on its own.
+    """
+    F = field
+    q = F.order()
+    if q is None:
+        raise InputError("enumeration requires a finite field")
+    payloads = sorted(F.iter_payloads(), key=F.payload_key)
+    rank = {c: i for i, c in enumerate(payloads)}
+    one = F.pone
+    small = []  # (coeffs, 1/g(0)) of irreducible g, 2 deg g <= max_degree
     for d in range(1, max_degree + 1):
-        for f in iter_monic(field, d):
-            if d == 1 or f.is_irreducible():
-                yield f
+        # coefficient i of g*h, deg g = e, is the sum of g_j h_k over terms[e][i-1]
+        terms = {e: [[(j, i - j) for j in range(max(0, i - d + e), min(i, e) + 1)]
+                     for i in range(1, d)]
+                 for e in range(1, d // 2 + 1)}
+        for t in payloads:
+            if d > 1 and F.is_zero(t):
+                continue
+            struck = bytearray(q ** (d - 1))
+            for g, g0_inv in small:
+                e = len(g) - 1
+                if 2 * e > d:
+                    break
+                h0 = F.mul(t, g0_inv)
+                for tail in product(payloads, repeat=d - e - 1):
+                    h = (h0,) + tail + (one,)
+                    idx = 0
+                    for ts in terms[e]:
+                        c = F.pzero
+                        for j, k in ts:
+                            c = F.add(c, F.mul(g[j], h[k]))
+                        idx = idx * q + rank[c]
+                    struck[idx] = 1
+            for tail, hit in zip(product(payloads, repeat=d - 1), struck):
+                if not hit:
+                    f = Poly(F, (t,) + tail + (one,))
+                    if 2 * d <= max_degree and not F.is_zero(t):
+                        small.append((f.coeffs, F.inv(t)))
+                    yield f
 
 
 def count_monic_irreducible(q: int, d: int) -> int:

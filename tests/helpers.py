@@ -12,7 +12,7 @@ import random
 
 from curvext import (Divisor, ExtensionClass, ExtensionField, Poly, PrimeField,
                      Rationals, make_curve, make_datum)
-from curvext.polys import _prime_factors, residue_inverse
+from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
 # fixture curves (label -> constructor args); all models verified squarefree
@@ -308,6 +308,16 @@ def brute_residue_sqrts(modulus):
         b = Poly(F, tup)
         roots.setdefault(((b * b) % modulus).coeffs, b)
     return roots
+
+
+def rabin_monic_irreducible(field, max_degree):
+    """Oracle for polys.iter_monic_irreducible: every monic of degree
+    1..max_degree in iter_monic's order, kept when the Rabin test
+    (Poly.is_irreducible) passes it."""
+    for d in range(1, max_degree + 1):
+        for f in iter_monic(field, d):
+            if d == 1 or f.is_irreducible():
+                yield f
 
 
 def brute_point_count(p, f_coeffs, ext_minpoly=None):

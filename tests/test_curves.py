@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -63,6 +64,31 @@ def test_benchmark_point_enum_counts(monkeypatch):
     for name, spec, max_degree in workloads.ENUM_CURVES:
         pts = enumerate_closed_points(curve_from_json(spec), max_degree)
         assert Counter(str(pt.degree) for pt in pts) == pinned[name], name
+
+
+def test_point_enum_runs_no_irreducibility_test(monkeypatch):
+    """Enumeration takes its places from the sieve alone: with the Rabin
+    test made to raise, the benchmark's point-enum curves give the same
+    points, compared as the JSON of every point, as an unpatched run.
+    Curves are built before the patch (F25 checks its minpoly)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cases = [(curve_from_json(spec), curve_from_json(spec), max_degree)
+             for _, spec, max_degree in workloads.ENUM_CURVES]
+
+    def as_json(curve, max_degree):
+        return [json.dumps(point_to_json(pt), sort_keys=True)
+                for pt in enumerate_closed_points(curve, max_degree)]
+
+    expect = [as_json(a, d) for a, _, d in cases]
+
+    def refuse(self):
+        raise AssertionError("Rabin test run during enumeration")
+
+    monkeypatch.setattr(Poly, "is_irreducible", refuse)
+    assert [as_json(b, d) for _, b, d in cases] == expect
 
 
 def test_enumeration_over_larger_primes():

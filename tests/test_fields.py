@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvext import (ExtensionField, FieldElement, InputError, PrimeField,
+from curvext import (ExtensionField, FieldElement, InputError, Poly, PrimeField,
                      Rationals, field_from_json, field_to_json)
 from helpers import TinyExt
 
@@ -105,6 +105,15 @@ def test_rationals_exactness():
         with pytest.raises(InputError):
             Q.coerce(text)
     assert Q.order() is None and Q.characteristic() == 0
+
+
+def test_rational_inverse_is_exact_on_int_payloads():
+    """Poly(Q, ...) keeps int payloads as given, so the inverse of an int
+    must come back as a Fraction for monic() and gcd() to stay exact."""
+    Q = Rationals()
+    assert Q.inv(3) == Fraction(1, 3) and isinstance(Q.inv(3), Fraction)
+    assert Poly(Q, [1, 2]).monic() == Poly(Q, [Fraction(1, 2), 1])
+    assert Poly(Q, [1, 2]).gcd(Poly(Q, [2])) == Poly(Q, [1])
 
 
 def test_prime_field_validation():

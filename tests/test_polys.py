@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,8 @@ from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
 from curvext.polys import (count_monic_irreducible, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_is_square, residue_sqrt)
-from helpers import _divisors, brute_residue_sqrts, divisor_rational_roots
+from helpers import (_divisors, brute_residue_sqrts, divisor_rational_roots,
+                     rabin_monic_irreducible)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -103,6 +105,34 @@ def test_irreducible_enumeration_counts():
             assert len(got) == expect
             for p in got:
                 assert p.is_monic and p.is_irreducible()
+
+
+SIEVE_CASES = [(F3, 5), (F5, 4), (PrimeField(7), 3), (F9, 3),
+               (ExtensionField(5, [2, 0, 1]), 2)]
+
+
+@pytest.mark.parametrize("F,max_degree", SIEVE_CASES, ids=repr)
+def test_sieve_matches_rabin_filter(F, max_degree):
+    """The sieve's list, in order, is the Rabin filter's.  From degree 4
+    some reducibles have no linear factor, so a sieve that strikes only
+    multiples of linear polynomials fails over F3 and F5."""
+    assert (list(iter_monic_irreducible(F, max_degree))
+            == list(rabin_monic_irreducible(F, max_degree)))
+
+
+def test_sieve_counts_refusal_and_laziness():
+    F31 = PrimeField(31)
+    got = Counter(p.degree for p in iter_monic_irreducible(F31, 3))
+    assert got == {d: count_monic_irreducible(31, d) for d in (1, 2, 3)}
+    with pytest.raises(InputError):
+        next(iter_monic_irreducible(Q, 2))
+    # the whole F101 list to degree 3 (348 551 polynomials) takes about
+    # a second; the first draw must not wait for it
+    F101 = PrimeField(101)
+    t0 = time.perf_counter()
+    first = next(iter_monic_irreducible(F101, 3))
+    assert time.perf_counter() - t0 < 0.2
+    assert first == Poly(F101, [0, 1])
 
 
 def test_iter_monic_is_lexicographic_and_complete():
