@@ -77,17 +77,16 @@ class ExtensionDatum:
     def boundary_payload_rows(self, coords):
         """Balanced boundary matrix of the class with the given payload
         coordinates, as raw payload rows (hot path for exhaustive runs)."""
-        F = self.curve.field
+        dot = self.curve.field.dot
         T = self.pair_tensor()
-        rows = []
-        for Ti in T:
-            row = []
-            for vec in Ti:
-                acc = F.pzero
-                for ek, tk in zip(coords, vec):
-                    acc = F.add(acc, F.mul(ek, tk))
-                row.append(acc)
-            rows.append(row)
+        m = self.m
+        rows = [[None] * m for _ in range(m)]
+        # the tensor is symmetric: one inner product per entry on or
+        # above the diagonal, mirrored below it
+        for i, Ti in enumerate(T):
+            row = rows[i]
+            for j in range(i, m):
+                row[j] = rows[j][i] = dot(coords, Ti[j])
         return rows
 
     def det_payload(self, coords):
@@ -432,10 +431,11 @@ def subspace_from_json(obj, base_dir: str = "."):
         raise InputError("subspace JSON needs 'datum' and 'V'")
     datum = datum_from_json(obj["datum"], base_dir)
     F = datum.curve.field
-    out = []
-    for row in obj["V"]:
-        out.append(ExtensionClass(datum, [F.payload_from_json(v) for v in row]))
-    return datum, out
+    V = obj["V"]
+    if not isinstance(V, list) or not all(isinstance(row, list) for row in V):
+        raise InputError("'V' must be a list of coordinate lists")
+    return datum, [ExtensionClass(datum, [F.payload_from_json(v) for v in row])
+                   for row in V]
 
 
 def datum_to_json(datum: ExtensionDatum):

@@ -11,14 +11,21 @@ representations is equality in the field:
 
 ``ExtensionField`` is built on ``polys.Poly``: its defining polynomial is
 a ``Poly`` over ``PrimeField(p)``, and reduction, inversion and the
-irreducibility test are polynomial operations from ``polys``.  Its one
-payload kernel of its own is ``mul``, kept on int tuples because
-extension-field enumeration is almost all multiplication.
+irreducibility test are polynomial operations from ``polys``.
 
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  ``FieldElement`` wraps one payload with operator
-overloading for everything else.
+overloading for everything else.  Two payload kernels carry the hot
+paths:
+
+* ``dot``, the inner product of two payload sequences, on every
+  descriptor.  The base class folds ``add`` and ``mul`` (Q and F_{p^k}
+  use it as is); ``PrimeField`` sums the raw int products and reduces
+  once, so each boundary-matrix entry, functional value and linear
+  combination column costs one ``% p``.
+* ``mul`` on ``ExtensionField``, kept on int tuples because
+  extension-field enumeration is almost all multiplication.
 
 No floating point anywhere; all tests for zero are exact.
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul as _imul
 
 from .errors import InputError
 
@@ -83,6 +91,14 @@ class FieldDescriptor:
 
     def is_zero(self, a) -> bool:
         return a == self.pzero
+
+    def dot(self, a, b):
+        """sum_k a[k] * b[k] over paired payloads; the empty sum is 0."""
+        add, mul = self.add, self.mul
+        acc = self.pzero
+        for x, y in zip(a, b):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def iter_payloads(self):
         raise InputError(f"{self!r} is not a finite field")
@@ -190,6 +206,11 @@ class PrimeField(FieldDescriptor):
 
     def mul(self, a, b):
         return a * b % self.p
+
+    def dot(self, a, b):
+        # one reduction for the whole sum; unreduced or negative int
+        # inputs give the same residue
+        return sum(map(_imul, a, b)) % self.p
 
     def neg(self, a):
         return -a % self.p

@@ -287,10 +287,8 @@ def from_columns(field, columns) -> Matrix:
 
 
 def linear_combination(F: FieldDescriptor, coeffs, vectors, width: int):
-    """sum_i coeffs[i] * vectors[i] over F, as a list of width payloads;
-    zero coefficients are skipped, which leaves the sum unchanged."""
-    acc = [F.pzero] * width
-    for c, vec in zip(coeffs, vectors):
-        if not F.is_zero(c):
-            acc = [F.add(a, F.mul(c, v)) for a, v in zip(acc, vec)]
-    return acc
+    """sum_i coeffs[i] * vectors[i] over F, as a list of width payloads:
+    one inner product per column."""
+    if not vectors:
+        return [F.pzero] * width
+    return [F.dot(coeffs, col) for col in zip(*vectors)]

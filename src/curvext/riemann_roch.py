@@ -19,6 +19,12 @@ increasing pole order before the one elimination, whose reduced-echelon
 kernel basis is then already this normal form.  This makes bases,
 coordinates, and everything built on them reproducible across runs.
 
+Coordinates are read off the normal form, not solved for: over the
+basis denominator a member's numerator pair has coordinate i as its
+coefficient at element i's top monomial, and the combination those
+coefficients give is then checked exactly against the pair, so a
+nonmember raises and nothing is ever projected.
+
 Work nobody reads is skipped: a basis stores its numerator pairs over
 the one ansatz denominator and builds its RationalFunction objects on
 first access, so h0 and h1 never normalize a function; the orders
@@ -34,7 +40,7 @@ from functools import cached_property
 from .curves import Divisor, HyperellipticCurve, _branch_lift
 from .errors import InputError, MembershipError
 from .fields import FieldElement
-from .linalg import Matrix, from_columns, kernel_basis, solve
+from .linalg import Matrix, from_columns, kernel_basis, linear_combination
 from .polys import Poly
 
 
@@ -327,8 +333,15 @@ def h1(curve: HyperellipticCurve, D: Divisor) -> int:
 
 
 def coordinates(fn: RationalFunction, B: RRBasis):
-    """Exact coordinates of fn in B.  Membership failures raise; nothing
-    is ever projected."""
+    """Exact coordinates of fn in B, read off the normal form.
+
+    Over the basis denominator den, fn = (a + b*y)/c has the numerator
+    pair (qa, qb) = (a*den, b*den)/c, which must divide exactly.  Element
+    i has coefficient 1 at its top monomial, where every other element
+    has 0, so coordinate i is the coefficient of (qa, qb) there; the
+    combination is then checked exactly against (qa, qb).  No elimination
+    runs; membership failures raise and nothing is ever projected.
+    """
     if fn.curve != B.curve:
         raise InputError("function on a different curve")
     F = fn.curve.field
@@ -336,27 +349,24 @@ def coordinates(fn: RationalFunction, B: RRBasis):
         return [FieldElement(F, F.pzero)] * B.dim
     if B.dim == 0:
         raise MembershipError("nonzero function against an empty basis")
-    # sum_i t_i (a_i + b_i y)/den = (A + B y)/C  <=>  componentwise poly
-    # identities after clearing denominators
-    A, Bb, C = fn.a, fn.b, fn.c
     den = B.denominator
-    cols = []
-    deg_a = max(max((a.degree for a, _ in B.raw_pairs), default=-1) + C.degree,
-                A.degree + den.degree) + 1
-    deg_b = max(max((b.degree for _, b in B.raw_pairs), default=-1) + C.degree,
-                Bb.degree + den.degree) + 1
-    for a, b in B.raw_pairs:
-        pa = a * C
-        pb = b * C
-        cols.append([pa.coeff(i) for i in range(deg_a)]
-                    + [pb.coeff(i) for i in range(deg_b)])
-    ra = A * den
-    rb = Bb * den
-    rhs = [ra.coeff(i) for i in range(deg_a)] + [rb.coeff(i) for i in range(deg_b)]
-    sol = solve(from_columns(F, cols), rhs)
-    if sol is None:
+    qa, ra = (fn.a * den).divmod(fn.c)
+    qb, rb = (fn.b * den).divmod(fn.c)
+    # pole order 2j - 2 deg den is the monomial x^j of a, pole order
+    # 2j + 2g + 1 - 2 deg den the monomial x^j*y of b
+    shift = 2 * den.degree
+    odd = 2 * fn.curve.genus + 1
+    ts = [qa.coeff((pole + shift) // 2) if pole % 2 == 0
+          else qb.coeff((pole - odd + shift) // 2) for pole in B.pole_orders]
+    wa = max(len(qa.coeffs), *(len(a.coeffs) for a, _ in B.raw_pairs))
+    wb = max(len(qb.coeffs), *(len(b.coeffs) for _, b in B.raw_pairs))
+
+    def flat(a, b):
+        return [a.coeff(k) for k in range(wa)] + [b.coeff(k) for k in range(wb)]
+    if ra or rb or linear_combination(F, ts, [flat(a, b) for a, b in B.raw_pairs],
+                                      wa + wb) != flat(qa, qb):
         raise MembershipError(f"{fn!r} is not in the span of the basis")
-    return sol
+    return [FieldElement(F, t) for t in ts]
 
 
 def basis_transition(src: RRBasis, dst: RRBasis,
@@ -388,11 +398,8 @@ class LinearFunctional:
 
     def evaluate_coords(self, vec) -> FieldElement:
         F = self.basis.curve.field
-        acc = F.pzero
-        for c, v in zip(self.coords, vec):
-            p = v.payload if isinstance(v, FieldElement) else v
-            acc = F.add(acc, F.mul(c, p))
-        return FieldElement(F, acc)
+        return FieldElement(F, F.dot(self.coords, [
+            v.payload if isinstance(v, FieldElement) else v for v in vec]))
 
     def evaluate(self, fn: RationalFunction) -> FieldElement:
         return self.evaluate_coords(coordinates(fn, self.basis))

@@ -10,8 +10,9 @@ from fractions import Fraction
 import itertools
 import random
 
-from curvext import (Divisor, ExtensionClass, ExtensionField, Poly, PrimeField,
-                     Rationals, make_curve, make_datum)
+from curvext import (Divisor, ExtensionClass, ExtensionField, FieldElement,
+                     MembershipError, Poly, PrimeField, Rationals, from_columns,
+                     make_curve, make_datum, solve)
 from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,42 @@ def divisor_rational_roots(poly):
                 if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
                     roots.add(cand)
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# coordinates by elimination (oracle for riemann_roch.coordinates)
+# ---------------------------------------------------------------------------
+
+def solve_coordinates(fn, B):
+    """Coordinates of fn in the basis B by one linear solve over the
+    cleared-denominator coefficient identities; MembershipError when the
+    system is inconsistent.  Reads nothing off the normal form."""
+    F = fn.curve.field
+    if fn.is_zero():
+        return [FieldElement(F, F.pzero)] * B.dim
+    if B.dim == 0:
+        raise MembershipError("nonzero function against an empty basis")
+    # sum_i t_i (a_i + b_i y)/den = (A + B y)/C  <=>  componentwise poly
+    # identities after clearing denominators
+    A, Bb, C = fn.a, fn.b, fn.c
+    den = B.denominator
+    deg_a = max(max(a.degree for a, _ in B.raw_pairs) + C.degree,
+                A.degree + den.degree) + 1
+    deg_b = max(max(b.degree for _, b in B.raw_pairs) + C.degree,
+                Bb.degree + den.degree) + 1
+    cols = []
+    for a, b in B.raw_pairs:
+        pa = a * C
+        pb = b * C
+        cols.append([pa.coeff(i) for i in range(deg_a)]
+                    + [pb.coeff(i) for i in range(deg_b)])
+    ra = A * den
+    rb = Bb * den
+    rhs = [ra.coeff(i) for i in range(deg_a)] + [rb.coeff(i) for i in range(deg_b)]
+    sol = solve(from_columns(F, cols), rhs)
+    if sol is None:
+        raise MembershipError(f"{fn!r} is not in the span of the basis")
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,11 @@ def test_input_errors_exit_one(tree, capsys):
                          "M": [{"point": "infinity", "mult": 2}]},
                "e": [1, 0, 2, 3]}
         cases.append(["ext", "det", dump(f"cls_{curve}", cls)])
+    # a subspace whose V, or a row of it, is not a list
+    datum = json.loads(Path(tree["subspace"]).read_text(encoding="utf-8"))["datum"]
+    for i, V in enumerate((5, [5])):
+        cases.append(["ext", "search",
+                      dump(f"subspace_v{i}.json", {"datum": datum, "V": V})])
     for argv in cases:
         code, report, _ = run_json(capsys, argv)
         assert code == 1, argv

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,7 +12,7 @@ from curvext import (Divisor, ExhaustionError, ExtensionClass, InputError,
                      half_class_helper, make_datum, prop1_certificate, rank,
                      search_semistable, subspace_from_json, valuation)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, curve_g2_f3, datum_on_infinity)
+                     curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity)
 
 
 def test_datum_validation():
@@ -69,18 +71,37 @@ def test_nontrivial_class_group_obstruction():
         make_datum(c1, 2 * Bw, Bw)                       # 2B is principal
 
 
+def _class_sample(F, dim, rng, count):
+    """The first nine classes in payload-lex order, then a seeded
+    sample; over Q, small fractions."""
+    if F.order() is None:
+        return [[F.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                 for _ in range(dim)] for _ in range(count)]
+    pool = list(F.iter_payloads())
+    return (list(product(pool, repeat=dim))[:9]
+            + [[rng.choice(pool) for _ in range(dim)] for _ in range(count)])
+
+
 def test_pair_tensor_matches_boundary_matrix():
-    """The cached tensor contraction and the direct evaluate() route
-    must produce the same boundary matrix."""
-    for curve, n in [(curve_g1_f5(), 4), (curve_g2_f3(), 2)]:
+    """The tensor contraction (one inner product per entry on or above
+    the diagonal) and the direct evaluate() route must give the same
+    boundary matrix: F5 and F3 prime-field kernels, F9 and Q through
+    the generic inner product, and m up to 4."""
+    rng = random.Random(17)
+    cases = [(curve_g1_f5(), 4, 2), (curve_g2_f3(), 2, 2),
+             (curve_g2_f9(), 2, 2), (curve_g1_q(), 4, 2),
+             (curve_g1_f5(), 6, 3), (curve_g2_f3(), 6, 3),
+             (curve_g1w_f3(), 8, 4)]
+    for curve, n, m in cases:
         datum = datum_on_infinity(curve, n)
+        assert datum.m == m
         T = datum.pair_tensor()
-        assert len(T) == datum.m
-        for i in range(datum.m):
-            for j in range(datum.m):
-                assert T[i][j] == T[j][i]
+        assert len(T) == m
+        for i in range(m):
+            for j in range(m):
+                assert T[i][j] is T[j][i]
         F = curve.field
-        for coords in list(product(F.iter_payloads(), repeat=datum.class_dim))[:9]:
+        for coords in _class_sample(F, datum.class_dim, rng, 24):
             e = ExtensionClass(datum, coords)
             direct = boundary_matrix(e).matrix
             fast = datum.boundary_payload_rows(list(e.coords))

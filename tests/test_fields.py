@@ -9,6 +9,7 @@ from helpers import TinyExt
 
 F9 = ExtensionField(3, [1, 0, 1])       # t^2 + 1, irreducible mod 3
 F25 = ExtensionField(5, [2, 0, 1])      # t^2 + 2
+F27 = ExtensionField(3, [1, 2, 0, 1])   # t^3 + 2t + 1
 FIELDS = [Rationals(), PrimeField(5), PrimeField(3), F9, F25]
 
 
@@ -90,6 +91,39 @@ def test_extension_kernels_match_tiny_oracle(p, minpoly):
     for _ in range(20):
         coeffs = [rng.randrange(p) for _ in range(rng.randint(F.k + 1, 3 * F.k))]
         assert F.coerce(coeffs) == K.polyval(coeffs, t)
+
+
+def fold_dot(F, a, b):
+    """The inner product as a plain add/mul fold over coerced payloads."""
+    acc = F.pzero
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(F.coerce(x), F.coerce(y)))
+    return acc
+
+
+@pytest.mark.parametrize("F", [Rationals(), PrimeField(7), F9, F27], ids=repr)
+def test_dot_matches_the_add_mul_fold(F):
+    rng = random.Random(5)
+    assert F.dot([], []) == F.pzero
+    for length in range(7):
+        for _ in range(6):
+            a = sample_payloads(F, rng, length)
+            b = sample_payloads(F, rng, length)
+            assert F.dot(a, b) == fold_dot(F, a, b)
+            assert F.dot(a, b) == F.dot(b, a)
+
+
+def test_prime_dot_reduces_unreduced_and_negative_ints():
+    F = PrimeField(7)
+    rng = random.Random(6)
+    for length in range(7):
+        for _ in range(20):
+            a = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(length)]
+            b = [rng.randint(-50, 50) for _ in range(length)]
+            got = F.dot(a, b)
+            assert got == fold_dot(F, a, b)
+            assert 0 <= got < 7
+    assert F.dot([-1], [1]) == 6 and F.dot([7 ** 30 + 3], [-2]) == 1
 
 
 def test_rationals_exactness():

@@ -1,15 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+import curvext.linalg
 
 from curvext import (Divisor, HyperellipticCurve, InputError, LinearFunctional,
                      MembershipError, Poly, PrimeField, RationalFunction, Rationals,
                      basis_transition, coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
                      is_principal, rr_basis, valuation)
-from helpers import (TinyExt, curve_g1_f5, curve_g1_q, curve_g1w_f3,
-                     curve_g2_f3, curve_g2_f7, curve_g2_f9, curve_g2_q,
-                     curve_g3_f5, frac_rref, random_divisor, series_valuation,
+from helpers import (TinyExt, chain_datum, curve_g1_f5, curve_g1_q,
+                     curve_g1w_f3, curve_g2_f3, curve_g2_f7, curve_g2_f9,
+                     curve_g2_q, curve_g3_f5, datum_on_infinity, frac_rref,
+                     random_divisor, series_valuation, solve_coordinates,
                      tiny_rref)
 
 
@@ -193,6 +197,117 @@ def test_product_coordinates_reconstruct_the_product():
             for v, b in zip(co, B6):
                 back = back + b * v
             assert back == s * t
+
+
+def _places(curve):
+    """Places to build divisors from: closed points of degree <= 2 over a
+    finite field, a few rational ones over Q."""
+    if curve.field.order() is None:
+        return [curve.infinity(), curve.point(0, 1), curve.point(-1, 0),
+                curve.point(2, 3)]
+    return enumerate_closed_points(curve, 2)
+
+
+def _payload(F, rng):
+    if F.order() is None:
+        return F.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    return rng.choice(list(F.iter_payloads()))
+
+
+# data whose pair tensors are read in the oracle comparison; the F3 one
+# has affine support in M, so its witness u is not constant
+_ORACLE_DATA = {"curve_g1_q": (datum_on_infinity, 4),
+                "curve_g2_f3": (chain_datum, 4),
+                "curve_g2_f7": (datum_on_infinity, 4),
+                "curve_g2_f9": (datum_on_infinity, 2)}
+
+
+@pytest.mark.parametrize("make", [curve_g1_q, curve_g2_f3, curve_g2_f7,
+                                  curve_g2_f9])
+def test_coordinates_match_the_solve_oracle(make):
+    """Coordinates read off the normal form equal the solve-based ones on
+    seeded members (basis combinations, pair-tensor products s_i*s_j*u,
+    basis_transition columns), and both refuse the same nonmembers: a
+    function with a pole outside D, and members of L(D + P) not in L(D),
+    which share L(D)'s denominator when P is infinity or the conjugate
+    of a split place in the support."""
+    curve = make()
+    F = curve.field
+    g = curve.genus
+    rng = random.Random(31 + g + (F.order() or 0))
+    places = _places(curve)
+
+    def agree(fn, B):
+        got = [v.payload for v in coordinates(fn, B)]
+        assert got == [v.payload for v in solve_coordinates(fn, B)]
+        return got
+
+    def refused(fn, B):
+        with pytest.raises(MembershipError):
+            solve_coordinates(fn, B)
+        with pytest.raises(MembershipError):
+            coordinates(fn, B)
+
+    for _ in range(4):
+        D = random_divisor(curve, rng, places, 2 * g + 2) \
+            + curve.infinity_divisor(4 * g + 2)
+        B = rr_basis(curve, D)
+        assert B.dim > 0
+        for _ in range(3):
+            want = [_payload(F, rng) for _ in range(B.dim)]
+            member = RationalFunction.zero(curve)
+            for t, b in zip(want, B):
+                member = member + b * t
+            assert agree(member, B) == want
+        wider = rr_basis(curve, D + curve.infinity_divisor(2))
+        for mul in (None, RationalFunction.x(curve)):
+            T = basis_transition(B, wider, mul)
+            for i, fn in enumerate(B):
+                image = fn if mul is None else fn * mul
+                assert [row[i] for row in T.rows] == agree(image, wider)
+        # a denominator of higher degree than B's cannot divide it
+        h = Poly.x(F) ** (B.denominator.degree + 1) + Poly.one(F)
+        refused(RationalFunction(curve, Poly.one(F), Poly.zero(F), h), B)
+        extra = [curve.infinity(), rng.choice(places)]
+        extra += [P.conjugate() for P in D.support()
+                  if P.kind == "split" and D.multiplicity(P) > 0][:1]
+        for P in extra:
+            Bp = rr_basis(curve, D + Divisor(curve, [(P, 1)]))
+            outside = 0
+            for w in Bp.basis:
+                try:
+                    solve_coordinates(w, B)
+                except MembershipError:
+                    outside += 1
+                    refused(w, B)
+                    refused(w + member, B)
+                else:
+                    agree(w, B)
+            assert Bp.dim > B.dim and outside > 0
+
+    build, n = _ORACLE_DATA[make.__name__]
+    datum = build(curve, n)
+    T = datum.pair_tensor()
+    for i, s in enumerate(datum.basis_M.basis):
+        for j, t in enumerate(datum.basis_M.basis):
+            assert tuple(agree(s * t * datum.u, datum.basis_NK)) == T[i][j]
+
+
+def test_coordinates_run_no_elimination(monkeypatch):
+    """Coordinates are read off the normal form: no elimination runs."""
+    curve = curve_g2_f3()
+    datum = chain_datum(curve, 4)
+    B = datum.basis_NK
+    products = [s * t * datum.u for s in datum.basis_M for t in datum.basis_M]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination ran")
+    monkeypatch.setattr(curvext.linalg, "_echelon", refuse)
+    monkeypatch.setattr(curvext.linalg, "_forward", refuse)
+    for fn in products:
+        coordinates(fn, B)
+    with pytest.raises(MembershipError):
+        coordinates(RationalFunction.from_parts(curve, [], [0] * 9 + [1]), B)
 
 
 # ---------------------------------------------------------------------------
