@@ -20,8 +20,8 @@ from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
                          ExtensionDatum, Prop1Certificate, SearchResult,
                          boundary_matrix, brute_force_destabilizer,
                          class_from_json, class_to_json, datum_from_json,
-                         datum_to_json, det_test, half_class_helper,
-                         make_datum, prop1_certificate, search_semistable,
+                         datum_to_json, det_test, make_datum,
+                         prop1_certificate, search_semistable,
                          subspace_from_json)
 from .fields import (ExtensionField, FieldDescriptor, FieldElement,
                      PrimeField, Rationals, field_from_json, field_to_json)

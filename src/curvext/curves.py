@@ -202,9 +202,6 @@ class CurvePoint:
         places including infinity, else 1)."""
         return 2 if self.kind in ("infinity", "ramified") else 1
 
-    def is_weierstrass(self) -> bool:
-        return self.kind in ("infinity", "ramified")
-
     def conjugate(self) -> "CurvePoint":
         """Image under the hyperelliptic involution y -> -y."""
         if self.kind == "split":
@@ -262,9 +259,6 @@ class Divisor:
     def support(self):
         return [pt for pt, _ in self.items]
 
-    def is_effective(self) -> bool:
-        return all(m > 0 for _, m in self.items)
-
     def is_zero(self) -> bool:
         return not self.items
 
@@ -285,9 +279,6 @@ class Divisor:
         return Divisor(self.curve, [(pt, k * m) for pt, m in self.items])
 
     __mul__ = __rmul__
-
-    def positive_part(self) -> "Divisor":
-        return Divisor(self.curve, [(pt, m) for pt, m in self.items if m > 0])
 
     def key(self):
         """Canonical hashable key; equal divisors have equal keys."""

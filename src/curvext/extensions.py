@@ -19,13 +19,15 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product as _iproduct
+from itertools import repeat
+from operator import itemgetter
 
 from .curves import (Divisor, HyperellipticCurve, curve_from_json,
                      divisor_from_json, divisor_to_json,
                      enumerate_effective_divisors)
 from .errors import ExhaustionError, InputError, InternalError
 from .fields import FieldElement
-from .linalg import Matrix, det_rows, linear_combination, rank
+from .linalg import Matrix, linear_combination, rank
 from .riemann_roch import (LinearFunctional, RationalFunction, coordinates,
                            is_principal, rr_basis)
 
@@ -38,7 +40,7 @@ class ExtensionDatum:
     """
 
     __slots__ = ("curve", "N", "M", "L", "n", "m", "u",
-                 "basis_M", "basis_NK", "_tensor")
+                 "basis_M", "basis_NK", "_tensor", "_upper", "_mirror")
 
     def __init__(self, curve, N, M, L, u, basis_M, basis_NK):
         self.curve = curve
@@ -72,26 +74,41 @@ class ExtensionDatum:
                     T[i][j] = vec
                     T[j][i] = vec
             self._tensor = tuple(tuple(row) for row in T)
+            # the tensor columns on and above the diagonal, row by row,
+            # and the getter that lays their values out as the row-major
+            # m x m matrix, mirrored below the diagonal; for m <= 1 the
+            # upper triangle is the whole matrix (and a one-index
+            # itemgetter would return the bare entry)
+            upper = [(i, j) for i in range(m) for j in range(i, m)]
+            self._upper = tuple(T[i][j] for i, j in upper)
+            where = {ij: k for k, ij in enumerate(upper)}
+            self._mirror = (itemgetter(*(where[min(i, j), max(i, j)]
+                                         for i in range(m) for j in range(m)))
+                            if m > 1 else itemgetter(slice(None)))
         return self._tensor
+
+    def _entries(self, coords):
+        # row-major entries of the balanced boundary matrix of the class:
+        # one inner product per tensor column on or above the diagonal
+        if self._tensor is None:
+            self.pair_tensor()
+        return self._mirror(list(map(self.curve.field.dot, repeat(coords),
+                                     self._upper)))
 
     def boundary_payload_rows(self, coords):
         """Balanced boundary matrix of the class with the given payload
-        coordinates, as raw payload rows (hot path for exhaustive runs)."""
-        dot = self.curve.field.dot
-        T = self.pair_tensor()
+        coordinates, as a list of payload rows: the entries ``det_payload``
+        takes the determinant of, reshaped, and the same rows as
+        ``boundary_matrix`` of the class."""
         m = self.m
-        rows = [[None] * m for _ in range(m)]
-        # the tensor is symmetric: one inner product per entry on or
-        # above the diagonal, mirrored below it
-        for i, Ti in enumerate(T):
-            row = rows[i]
-            for j in range(i, m):
-                row[j] = rows[j][i] = dot(coords, Ti[j])
-        return rows
+        entries = self._entries(coords)
+        return [list(entries[k:k + m]) for k in range(0, m * m, m)]
 
     def det_payload(self, coords):
-        """det of the balanced boundary matrix, as a payload."""
-        return det_rows(self.curve.field, self.boundary_payload_rows(coords))
+        """det of the balanced boundary matrix of the class with the given
+        payload coordinates, as a payload: the descriptor's ``det`` kernel
+        on the row-major entries (hot path for exhaustive runs)."""
+        return self.curve.field.det(self._entries(coords), self.m)
 
     def __repr__(self):
         return (f"ExtensionDatum(n={self.n}, m={self.m}, "
@@ -124,14 +141,6 @@ def make_datum(curve: HyperellipticCurve, N: Divisor, M: Divisor) -> ExtensionDa
         raise InputError(
             f"h0(N+K) = {datum.class_dim}, expected n+g-1 = {n + g - 1}")
     return datum
-
-
-def half_class_helper(curve: HyperellipticCurve, B: Divisor):
-    """(N, M) = (2B, B + (g-1)*infinity); the resulting datum always
-    validates since 2M - N - K = 0 as a divisor."""
-    N = 2 * B
-    M = B + curve.infinity_divisor(curve.genus - 1)
-    return N, M
 
 
 class ExtensionClass:

@@ -16,7 +16,7 @@ irreducibility test are polynomial operations from ``polys``.
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  ``FieldElement`` wraps one payload with operator
-overloading for everything else.  Two payload kernels carry the hot
+overloading for everything else.  Three payload kernels carry the hot
 paths:
 
 * ``dot``, the inner product of two payload sequences, on every
@@ -24,6 +24,12 @@ paths:
   use it as is); ``PrimeField`` sums the raw int products and reduces
   once, so each boundary-matrix entry, functional value and linear
   combination column costs one ``% p``.
+* ``det``, the determinant of an m x m matrix given as m*m row-major
+  payload entries, on every descriptor.  The base class takes the
+  closed cofactor forms up to 3x3 through ``add``/``sub``/``mul`` and
+  the forward pass of ``linalg`` beyond; ``PrimeField`` computes up to
+  4x4 on raw ints with one ``% p`` per determinant, which is what each
+  extension-class decision costs.
 * ``mul`` on ``ExtensionField``, kept on int tuples because
   extension-field enumeration is almost all multiplication.
 
@@ -99,6 +105,32 @@ class FieldDescriptor:
         for x, y in zip(a, b):
             acc = add(acc, mul(x, y))
         return acc
+
+    def det(self, entries, m: int):
+        """Determinant of the m x m matrix with the given row-major payload
+        entries; the empty 0x0 determinant is 1.
+
+        Up to 3x3 by the closed cofactor forms, which are cheaper there
+        than elimination; beyond that by the forward pass.
+        """
+        if m == 0:
+            return self.pone
+        if m == 1:
+            return entries[0]
+        add, sub, mul = self.add, self.sub, self.mul
+        if m == 2:
+            a, b, c, d = entries
+            return sub(mul(a, d), mul(b, c))
+        if m == 3:
+            a, b, c, d, e, f, g, h, i = entries
+            t1 = mul(a, sub(mul(e, i), mul(f, h)))
+            t2 = mul(b, sub(mul(d, i), mul(f, g)))
+            t3 = mul(c, sub(mul(d, h), mul(e, g)))
+            return add(sub(t1, t2), t3)
+        from .linalg import _forward  # linalg imports this module
+        _, pivots, d = _forward(self, [entries[k:k + m]
+                                       for k in range(0, m * m, m)])
+        return d if len(pivots) == m else self.pzero
 
     def iter_payloads(self):
         raise InputError(f"{self!r} is not a finite field")
@@ -211,6 +243,27 @@ class PrimeField(FieldDescriptor):
         # one reduction for the whole sum; unreduced or negative int
         # inputs give the same residue
         return sum(map(_imul, a, b)) % self.p
+
+    def det(self, entries, m: int):
+        # raw int products and one reduction per determinant, as in dot:
+        # the closed forms, and at 4x4 Laplace expansion in the 2x2 minors
+        # of the top two rows; 0x0, 1x1 and beyond 4x4 by the base class
+        if m == 3:
+            a, b, c, d, e, f, g, h, i = entries
+            return (a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g)) % self.p
+        if m == 4:
+            a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = entries
+            return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                    - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                    + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                    + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                    - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                    + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)) % self.p
+        if m == 2:
+            a, b, c, d = entries
+            return (a * d - b * c) % self.p
+        return FieldDescriptor.det(self, entries, m)
 
     def neg(self, a):
         return -a % self.p

@@ -4,9 +4,11 @@ Rank, determinant, solving and kernel bases, all from one forward pass
 per payload representation.  Over Q it is fraction-free (Bareiss
 recurrence on integer-scaled rows) to keep entries at determinant size;
 over finite fields it is ordinary elimination below each pivot.  Rank
-and determinant read the pivots of that pass; rref, kernel bases and
-solving share one back-substitution to the reduced form, which is
-unique, so the choice of forward pass never shows in their results.
+reads the pivots of that pass, and so does the descriptor's ``det``
+kernel beyond its closed forms (``det`` here calls that kernel on the
+row-major entries).  rref, kernel bases and solving share one
+back-substitution to the reduced form, which is unique, so the choice
+of forward pass never shows in their results.
 Pivoting is deterministic: the first row with a nonzero entry, scanning
 columns left to right, so results are reproducible across runs.
 """
@@ -194,33 +196,9 @@ def det(mat: Matrix) -> FieldElement:
     """Determinant of a square matrix; det of the empty 0x0 matrix is 1."""
     if mat.nrows != mat.ncols:
         raise InputError("determinant of a non-square matrix")
-    return FieldElement(mat.field, det_rows(mat.field, mat.rows))
-
-
-def det_rows(F: FieldDescriptor, rows):
-    """Determinant of square payload rows over F, as a payload.
-
-    Up to 3x3 by the closed cofactor forms, which are cheaper there than
-    elimination; beyond that by the forward pass.
-    """
-    m = len(rows)
-    if m == 0:
-        return F.pone
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return F.sub(F.mul(rows[0][0], rows[1][1]),
-                     F.mul(rows[0][1], rows[1][0]))
-    if m == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
-        t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
-        t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
-        return F.add(F.sub(t1, t2), t3)
-    _, pivots, d = _forward(F, rows)
-    return d if len(pivots) == m else F.pzero
+    F = mat.field
+    return FieldElement(F, F.det([v for row in mat.rows for v in row],
+                                 mat.nrows))
 
 
 def solve(mat: Matrix, rhs):

@@ -416,15 +416,6 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
                     yield f
 
 
-def count_monic_irreducible(q: int, d: int) -> int:
-    """Necklace count (1/d) * sum_{e | d} mu(e) q^(d/e)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    return total // d
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -436,15 +427,6 @@ def _prime_factors(n):
         d += 1
     if n > 1:
         out.append(n)
-    return out
-
-
-def _moebius(n):
-    out = 1
-    for p in _prime_factors(n):
-        if n % (p * p) == 0:
-            return 0
-        out = -out
     return out
 
 

@@ -103,13 +103,6 @@ class RationalFunction:
         F = curve.field
         return cls(curve, Poly.zero(F), Poly.one(F))
 
-    @classmethod
-    def from_parts(cls, curve, a, b, c=None):
-        """Build from coefficient lists (or Polys) without further ado."""
-        F = curve.field
-        mk = lambda v: v if isinstance(v, Poly) else Poly.from_values(F, v)
-        return cls(curve, mk(a), mk(b), mk(c) if c is not None else None)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:

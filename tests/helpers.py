@@ -11,8 +11,8 @@ import itertools
 import random
 
 from curvext import (Divisor, ExtensionClass, ExtensionField, FieldElement,
-                     MembershipError, Poly, PrimeField, Rationals, from_columns,
-                     make_curve, make_datum, solve)
+                     MembershipError, Poly, PrimeField, RationalFunction,
+                     Rationals, from_columns, make_curve, make_datum, solve)
 from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,14 @@ def chain_datum(curve, n):
     return make_datum(curve, N, M)
 
 
+def half_class_helper(curve, B):
+    """(N, M) = (2B, B + (g-1)*infinity); the resulting datum always
+    validates since 2M - N - K = 0 as a divisor."""
+    N = 2 * B
+    M = B + curve.infinity_divisor(curve.genus - 1)
+    return N, M
+
+
 def all_classes(datum):
     """Every extension class over a finite field, in payload-lex order."""
     from itertools import product
@@ -125,6 +133,32 @@ def evaluation_class(datum, P):
         num = F.add(w.a.evaluate(x0), F.mul(w.b.evaluate(x0), y0))
         vals.append(F.div(num, w.c.evaluate(x0)))
     return ExtensionClass(datum, vals)
+
+
+# ---------------------------------------------------------------------------
+# small constructors and predicates on curve objects
+# ---------------------------------------------------------------------------
+
+def from_parts(curve, a, b, c=None):
+    """(a + b*y)/c from coefficient lists (or Polys), low degree first."""
+    F = curve.field
+    mk = lambda v: v if isinstance(v, Poly) else Poly.from_values(F, v)
+    return RationalFunction(curve, mk(a), mk(b),
+                            mk(c) if c is not None else None)
+
+
+def is_weierstrass(P):
+    """A fixed point of the hyperelliptic involution."""
+    return P.kind in ("infinity", "ramified")
+
+
+def is_effective(D):
+    """Every multiplicity positive (vacuously so for the zero divisor)."""
+    return all(m > 0 for _, m in D.items)
+
+
+def positive_part(D):
+    return Divisor(D.curve, [(pt, m) for pt, m in D.items if m > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +353,24 @@ def rabin_monic_irreducible(field, max_degree):
         for f in iter_monic(field, d):
             if d == 1 or f.is_irreducible():
                 yield f
+
+
+def count_monic_irreducible(q, d):
+    """Necklace count (1/d) * sum_{e | d} mu(e) q^(d/e)."""
+    total = 0
+    for e in range(1, d + 1):
+        if d % e == 0:
+            total += _moebius(e) * q ** (d // e)
+    return total // d
+
+
+def _moebius(n):
+    out = 1
+    for p in _prime_factors(n):
+        if n % (p * p) == 0:
+            return 0
+        out = -out
+    return out
 
 
 def brute_point_count(p, f_coeffs, ext_minpoly=None):

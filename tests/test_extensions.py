@@ -9,10 +9,11 @@ from curvext import (Divisor, ExhaustionError, ExtensionClass, InputError,
                      RationalFunction, boundary_matrix, brute_force_destabilizer,
                      class_from_json, class_to_json, datum_from_json,
                      datum_to_json, det_test, enumerate_closed_points,
-                     half_class_helper, make_datum, prop1_certificate, rank,
-                     search_semistable, subspace_from_json, valuation)
+                     make_datum, prop1_certificate, rank, search_semistable,
+                     subspace_from_json, valuation)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity)
+                     curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity,
+                     frac_det, half_class_helper)
 
 
 def test_datum_validation():
@@ -107,6 +108,25 @@ def test_pair_tensor_matches_boundary_matrix():
             fast = datum.boundary_payload_rows(list(e.coords))
             assert [list(r) for r in direct.rows] == fast
             assert det_test(e) == (not F.is_zero(datum.det_payload(list(e.coords))))
+
+
+def test_det_payload_at_m_4_matches_the_fraction_oracle():
+    """m = 4 leaves the closed forms (PrimeField.det's 2x2-minor Laplace
+    expansion): 500 seeded classes of g1w/F3 at n = 8, each determinant
+    against frac_det of the boundary rows reduced mod 3."""
+    curve = curve_g1w_f3()
+    datum = datum_on_infinity(curve, 8)
+    assert datum.m == 4
+    rng = random.Random(20)
+    nonzero = 0
+    for _ in range(500):
+        coords = tuple(rng.randrange(3) for _ in range(datum.class_dim))
+        d = datum.det_payload(coords)
+        assert d == frac_det(datum.boundary_payload_rows(coords)) % 3
+        nonzero += d != 0
+    assert 0 < nonzero < 500
+    T = datum.pair_tensor()
+    assert all(T[i][j] is T[j][i] for i in range(4) for j in range(4))
 
 
 def test_det_scales_like_a_degree_m_form():

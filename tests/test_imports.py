@@ -1,8 +1,9 @@
-"""Every name a library module imports is used by that module.
+"""Every name a module imports is used by that module.
 
 No linter is a dependency, so this is the standard-library check: parse
 each module of src/curvext (the package __init__, which re-exports, is
-exempt) and compare its imported names with the names it references.
+exempt) and of tests/, and compare its imported names with the names it
+references.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "curvext"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "curvext"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str):
@@ -34,6 +37,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [(2, "os"), (3, "r")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

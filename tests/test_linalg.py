@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvext import (ExtensionField, InputError, Matrix, PrimeField,
-                     Rationals, det, from_columns, kernel_basis, rank, rref,
-                     solve)
-from curvext.linalg import det_rows
+from curvext import (ExtensionField, FieldDescriptor, InputError, Matrix,
+                     PrimeField, Rationals, det, from_columns, kernel_basis,
+                     rank, rref, solve)
 from helpers import (TinyExt, frac_det, frac_rref, modp_rank, tiny_det,
                      tiny_rref)
 
@@ -176,18 +175,48 @@ def test_extension_field_matches_tiny_oracle(p, minpoly):
         assert det(Matrix(F, square)).payload == tiny_det(K, square)
 
 
-def test_det_rows_across_the_closed_form_cut():
-    """Payload-row determinants for m = 0..5, closed forms up to 3x3 and
-    elimination beyond, against frac_det over Q and mod 7."""
+def test_det_kernel_across_the_closed_form_cut():
+    """The descriptor's det kernel on row-major entries for m = 0..6,
+    closed forms up to 3x3 (and 2x2-minor Laplace at 4x4 over F_p),
+    elimination beyond: against frac_det over Q and mod 7, and against
+    the Leibniz expansion over F_9 and F_8, singular cases included."""
     rng = random.Random(18)
-    for m in range(6):
+    for m in range(7):
         for trial in range(25):
             ints = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(m)]
             if m >= 2 and trial % 5 == 0:    # singular: repeat a row
                 ints[-1] = list(ints[0])
             fracs = [[Fraction(v, rng.randint(1, 4)) for v in row]
                      for row in ints]
-            assert det_rows(Q, fracs) == frac_det(fracs)
+            assert Q.det([v for row in fracs for v in row], m) == frac_det(fracs)
             mod7 = [[v % 7 for v in row] for row in ints]
-            assert det_rows(F7, mod7) == frac_det(ints) % 7
-            assert det(Matrix(F7, mod7)).payload == frac_det(ints) % 7
+            want = frac_det(ints) % 7
+            assert F7.det([v for row in mod7 for v in row], m) == want
+            assert det(Matrix(F7, mod7)).payload == want
+    for p, minpoly in ((3, [1, 0, 1]), (2, [1, 1, 0, 1])):
+        F = ExtensionField(p, minpoly)
+        K = TinyExt(p, minpoly)
+        elems = K.elements()
+        for m in range(7):
+            for trial in range(12 if m < 6 else 3):
+                rows = [[rng.choice(elems) for _ in range(m)] for _ in range(m)]
+                if m >= 2 and trial % 3 == 0:    # singular: a row sum
+                    rows[-1] = [K.add(a, b) for a, b in zip(rows[0], rows[1])]
+                assert F.det([v for row in rows for v in row], m) == \
+                    tiny_det(K, rows)
+
+
+def test_prime_field_det_matches_the_forward_pass():
+    """PrimeField.det's raw-int forms at 4x4 and its hand-off at 5x5 give
+    the base-class forward pass's payload on the same entries."""
+    rng = random.Random(19)
+    for F in (F5, F7, PrimeField(2**61 - 1)):
+        for m in (4, 5):
+            for trial in range(40):
+                entries = [rng.randrange(F.p) for _ in range(m * m)]
+                if trial % 4 == 0:               # singular: repeat a row
+                    entries[-m:] = entries[:m]
+                want = FieldDescriptor.det(F, entries, m)
+                assert F.det(entries, m) == want
+                if trial % 4 == 0:
+                    assert want == 0

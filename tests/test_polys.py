@@ -8,11 +8,10 @@ import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
                      hensel_sqrt)
-from curvext.polys import (count_monic_irreducible, iter_monic,
-                           iter_monic_irreducible, residue_inverse,
-                           residue_is_square, residue_sqrt)
-from helpers import (_divisors, brute_residue_sqrts, divisor_rational_roots,
-                     rabin_monic_irreducible)
+from curvext.polys import (iter_monic, iter_monic_irreducible,
+                           residue_inverse, residue_is_square, residue_sqrt)
+from helpers import (_divisors, brute_residue_sqrts, count_monic_irreducible,
+                     divisor_rational_roots, rabin_monic_irreducible)
 
 Q = Rationals()
 F5 = PrimeField(5)

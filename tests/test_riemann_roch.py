@@ -13,8 +13,8 @@ from curvext import (Divisor, HyperellipticCurve, InputError, LinearFunctional,
 from helpers import (TinyExt, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f7, curve_g2_f9,
                      curve_g2_q, curve_g3_f5, datum_on_infinity, frac_rref,
-                     random_divisor, series_valuation, solve_coordinates,
-                     tiny_rref)
+                     from_parts, random_divisor, series_valuation,
+                     solve_coordinates, tiny_rref)
 
 
 def infinity_dim_oracle(g, k):
@@ -307,7 +307,7 @@ def test_coordinates_run_no_elimination(monkeypatch):
     for fn in products:
         coordinates(fn, B)
     with pytest.raises(MembershipError):
-        coordinates(RationalFunction.from_parts(curve, [], [0] * 9 + [1]), B)
+        coordinates(from_parts(curve, [], [0] * 9 + [1]), B)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +398,10 @@ def test_linear_functional_contract():
 
 def test_function_json_lists_coefficients():
     curve = curve_g2_f7()
-    fn = RationalFunction.from_parts(curve, [1, 2], [3], [0, 1])
+    fn = from_parts(curve, [1, 2], [3], [0, 1])
     obj = function_to_json(fn)
     assert set(obj) == {"a", "b", "c"}
-    back = RationalFunction.from_parts(
+    back = from_parts(
         curve,
         [curve.field.payload_from_json(v) for v in obj["a"]],
         [curve.field.payload_from_json(v) for v in obj["b"]],
