@@ -416,18 +416,32 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
                 raise InputError("candidate point from a different curve")
     degs = [pt.degree for pt in pts]
 
-    def rec(i, remaining):
-        if i == len(pts):
+    def supports(total):
+        # depth-first over the multiplicity vectors in lexicographic order,
+        # on an explicit stack: one [m, degree left before m] frame per
+        # point decided, and no descent once no degree is left, since the
+        # remaining multiplicities can then only be zero
+        frames = []
+        remaining = total
+        while True:
             if remaining == 0:
-                yield []
-            return
-        d = degs[i]
-        for m in range(remaining // d + 1):
-            for rest in rec(i + 1, remaining - m * d):
-                yield ([(pts[i], m)] if m else []) + rest
+                yield [(pts[i], m) for i, (m, _) in enumerate(frames) if m]
+            elif len(frames) < len(pts):
+                frames.append([0, remaining])
+                continue
+            while frames:
+                i = len(frames) - 1
+                m, before = frames[i]
+                if (m + 1) * degs[i] <= before:
+                    frames[i][0] = m + 1
+                    remaining = before - (m + 1) * degs[i]
+                    break
+                frames.pop()
+            else:
+                return
 
     for total in range(max_degree + 1):
-        for items in rec(0, total):
+        for items in supports(total):
             yield Divisor(curve, items)
 
 

@@ -73,7 +73,7 @@ def _scale_rows_to_int(rows):
     for row in rows:
         den = math.lcm(*(v.denominator for v in row))
         scale *= den
-        out.append([int(v * den) for v in row])
+        out.append([v.numerator * (den // v.denominator) for v in row])
     return out, scale
 
 

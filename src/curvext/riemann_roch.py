@@ -25,11 +25,13 @@ coefficient at element i's top monomial, and the combination those
 coefficients give is then checked exactly against the pair, so a
 nonmember raises and nothing is ever projected.
 
-Work nobody reads is skipped: a basis stores its numerator pairs over
-the one ansatz denominator and builds its RationalFunction objects on
-first access, so h0 and h1 never normalize a function; the orders
-v_P(c) come from the multiplicities c was built from; and the branch
-lift at a split place is cached on the curve per (place, r).
+Work nobody reads is skipped: h0/h1 read the rank of the constraint
+rows; no basis is built (one private builder gives rr_basis and h0 the
+same ansatz and rows).  A basis stores its numerator pairs over the one
+ansatz denominator and builds its RationalFunction objects on first
+access; the orders v_P(c) come from the multiplicities c was built
+from; and the branch lift at a split place is cached on the curve per
+(place, r).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from functools import cached_property
 from .curves import Divisor, HyperellipticCurve, _branch_lift
 from .errors import InputError, MembershipError
 from .fields import FieldElement
-from .linalg import Matrix, from_columns, kernel_basis, linear_combination
+from .linalg import (Matrix, from_columns, kernel_basis, linear_combination,
+                     rank)
 from .polys import Poly
 
 
@@ -170,8 +173,8 @@ class RRBasis:
     """Normalized basis of L(D); immutable and safe to share.
 
     Only the raw pairs are computed with the space: the RationalFunction
-    objects of ``basis`` are built on first access, so readers of ``dim``
-    alone (h0, h1) never normalize a function.  The branch lifts behind
+    objects of ``basis`` are built on first access.  h0/h1 read the rank
+    of the constraint rows and build no basis.  The branch lifts behind
     the constraint rows are cached on the curve per (place, r).
     """
 
@@ -226,13 +229,24 @@ def _constraint_points(D: Divisor, ords):
 
 def _residue_columns(s: Poly, count: int, modulus: Poly):
     """Coefficient columns of x^j * s mod modulus for j < count, each
-    deg(modulus) long, multiplying by x once per column."""
+    deg(modulus) long, on payloads.  s is reduced once; each next column
+    is the last one times x, whose top coefficient t turns into
+    -t * low(modulus) since the modulus is monic.  A degree-0 modulus
+    (p^0 = 1) gives empty columns."""
+    F = s.field
     width = modulus.degree
-    q = s % modulus
+    if width == 0:
+        return [[] for _ in range(count)]
+    low = modulus.coeffs[:width]
+    q = list((s % modulus).coeffs)
+    q += [F.pzero] * (width - len(q))
     cols = []
     for _ in range(count):
-        cols.append([q.coeff(i) for i in range(width)])
-        q = q.shift(1) % modulus
+        cols.append(q)
+        top = q[-1]
+        q = [F.pzero] + q[:-1]
+        if not F.is_zero(top):
+            q = [F.sub(a, F.mul(top, b)) for a, b in zip(q, low)]
     return cols
 
 
@@ -261,6 +275,32 @@ def _constraint_rows(curve, pt, r, n_a, order):
     return rows
 
 
+def _ansatz(curve: HyperellipticCurve, D: Divisor):
+    """The ansatz of L(D) for deg D >= 0, one builder for rr_basis and h0.
+
+    Returns (c, poles, n_a, order, rows): the denominator c, the pole
+    order at infinity of each column x^j (a) and then x^j*y (b), the
+    number n_a of a-columns, the columns sorted by increasing pole order,
+    and the payload constraint rows with their columns in that order.
+    """
+    c, ords = _ansatz_denominator(D)
+    g = curve.genus
+    degc = c.degree
+    m_inf = D.multiplicity(curve.infinity())
+    # pole orders at infinity of the columns x^j (a) and x^j*y (b),
+    # all distinct, so sorting by them orders the columns totally
+    poles = [2 * j - 2 * degc for j in range(degc + m_inf // 2 + 1)]
+    n_a = len(poles)
+    poles += [2 * j + 2 * g + 1 - 2 * degc
+              for j in range(degc + (m_inf - (2 * g + 1)) // 2 + 1)]
+    order = sorted(range(len(poles)), key=poles.__getitem__)
+    rows = []
+    req = _constraint_points(D, ords)
+    for pt in sorted(req, key=lambda q: q.key()):
+        rows.extend(_constraint_rows(curve, pt, req[pt], n_a, order))
+    return c, poles, n_a, order, rows
+
+
 def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     """Basis of L(D) = {f : div(f) + D >= 0}, canonically normalized.
 
@@ -275,25 +315,11 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
         return hit
 
     F = curve.field
-    g = curve.genus
     kern = []
     # deg(div f) = 0, so L(D) = 0 when deg D < 0; from deg D >= 0 on the
     # ansatz has at least the column a_0
     if D.degree >= 0:
-        c, ords = _ansatz_denominator(D)
-        degc = c.degree
-        m_inf = D.multiplicity(curve.infinity())
-        # pole orders at infinity of the columns x^j (a) and x^j*y (b),
-        # all distinct, so sorting by them orders the columns totally
-        poles = [2 * j - 2 * degc for j in range(degc + m_inf // 2 + 1)]
-        n_a = len(poles)
-        poles += [2 * j + 2 * g + 1 - 2 * degc
-                  for j in range(degc + (m_inf - (2 * g + 1)) // 2 + 1)]
-        order = sorted(range(len(poles)), key=poles.__getitem__)
-        rows = []
-        req = _constraint_points(D, ords)
-        for pt in sorted(req, key=lambda q: q.key()):
-            rows.extend(_constraint_rows(curve, pt, req[pt], n_a, order))
+        c, poles, n_a, order, rows = _ansatz(curve, D)
         kern = kernel_basis(Matrix(F, rows, ncols=len(order)))
 
     # kernel_basis gives free column j a vector with 1 at j, 0 at the
@@ -317,12 +343,19 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
 
 
 def h0(curve: HyperellipticCurve, D: Divisor) -> int:
-    return rr_basis(curve, D).dim
+    """dim L(D): the number of ansatz columns less the rank of the
+    constraint rows, so no basis is built."""
+    if D.curve != curve:
+        raise InputError("divisor on a different curve")
+    if D.degree < 0:
+        return 0
+    _, _, _, order, rows = _ansatz(curve, D)
+    return len(order) - rank(Matrix(curve.field, rows, ncols=len(order)))
 
 
 def h1(curve: HyperellipticCurve, D: Divisor) -> int:
     """Computed through Serre duality as h0(K - D); no cocycles anywhere."""
-    return rr_basis(curve, curve.canonical_divisor() - D).dim
+    return h0(curve, curve.canonical_divisor() - D)
 
 
 def coordinates(fn: RationalFunction, B: RRBasis):

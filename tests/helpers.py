@@ -411,6 +411,32 @@ def random_divisor(curve, rng: random.Random, points, max_abs_degree):
 
 
 # ---------------------------------------------------------------------------
+# effective divisors by recursion (oracle for enumerate_effective_divisors)
+# ---------------------------------------------------------------------------
+
+def effective_divisors_by_recursion(curve, max_degree, points):
+    """Effective divisors of degree <= max_degree supported on `points`,
+    in the library's order: total degree ascending, then lexicographic in
+    the multiplicity vector over the key-sorted points.  One generator
+    frame per point, so only lists well inside the recursion limit fit."""
+    pts = sorted(set(points), key=lambda pt: pt.key())
+    degs = [pt.degree for pt in pts]
+
+    def rec(i, remaining):
+        if i == len(pts):
+            if remaining == 0:
+                yield []
+            return
+        for m in range(remaining // degs[i] + 1):
+            for rest in rec(i + 1, remaining - m * degs[i]):
+                yield ([(pts[i], m)] if m else []) + rest
+
+    for total in range(max_degree + 1):
+        for items in rec(0, total):
+            yield Divisor(curve, items)
+
+
+# ---------------------------------------------------------------------------
 # rational roots by the rational root theorem (oracle for Poly.rational_roots)
 # ---------------------------------------------------------------------------
 

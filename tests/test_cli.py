@@ -240,6 +240,23 @@ def test_secant_member_reports(tree, capsys):
     assert report["inputs"]["d"] == 0
 
 
+def test_secant_member_scans_past_the_recursion_limit(tmp_path, capsys):
+    """--d 6 walks divisors over 3 440 closed points, more than the
+    recursion limit; it gives one report with --d 5's count and witness."""
+    d8 = datum_on_infinity(curve_g1_f5(), 8)
+    path = tmp_path / "cls8.json"
+    path.write_text(json.dumps(class_to_json(
+        ExtensionClass(d8, [1, 0, 2, 3, 1, 4, 0, 1]))), encoding="utf-8")
+    code, report, err = run_json(
+        capsys, ["secant", "member", str(path), "--d", "6"])
+    assert code == 0 and "Traceback" not in err
+    res = report["result"]
+    assert res["complete"] is True and res["member"] is True
+    assert res["examined"] == 243
+    assert report["witnesses"] == [[{"mult": 1, "point": {
+        "xminpoly": [4, 2, 1, 3, 1], "ybranch": [4, 0, 2, 3]}}]]
+
+
 def test_failed_reverification_exits_three(tmp_path, monkeypatch, capsys):
     """A witness that fails its own re-verification gives one
     internal-error report and exit 3, not a traceback."""

@@ -15,9 +15,10 @@ from curvext import (Divisor, InputError, Poly, PrimeField, RationalFunction,
 from curvext.polys import residue_sqrt
 from helpers import (brute_point_count, curve_g1_f5, curve_g1_q, curve_g1w_f3,
                      curve_g2_f3, curve_g2_f7, curve_g2_f9, curve_g2_q,
-                     curve_g3_f5, is_effective, is_weierstrass, positive_part,
-                     random_divisor, series_expansions,
-                     series_residual_vanishes, series_valuation)
+                     curve_g3_f5, effective_divisors_by_recursion, is_effective,
+                     is_weierstrass, positive_part, random_divisor,
+                     series_expansions, series_residual_vanishes,
+                     series_valuation)
 
 Q = Rationals()
 
@@ -361,6 +362,26 @@ def test_effective_divisor_enumeration_counts_and_order():
     want = [D for D in divisors
             if D.degree <= 2 and all(pt in sub for pt in D.support())]
     assert {D.key() for D in got} == {D.key() for D in want}
+
+
+def test_effective_divisor_order_matches_the_recursion():
+    """The iterative walk yields the recursive form's divisors in its
+    order: every divisor over a short mixed-degree list, and the first
+    few hundred over a long one."""
+    from itertools import islice
+    curve = curve_g1_f5()
+    pts = enumerate_closed_points(curve, 4)
+    short = [pt for pt in pts if pt.degree == 1][:4] \
+        + [pt for pt in pts if pt.degree > 1][:8]
+    got = [D.key() for D in enumerate_effective_divisors(curve, 5, points=short)]
+    want = [D.key() for D in effective_divisors_by_recursion(curve, 5, short)]
+    assert got == want
+    assert len(pts) > 150 and {pt.degree for pt in pts} == {1, 2, 3, 4}
+    got = [D.key() for D in islice(
+        enumerate_effective_divisors(curve, 4, points=pts), 600)]
+    want = [D.key() for D in islice(
+        effective_divisors_by_recursion(curve, 4, pts), 600)]
+    assert got == want and len(got) == 600
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,64 @@ def test_required_orders_match_repeated_division():
     assert seen == {"split+conj", "split-conj", "ramified", "nonsplit", "random"}
 
 
+def test_h0_rank_matches_basis_dimension(monkeypatch):
+    """h0 is the column count less the rank of the constraint rows, one
+    elimination per divisor of nonnegative degree and none below; it
+    equals the dimension of the basis rr_basis builds."""
+    import curvext.riemann_roch
+    ranks = [0]
+    rank = curvext.riemann_roch.rank
+
+    def counted(mat):
+        ranks[0] += 1
+        return rank(mat)
+
+    monkeypatch.setattr(curvext.riemann_roch, "rank", counted)
+    kinds = set()
+    for curve, degree in ((curve_g1_q(), None), (curve_g1_f5(), 2),
+                          (curve_g2_f7(), 2), (curve_g2_f9(), 2)):
+        pts = _pool(curve, degree)
+        K = curve.canonical_divisor()
+        rng = random.Random(1812)
+        cases = [D for _, D in _forced_divisors(curve, pts)]
+        for _ in range(40):
+            D = random_divisor(curve, rng, pts, 4 * curve.genus + 6)
+            cases += [D, K - D]
+        assert any(D.degree < 0 for D in cases)
+        for D in cases:
+            kinds.update(pt.kind for pt in D.support())
+            ranks[0] = 0
+            dim = h0(curve, D)
+            assert ranks[0] == (0 if D.degree < 0 else 1)
+            B = rr_basis(curve, D)
+            assert dim == len(B) == len(B.basis), D
+            assert h1(curve, D) == h0(curve, K - D)
+    assert kinds == {"infinity", "split", "ramified", "nonsplit"}
+
+
+def test_residue_columns_match_poly_remainders():
+    """Column j is (s * x^j) mod modulus, zero-padded to deg(modulus), for
+    monic moduli of degree 0 (p^0 = 1, empty columns) through 4."""
+    from curvext import ExtensionField
+    from curvext.riemann_roch import _residue_columns
+    rng = random.Random(77)
+    for F in (Rationals(), PrimeField(7), ExtensionField(3, [1, 0, 1])):
+        payloads = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)] \
+            if isinstance(F, Rationals) else list(F.iter_payloads())
+        x = Poly.x(F)
+        for width in range(5):
+            for _ in range(6):
+                modulus = Poly(F, rng.choices(payloads, k=width) + [F.pone])
+                s = Poly(F, rng.choices(payloads, k=rng.randint(0, 7)))
+                count = rng.randint(0, 7)
+                cols = _residue_columns(s, count, modulus)
+                assert len(cols) == count
+                for j, col in enumerate(cols):
+                    r = (s * x ** j) % modulus
+                    assert col == [r.coeff(i) for i in range(width)], \
+                        (F, modulus, s, j)
+
+
 def _rr_cold_pass(curve, pts, rng):
     """The duality identity on seeded divisors, as the rr-cold benchmark
     runs it, plus the valuations of each basis element on the support."""
