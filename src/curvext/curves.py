@@ -37,24 +37,28 @@ _KIND_RANK = {"infinity": 0, "ramified": 1, "split": 2, "nonsplit": 3}
 class HyperellipticCurve:
     """y^2 = f(x) with the conventions above.  Build through make_curve."""
 
-    __slots__ = ("field", "f", "genus", "label", "_rr_cache", "_lift_cache",
-                 "_point_cache")
+    __slots__ = ("field", "f", "genus", "label", "_hash", "_rr_cache",
+                 "_lift_cache", "_ladders", "_point_cache")
 
     def __init__(self, field: FieldDescriptor, f: Poly, label: str | None = None):
         self.field = field
         self.f = f
         self.genus = (f.degree - 1) // 2
         self.label = label
+        # points and divisors hash and compare their curve all the time
+        self._hash = hash((field, f))
         self._rr_cache = {}
         self._lift_cache = {}
+        self._ladders = {}
         self._point_cache = {}
 
     def __eq__(self, other):
-        return (isinstance(other, HyperellipticCurve)
-                and other.field == self.field and other.f == self.f)
+        return other is self or (
+            isinstance(other, HyperellipticCurve) and other._hash == self._hash
+            and other.field == self.field and other.f == self.f)
 
     def __hash__(self):
-        return hash((self.field, self.f))
+        return self._hash
 
     def __repr__(self):
         name = f" '{self.label}'" if self.label else ""
@@ -320,6 +324,17 @@ def _poly_valuation(poly: Poly, point: CurvePoint) -> int:
     return point.ramification * _ord_at(poly, point.xminpoly)
 
 
+def _xpower(curve: HyperellipticCurve, p: Poly, k: int) -> Poly:
+    """p**k from the curve's ladder [1, p, p**2, ...] for the xminpoly p,
+    grown by one multiplication by p per missing rung."""
+    ladder = curve._ladders.get(p.coeffs)
+    if ladder is None:
+        ladder = curve._ladders[p.coeffs] = [Poly.one(curve.field), p]
+    while len(ladder) <= k:
+        ladder.append(ladder[-1] * p)
+    return ladder[k]
+
+
 def _branch_lift(point: CurvePoint, r: int) -> Poly:
     """Y_r = the branch of y at a split place modulo xminpoly^r, Hensel
     lifted once per (place, r) and cached on the curve."""
@@ -353,7 +368,7 @@ def valuation(fn, point: CurvePoint) -> int:
         p = point.xminpoly
         r = _ord_at(curve.norm_poly(a, b), p) + 1
         Y = _branch_lift(point, r)
-        return _ord_at((a + b * Y) % p ** r, p) - v_den
+        return _ord_at((a + b * Y) % _xpower(curve, p, r), p) - v_den
     v_y = {"infinity": -curve.f.degree, "ramified": 1, "nonsplit": 0}[point.kind]
     cands = []
     if not a.is_zero():

@@ -215,7 +215,7 @@ def boundary_matrix(e: ExtensionClass, Lp: Divisor | None = None,
         su = s * up
         row = [e.evaluate(su * t).payload for t in T.basis]
         rows.append(row)
-    return BoundaryMatrix(Matrix(F, rows, ncols=T.dim), S, T, up)
+    return BoundaryMatrix(Matrix._trusted(F, rows, T.dim), S, T, up)
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,7 @@ def search_semistable(V, box: int | None = None) -> SearchResult:
     F = datum.curve.field
     k = len(V)
     vecs = [e.coords for e in V]
-    if rank(Matrix(F, vecs, ncols=datum.class_dim)) != k:
+    if rank(Matrix._trusted(F, vecs, datum.class_dim)) != k:
         raise InputError("classes are not linearly independent")
     if box is None:
         box = datum.m

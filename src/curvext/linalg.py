@@ -49,6 +49,17 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = width if width is not None else 0
 
+    @classmethod
+    def _trusted(cls, field: FieldDescriptor, rows, ncols: int) -> "Matrix":
+        """Matrix of rows the caller already holds as payloads of field,
+        each ncols long: nothing is coerced or checked."""
+        mat = cls.__new__(cls)
+        mat.field = field
+        mat.rows = tuple(map(tuple, rows))
+        mat.nrows = len(mat.rows)
+        mat.ncols = ncols
+        return mat
+
     def entry(self, i, j) -> FieldElement:
         return FieldElement(self.field, self.rows[i][j])
 
@@ -254,7 +265,7 @@ def rref(mat: Matrix) -> Matrix:
     increasing down the rows; deterministic for a given input.
     """
     rows, pivots = _echelon(mat.field, mat.rows)
-    return Matrix(mat.field, [rows[r] for r, _ in pivots], ncols=mat.ncols)
+    return Matrix._trusted(mat.field, [rows[r] for r, _ in pivots], mat.ncols)
 
 
 def from_columns(field, columns) -> Matrix:

@@ -530,7 +530,13 @@ def hensel_sqrt(f: Poly, p: Poly, branch: Poly, precision: int) -> Poly:
     """Lift branch to Y with Y**2 = f mod p**precision, Y = branch mod p.
 
     Requires branch**2 = f mod p and branch invertible mod p (split place,
-    odd characteristic).  Newton doubling on Y <- (Y + f/Y) / 2.
+    odd characteristic).  Newton iteration with a carried inverse (von zur
+    Gathen & Gerhard, Modern Computer Algebra, section 9.2): from Y correct
+    mod p**k and w = (2Y)**-1 mod p**k, the step Y <- Y - (Y**2 - f)*w is
+    correct mod p**(2k), and w <- w*(2 - 2Y*w) doubles w's precision for
+    the next step.  Only the first w is an inverse, taken mod p.  The
+    precisions run up the chain of halvings of ``precision`` rounded up,
+    so each modulus is the last one squared, divided by p when odd.
     """
     F = f.field
     if F.characteristic() == 2:
@@ -538,11 +544,19 @@ def hensel_sqrt(f: Poly, p: Poly, branch: Poly, precision: int) -> Poly:
     y = branch % p
     if not ((y * y - f) % p).is_zero():
         raise InputError("branch is not a square root of f at this place")
-    half = Poly.constant(F, F.inv(F.coerce(2)))
-    k = 1
-    while k < precision:
-        k = min(2 * k, precision)
-        pk = p ** k
-        inv_y = residue_inverse(y, pk)
-        y = ((y + (f % pk) * inv_y) * half) % pk
+    precs = []
+    while precision > 1:
+        precs.append(precision)
+        precision = (precision + 1) // 2
+    if not precs:
+        return y
+    two = Poly.constant(F, 2)
+    w = residue_inverse(y.scale(2), p)
+    k, pk = 1, p
+    for target in reversed(precs):
+        pk = pk * pk if target == 2 * k else (pk * pk) // p
+        y = (y - (y * y - f) * w) % pk
+        if target < precs[0]:       # w serves one more step
+            w = (w * (two - y.scale(2) * w)) % pk
+        k = target
     return y

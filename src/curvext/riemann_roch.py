@@ -30,8 +30,11 @@ rows; no basis is built (one private builder gives rr_basis and h0 the
 same ansatz and rows).  A basis stores its numerator pairs over the one
 ansatz denominator and builds its RationalFunction objects on first
 access; the orders v_P(c) come from the multiplicities c was built
-from; and the branch lift at a split place is cached on the curve per
-(place, r).
+from.  Nor is work repeated: the curve keeps one power ladder
+[1, p, p^2, ...] per xminpoly p, from which c and every congruence
+modulus are read, and caches the branch lift at a split place per
+(place, r).  The constraint rows are payloads already and go into the
+elimination as they are.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curves import Divisor, HyperellipticCurve, _branch_lift
+from .curves import Divisor, HyperellipticCurve, _branch_lift, _xpower
 from .errors import InputError, MembershipError
 from .fields import FieldElement
 from .linalg import (Matrix, from_columns, kernel_basis, linear_combination,
@@ -174,8 +177,10 @@ class RRBasis:
 
     Only the raw pairs are computed with the space: the RationalFunction
     objects of ``basis`` are built on first access.  h0/h1 read the rank
-    of the constraint rows and build no basis.  The branch lifts behind
-    the constraint rows are cached on the curve per (place, r).
+    of the constraint rows and build no basis.  The powers of xminpolys
+    behind the denominator and the constraint rows come from one ladder
+    per xminpoly on the curve, and the branch lifts are cached on the
+    curve per (place, r).
     """
 
     curve: HyperellipticCurve
@@ -199,14 +204,15 @@ class RRBasis:
 
 def _ansatz_denominator(D: Divisor):
     """c = product of xminpoly(P)^{m_P} over the affine positive support
-    of D, and ord_p(c) for each xminpoly p in it."""
+    of D, and ord_p(c) for each xminpoly p in it.  The powers come from
+    the curve's ladder per xminpoly."""
     ords = {}
     for pt, m in D.items:
         if m > 0 and pt.kind != "infinity":
             ords[pt.xminpoly] = ords.get(pt.xminpoly, 0) + m
     c = Poly.one(D.curve.field)
     for p, k in ords.items():
-        c = c * p ** k
+        c = c * _xpower(D.curve, p, k)
     return c, ords
 
 
@@ -259,14 +265,15 @@ def _constraint_rows(curve, pt, r, n_a, order):
     one, zero = Poly.one(F), Poly.zero(F)
     if pt.kind == "split":
         # y is the Hensel-lifted branch Y modulo p^r
-        congruences = [(p ** r, one, _branch_lift(pt, r))]
+        congruences = [(_xpower(curve, p, r), one, _branch_lift(pt, r))]
     elif pt.kind == "ramified":
         # v(y) = 1: a and b*y have valuations of opposite parity
-        congruences = [(p ** ((r + 1) // 2), one, zero),
-                       (p ** (r // 2), zero, one)]
+        congruences = [(_xpower(curve, p, (r + 1) // 2), one, zero),
+                       (_xpower(curve, p, r // 2), zero, one)]
     else:
         # nonsplit: 1 and yhat are independent over the local ring
-        congruences = [(p ** r, one, zero), (p ** r, zero, one)]
+        pr = _xpower(curve, p, r)
+        congruences = [(pr, one, zero), (pr, zero, one)]
     rows = []
     for modulus, s, t in congruences:
         cols = _residue_columns(s, n_a, modulus) \
@@ -320,7 +327,7 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     # ansatz has at least the column a_0
     if D.degree >= 0:
         c, poles, n_a, order, rows = _ansatz(curve, D)
-        kern = kernel_basis(Matrix(F, rows, ncols=len(order)))
+        kern = kernel_basis(Matrix._trusted(F, rows, len(order)))
 
     # kernel_basis gives free column j a vector with 1 at j, 0 at the
     # other free columns and nonzeros only left of j: j is its
@@ -350,7 +357,7 @@ def h0(curve: HyperellipticCurve, D: Divisor) -> int:
     if D.degree < 0:
         return 0
     _, _, _, order, rows = _ansatz(curve, D)
-    return len(order) - rank(Matrix(curve.field, rows, ncols=len(order)))
+    return len(order) - rank(Matrix._trusted(curve.field, rows, len(order)))
 
 
 def h1(curve: HyperellipticCurve, D: Divisor) -> int:

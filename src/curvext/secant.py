@@ -85,7 +85,7 @@ def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d, points=points):
         rows = _annihilator_rows(datum, D)
-        ker = kernel_basis(Matrix(F, rows, ncols=datum.class_dim))
+        ker = kernel_basis(Matrix._trusted(F, rows, datum.class_dim))
         kvecs = [tuple(v.payload for v in vec) for vec in ker]
         for cs in _iproduct(payloads, repeat=len(kvecs)):
             members.add(tuple(linear_combination(F, cs, kvecs,
@@ -164,7 +164,7 @@ def _sample_frame(F, rng, s: int, width: int, height: int = 9):
     # rejection sampling keeps the distribution uniform over full-rank frames
     while True:
         rows = [[draw() for _ in range(width)] for _ in range(s)]
-        if rank(Matrix(F, rows, ncols=width)) == s:
+        if rank(Matrix._trusted(F, rows, width)) == s:
             return rows
 
 

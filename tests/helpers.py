@@ -345,6 +345,21 @@ def brute_residue_sqrts(modulus):
     return roots
 
 
+def hensel_sqrt_by_xgcd(f, p, branch, precision):
+    """Oracle for polys.hensel_sqrt: Newton doubling on Y <- (Y + f/Y)/2
+    with a fresh inverse of Y by xgcd modulo p**k at every step."""
+    F = f.field
+    y = branch % p
+    half = Poly.constant(F, F.inv(F.coerce(2)))
+    k = 1
+    while k < precision:
+        k = min(2 * k, precision)
+        pk = p ** k
+        inv_y = residue_inverse(y, pk)
+        y = ((y + (f % pk) * inv_y) * half) % pk
+    return y
+
+
 def rabin_monic_irreducible(field, max_degree):
     """Oracle for polys.iter_monic_irreducible: every monic of degree
     1..max_degree in iter_monic's order, kept when the Rabin test

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from curvext import (Divisor, InputError, Poly, PrimeField, RationalFunction,
-                     Rationals, curve_from_json, curve_to_json, divisor_from_json,
+from curvext import (Divisor, ExtensionField, InputError, Poly, PrimeField,
+                     RationalFunction, Rationals, curve_from_json,
+                     curve_to_json, divisor_from_json,
                      divisor_to_json, enumerate_closed_points,
                      enumerate_effective_divisors, make_curve, point_from_json,
                      point_to_json, rr_basis, valuation)
@@ -335,6 +336,34 @@ def test_divisor_laws():
         Divisor(curve, [(P, "2")])
     with pytest.raises(InputError):
         Divisor(curve_g1w_f3(), [(P, 1)])
+
+
+@pytest.mark.parametrize("field,f,g", [
+    (Q, [1, 0, 0, 1], [2, 0, 0, 1]),
+    (PrimeField(7), [1, 2, 0, 0, 0, 1], [2, 2, 0, 0, 0, 1]),
+    (ExtensionField(3, [1, 0, 1]), [0, (0, 1), 0, 0, 0, 1],
+     [1, (0, 1), 0, 0, 0, 1])])
+def test_twin_curves_compare_hash_and_mix_as_one(field, f, g):
+    A, B = make_curve(field, f), make_curve(field, f)
+    assert A is not B and A == B and B == A and hash(A) == hash(B)
+    other = make_curve(field, g)
+    assert other != A and A != other
+    P = next(pt for pt in ([A.point(0, 1), A.point(2, 3)] if field == Q
+                           else enumerate_closed_points(A, 1))
+             if pt.kind == "split")
+    PB = B.closed_point(P.xminpoly, P.ybranch)
+    assert P == PB and hash(P) == hash(PB)
+    assert A.infinity() == B.infinity()
+    DA = Divisor(A, [(P, 2), (B.infinity(), 1)])
+    DB = Divisor(B, [(PB, 2), (A.infinity(), 1)])
+    assert DA == DB and hash(DA) == hash(DB) and DA.key() == DB.key()
+    assert (DA - DB).is_zero() and (DA + DB).multiplicity(PB) == 4
+    assert rr_basis(A, DB).dim == rr_basis(B, DA).dim
+    Q0 = other.infinity()
+    with pytest.raises(InputError):
+        Divisor(A, [(P, 1), (Q0, 1)])
+    with pytest.raises(InputError):
+        DA + Divisor(other, [(Q0, 1)])
 
 
 def test_effective_divisor_enumeration_counts_and_order():

@@ -130,6 +130,23 @@ def test_from_columns_and_shapes():
         det(Matrix(F5, [[1, 2]], ncols=2))
 
 
+def test_trusted_matrix_equals_the_coerced_matrix():
+    rng = random.Random(17)
+    F9 = ExtensionField(3, [1, 0, 1])
+    for F in (Q, F5, F9):
+        for nr, nc in ((0, 3), (1, 1), (3, 4), (4, 2)):
+            if F is Q:
+                rows = rand_matrix_q(rng, nr, nc)
+            else:
+                pool = sorted(F.iter_payloads(), key=F.payload_key)
+                rows = [[rng.choice(pool) for _ in range(nc)] for _ in range(nr)]
+            T = Matrix._trusted(F, [list(r) for r in rows], nc)
+            M = Matrix(F, rows, ncols=nc)
+            assert T == M and hash(T) == hash(M)
+            assert (T.nrows, T.ncols, T.rows) == (M.nrows, M.ncols, M.rows)
+            assert rank(T) == rank(M) and rref(T) == rref(M)
+
+
 def test_rref_is_idempotent_and_canonical():
     rng = random.Random(16)
     for _ in range(25):

@@ -11,7 +11,8 @@ from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
 from curvext.polys import (iter_monic, iter_monic_irreducible,
                            residue_inverse, residue_is_square, residue_sqrt)
 from helpers import (_divisors, brute_residue_sqrts, count_monic_irreducible,
-                     divisor_rational_roots, rabin_monic_irreducible)
+                     divisor_rational_roots, hensel_sqrt_by_xgcd,
+                     rabin_monic_irreducible)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -208,6 +209,48 @@ def test_hensel_sqrt_lifts():
     # the other branch
     Y = hensel_sqrt(f, p, Poly(F5, [4]), 3)
     assert ((Y * Y - f) % (p ** 3)).is_zero()
+
+
+def _split_places():
+    """(f, p, b) with b**2 = f mod p, b != 0: Q, F7, F9 and a degree-2
+    xminpoly over F5."""
+    F7 = PrimeField(7)
+    out = [(Poly.from_values(Q, [1, 0, 0, 1]), Poly.from_values(Q, [-x0, 1]),
+            Poly.from_values(Q, [y0])) for x0, y0 in ((0, 1), (2, 3))]
+    f7 = Poly(F7, [1, 0, 0, 1])
+    out += [(f7, Poly(F7, [0, 1]), Poly(F7, [1])),
+            (f7, Poly(F7, [6, 1]), Poly(F7, [3]))]      # f(1) = 2 = 3**2
+    # y^2 = x^5 + t*x over F9, and y^2 = x^3 + 1 over F5 at degree 2: the
+    # first split place in enumeration order
+    for f, deg in ((Poly(F9, [F9.pzero, (0, 1), F9.pzero, F9.pzero, F9.pzero,
+                              F9.pone]), 1),
+                   (Poly(F5, [1, 0, 0, 1]), 2)):
+        p = next(p for p in iter_monic_irreducible(f.field, deg)
+                 if p.degree == deg and not (f % p).is_zero()
+                 and residue_is_square(f, p))
+        out.append((f, p, residue_sqrt(f, p)))
+    return out
+
+
+def test_newton_lift_matches_the_xgcd_oracle():
+    for f, p, b in _split_places():
+        assert b is not None and not b.is_zero()
+        for branch in (b, (-b) % p):
+            for r in range(1, 17):
+                Y = hensel_sqrt(f, p, branch, r)
+                assert Y == hensel_sqrt_by_xgcd(f, p, branch, r), (f, p, r)
+                assert ((Y * Y - f) % p ** r).is_zero()
+                assert Y % p == branch % p
+                assert Y.degree < r * p.degree
+
+
+def test_newton_lift_keeps_its_checks():
+    f = Poly(F5, [1, 0, 0, 1])
+    with pytest.raises(InputError):
+        hensel_sqrt(f, Poly(F5, [0, 1]), Poly(F5, [2]), 4)   # 2**2 != f(0)
+    F2 = PrimeField(2)
+    with pytest.raises(InputError):
+        hensel_sqrt(Poly(F2, [1, 0, 0, 1]), Poly(F2, [0, 1]), Poly(F2, [1]), 3)
 
 
 def test_rational_roots_exact():

@@ -572,6 +572,27 @@ def test_branch_lifts_are_cached_once_per_place_and_precision(monkeypatch):
         assert HyperellipticCurve(curve.field, curve.f)._lift_cache == {}
 
 
+def test_powers_of_xminpolys_come_from_one_ladder_per_curve(monkeypatch):
+    pow_ = Poly.__pow__
+    powers = [0]
+
+    def counted(self, e):
+        powers[0] += 1
+        return pow_(self, e)
+
+    for curve, degree in _seeded_pools():
+        pts = _pool(curve, degree)
+        monkeypatch.setattr(Poly, "__pow__", counted)
+        _rr_cold_pass(curve, pts, random.Random(5))
+        monkeypatch.setattr(Poly, "__pow__", pow_)
+        assert powers[0] == 0
+        assert curve._ladders
+        for key, ladder in curve._ladders.items():
+            p = Poly(curve.field, key)
+            assert ladder[1] == p
+            assert ladder == [p ** k for k in range(len(ladder))]
+
+
 def test_dimension_readers_build_no_functions(monkeypatch):
     built = [0]
     init = RationalFunction.__init__
