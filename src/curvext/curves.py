@@ -336,14 +336,28 @@ def _xpower(curve: HyperellipticCurve, p: Poly, k: int) -> Poly:
 
 
 def _branch_lift(point: CurvePoint, r: int) -> Poly:
-    """Y_r = the branch of y at a split place modulo xminpoly^r, Hensel
-    lifted once per (place, r) and cached on the curve."""
-    cache = point.curve._lift_cache
-    key = (point.key(), r)
-    Y = cache.get(key)
+    """Y_r = the branch of y at a split place modulo xminpoly^r, r >= 1.
+
+    The curve's lift cache holds, per place, [R, lifts]: the highest
+    precision R lifted so far and every Y_r handed out, Y_R among them.
+    The lift is unique given Y = branch mod xminpoly, and hensel_sqrt
+    returns reduced residues, so for r <= R, Y_r is Y_R mod xminpoly^r;
+    only a request above R runs hensel_sqrt again, to precision r.
+    """
+    curve = point.curve
+    key = point.key()
+    entry = curve._lift_cache.get(key)
+    if entry is None:
+        entry = curve._lift_cache[key] = [0, {}]
+    top, lifts = entry
+    Y = lifts.get(r)
     if Y is None:
-        Y = cache[key] = hensel_sqrt(point.curve.f, point.xminpoly,
-                                     point.ybranch, r)
+        if r <= top:
+            Y = lifts[top] % _xpower(curve, point.xminpoly, r)
+        else:
+            Y = hensel_sqrt(curve.f, point.xminpoly, point.ybranch, r)
+            entry[0] = r
+        lifts[r] = Y
     return Y
 
 

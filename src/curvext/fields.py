@@ -16,7 +16,7 @@ irreducibility test are polynomial operations from ``polys``.
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  ``FieldElement`` wraps one payload with operator
-overloading for everything else.  Three payload kernels carry the hot
+overloading for everything else.  Four payload kernels carry the hot
 paths:
 
 * ``dot``, the inner product of two payload sequences, on every
@@ -30,6 +30,10 @@ paths:
   the forward pass of ``linalg`` beyond; ``PrimeField`` computes up to
   4x4 on raw ints with one ``% p`` per determinant, which is what each
   extension-class decision costs.
+* ``axpy``, the row update ``a[k] - t*b[k]`` over paired payloads, on
+  every descriptor.  The base class folds ``sub`` and ``mul``;
+  ``PrimeField`` reduces each raw int entry once.  Elimination and the
+  residue columns of Riemann-Roch update their rows through it.
 * ``mul`` on ``ExtensionField``, kept on int tuples because
   extension-field enumeration is almost all multiplication.
 
@@ -105,6 +109,21 @@ class FieldDescriptor:
         for x, y in zip(a, b):
             acc = add(acc, mul(x, y))
         return acc
+
+    def axpy(self, a, t, b):
+        """[a[k] - t*b[k]] over paired payloads, as a list."""
+        sub, mul = self.sub, self.mul
+        return [sub(x, mul(t, y)) for x, y in zip(a, b)]
+
+    def power(self, a, e: int):
+        """a**e for an int e >= 0, by square and multiply."""
+        out = self.pone
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
     def det(self, entries, m: int):
         """Determinant of the m x m matrix with the given row-major payload
@@ -244,6 +263,11 @@ class PrimeField(FieldDescriptor):
         # inputs give the same residue
         return sum(map(_imul, a, b)) % self.p
 
+    def axpy(self, a, t, b):
+        # one reduction per entry on raw ints, as in dot
+        p = self.p
+        return [(x - t * y) % p for x, y in zip(a, b)]
+
     def det(self, entries, m: int):
         # raw int products and one reduction per determinant, as in dot:
         # the closed forms, and at 4x4 Laplace expansion in the 2x2 minors
@@ -264,6 +288,9 @@ class PrimeField(FieldDescriptor):
             a, b, c, d = entries
             return (a * d - b * c) % self.p
         return FieldDescriptor.det(self, entries, m)
+
+    def power(self, a, e: int):
+        return pow(a, e, self.p)
 
     def neg(self, a):
         return -a % self.p

@@ -157,7 +157,7 @@ def _field_forward(F, rows):
             row = rows[i]
             if not F.is_zero(row[c]):
                 t = F.mul(row[c], inv)
-                row[c:] = [F.sub(a, F.mul(t, b)) for a, b in zip(row[c:], tail)]
+                row[c:] = F.axpy(row[c:], t, tail)
         pivots.append((r, c))
         r += 1
         if r == n:
@@ -195,7 +195,7 @@ def _echelon(F, rows):
             row = rows[i]
             t = row[c]
             if not F.is_zero(t):
-                row[c:] = [F.sub(a, F.mul(t, b)) for a, b in zip(row[c:], tail)]
+                row[c:] = F.axpy(row[c:], t, tail)
     return rows, pivots
 
 

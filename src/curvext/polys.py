@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 from .errors import InputError
 from .fields import FieldDescriptor, FieldElement, PrimeField, is_prime
@@ -505,16 +505,27 @@ def _nonsquare_power(modulus: Poly, t: int, s: int) -> Poly:
     """z = n**t for the first nonsquare n of F_q[x]/(modulus) in a fixed
     order of nonzero residues; z has order exactly 2**s.
 
-    For odd d = deg modulus a nonsquare of F_q stays one in F_{q^d}, so
-    the constants come first and always contain one.  For even d every
-    constant is a square; x + c comes first instead, a nonsquare iff its
-    norm p(-c) is one in F_q, which the Weil bound guarantees for some c
-    once q > (d-1)**2.  Smaller cases go on through all residues.
+    n is a nonsquare iff its norm to F_q is one, since the norm is
+    n**((q**d-1)/(q-1)) for d = deg modulus, so the first candidates are
+    decided by Euler's criterion in F_q, on payloads.  For odd d they
+    are the constants c: the norm c**d is a nonsquare iff c is, F_q has
+    one, and z = c**t is a constant too.  For even d every constant is a
+    square; x + c comes first instead, whose norm is modulus(-c), and
+    the Weil bound guarantees a nonsquare among those once
+    q > (d-1)**2; only the one found is raised to the t.  Smaller cases
+    go on through all residues, each raised to the t and squared s - 1
+    times.
     """
     F, d = modulus.field, modulus.degree
-    family = (Poly(F, [c] if d % 2 else [c, F.pone]) for c in F.iter_payloads())
-    rest = (Poly(F, tup) for tup in product(F.iter_payloads(), repeat=d))
-    for n in chain(family, rest):
+    half = (F.order() - 1) // 2
+    for c in F.iter_payloads():
+        norm = c if d % 2 else modulus.evaluate(F.neg(c))
+        if not F.is_zero(norm) and F.power(norm, half) != F.pone:
+            if d % 2:
+                return Poly(F, [F.power(c, t)])
+            return Poly(F, [c, F.pone]).powmod(t, modulus)
+    for tup in product(F.iter_payloads(), repeat=d):
+        n = Poly(F, tup)
         if not n:
             continue
         z = n.powmod(t, modulus)

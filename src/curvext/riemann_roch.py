@@ -252,7 +252,7 @@ def _residue_columns(s: Poly, count: int, modulus: Poly):
         top = q[-1]
         q = [F.pzero] + q[:-1]
         if not F.is_zero(top):
-            q = [F.sub(a, F.mul(top, b)) for a, b in zip(q, low)]
+            q = F.axpy(q, top, low)
     return cols
 
 

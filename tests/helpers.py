@@ -345,6 +345,26 @@ def brute_residue_sqrts(modulus):
     return roots
 
 
+def nonsquare_power_by_scan(modulus, t, s):
+    """Oracle for polys._nonsquare_power: the same candidate order (the
+    constants for odd degree, x + c for even degree, then every residue),
+    each candidate n tested by raising it to the t and squaring s - 1
+    times; returns z = n**t for the first n with z**(2**(s-1)) != 1."""
+    F, d = modulus.field, modulus.degree
+    family = (Poly(F, [c] if d % 2 else [c, F.pone]) for c in F.iter_payloads())
+    rest = (Poly(F, tup) for tup in itertools.product(F.iter_payloads(), repeat=d))
+    for n in itertools.chain(family, rest):
+        if not n:
+            continue
+        z = n.powmod(t, modulus)
+        c = z
+        for _ in range(s - 1):
+            c = (c * c) % modulus
+        if not c.is_one():
+            return z
+    raise AssertionError(f"no nonsquare modulo {modulus!r}")
+
+
 def hensel_sqrt_by_xgcd(f, p, branch, precision):
     """Oracle for polys.hensel_sqrt: Newton doubling on Y <- (Y + f/Y)/2
     with a fresh inverse of Y by xgcd modulo p**k at every step."""

@@ -113,6 +113,30 @@ def test_dot_matches_the_add_mul_fold(F):
             assert F.dot(a, b) == F.dot(b, a)
 
 
+@pytest.mark.parametrize("F", [Rationals(), PrimeField(7), F9], ids=repr)
+def test_axpy_matches_the_sub_mul_fold(F):
+    rng = random.Random(9)
+    for t in [F.pzero] + sample_payloads(F, rng, 4):
+        assert F.axpy([], t, []) == []
+        for length in range(1, 7):
+            for _ in range(6):
+                a = sample_payloads(F, rng, length)
+                b = sample_payloads(F, rng, length)
+                got = F.axpy(a, t, b)
+                assert got == [F.sub(x, F.mul(t, y)) for x, y in zip(a, b)]
+                if F.is_zero(t):
+                    assert got == a
+
+
+@pytest.mark.parametrize("F", [Rationals(), PrimeField(7), F9], ids=repr)
+def test_power_matches_repeated_multiplication(F):
+    for a in sample_payloads(F, random.Random(10), 6):
+        acc = F.pone
+        for e in range(12):
+            assert F.power(a, e) == acc
+            acc = F.mul(acc, a)
+
+
 def test_prime_dot_reduces_unreduced_and_negative_ints():
     F = PrimeField(7)
     rng = random.Random(6)

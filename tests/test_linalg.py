@@ -237,3 +237,27 @@ def test_prime_field_det_matches_the_forward_pass():
                 assert F.det(entries, m) == want
                 if trial % 4 == 0:
                     assert want == 0
+
+
+def test_prime_field_elimination_updates_rows_without_sub_calls(monkeypatch):
+    """Row updates over F_p go through the raw-int axpy kernel: rank and
+    kernel_basis make no per-entry PrimeField.sub call, and still match
+    the oracles."""
+    rng = random.Random(21)
+    mats = [[[rng.randrange(7) for _ in range(7)] for _ in range(6)]
+            for _ in range(20)]
+    subs = [0]
+    sub = PrimeField.sub
+
+    def counted(self, a, b):
+        subs[0] += 1
+        return sub(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "sub", counted)
+    for rows in mats:
+        M = Matrix(F7, rows)
+        assert rank(M) == modp_rank(rows, 7)
+        for v in kernel_basis(M):
+            for row in rows:
+                assert sum(x * y.payload for x, y in zip(row, v)) % 7 == 0
+    assert subs[0] == 0

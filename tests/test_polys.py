@@ -8,11 +8,12 @@ import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
                      hensel_sqrt)
-from curvext.polys import (iter_monic, iter_monic_irreducible,
-                           residue_inverse, residue_is_square, residue_sqrt)
+from curvext.polys import (_nonsquare_power, iter_monic,
+                           iter_monic_irreducible, residue_inverse,
+                           residue_is_square, residue_sqrt)
 from helpers import (_divisors, brute_residue_sqrts, count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
-                     rabin_monic_irreducible)
+                     nonsquare_power_by_scan, rabin_monic_irreducible)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -196,6 +197,45 @@ def test_residue_sqrt_when_every_x_plus_c_is_a_square():
         for tup in product(range(3), repeat=6):
             a = Poly(F3, tup)
             assert residue_sqrt(a, p) == roots.get(a.coeffs), (p, a)
+
+
+# (field, modulus degree, moduli checked: None for all of them)
+NONSQUARE_CASES = [(F3, 2, None), (F3, 4, None), (F5, 2, None), (F5, 4, 20),
+                   (PrimeField(7), 2, None), (PrimeField(37), 2, 40),
+                   (F9, 2, None), (ExtensionField(5, [2, 0, 1]), 2, 40),
+                   (F3, 3, None), (F5, 3, None), (F9, 3, 20)]
+
+
+@pytest.mark.parametrize("F,d,sample", NONSQUARE_CASES, ids=repr)
+def test_nonsquare_power_decides_candidates_by_their_norm(F, d, sample):
+    """The norm test picks the same nonsquare as raising every candidate
+    to the t, and z = n**t has order exactly 2**s in the residue field."""
+    moduli = [p for p in iter_monic_irreducible(F, d) if p.degree == d]
+    if sample is not None:
+        moduli = random.Random(8).sample(moduli, sample)
+    s, t = 0, F.order() ** d - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for p in moduli:
+        z = _nonsquare_power(p, t, s)
+        assert z == nonsquare_power_by_scan(p, t, s), p
+        c = z
+        for _ in range(s - 1):
+            c = (c * c) % p
+        assert not c.is_one() and ((c * c) % p).is_one(), p
+
+
+def test_nonsquare_power_past_the_norm_family():
+    """Over F3 in degree 6 some moduli make every x + c a square; the
+    nonsquare then comes from the scan of all residues, as in the oracle."""
+    x = Poly.x(F3)
+    s, t = 0, 3 ** 6 - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    moduli = [p for p in iter_monic_irreducible(F3, 6) if p.degree == 6
+              and all(residue_is_square(x + Poly(F3, [c]), p) for c in range(3))]
+    for p in moduli[:3]:
+        assert _nonsquare_power(p, t, s) == nonsquare_power_by_scan(p, t, s)
 
 
 def test_hensel_sqrt_lifts():

@@ -13,8 +13,8 @@ from curvext import (Divisor, HyperellipticCurve, InputError, LinearFunctional,
 from helpers import (TinyExt, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f7, curve_g2_f9,
                      curve_g2_q, curve_g3_f5, datum_on_infinity, frac_rref,
-                     from_parts, random_divisor, series_valuation,
-                     solve_coordinates, tiny_rref)
+                     from_parts, hensel_sqrt_by_xgcd, random_divisor,
+                     series_valuation, solve_coordinates, tiny_rref)
 
 
 def infinity_dim_oracle(g, k):
@@ -540,13 +540,15 @@ def _rr_cold_pass(curve, pts, rng):
 
 
 def test_branch_lifts_are_cached_once_per_place_and_precision(monkeypatch):
+    """Each (place, r) is handed out once and memoized; hensel_sqrt runs
+    only when a place's top precision grows, and lower precisions are
+    reductions of the top lift."""
     import curvext.curves
     from curvext.polys import hensel_sqrt
-    calls = {}
+    calls = []
 
     def counted(f, p, branch, r):
-        key = (f, p, branch, r)
-        calls[key] = calls.get(key, 0) + 1
+        calls.append(((p, branch), r))
         return hensel_sqrt(f, p, branch, r)
 
     monkeypatch.setattr(curvext.curves, "hensel_sqrt", counted)
@@ -554,21 +556,35 @@ def test_branch_lifts_are_cached_once_per_place_and_precision(monkeypatch):
         calls.clear()
         pts = _pool(curve, degree)
         _rr_cold_pass(curve, pts, random.Random(5))
+        assert calls
+        # the same pass again lifts nothing; another one lifts a place
+        # only above its top precision
+        lifted = len(calls)
+        _rr_cold_pass(curve, pts, random.Random(5))
+        assert len(calls) == lifted
+        _rr_cold_pass(curve, pts, random.Random(6))
+        tops = {}
+        for place, r in calls:
+            assert r > tops.get(place, 0), (place, r)
+            tops[place] = r
         cache = curve._lift_cache
-        assert cache and len(calls) == len(cache)
-        assert set(calls.values()) == {1}
+        assert len(cache) == len(tops)
         checked = 0
         for P in pts:
-            for (key, r), Y in cache.items():
-                if key == P.key():
-                    assert Y == hensel_sqrt(curve.f, P.xminpoly, P.ybranch, r)
-                    assert calls[(curve.f, P.xminpoly, P.ybranch, r)] == 1
-                    checked += 1
-        assert checked == len(cache)
-        # a second pass on the same curve lifts nothing new; a fresh
-        # curve object starts with an empty cache of its own
-        _rr_cold_pass(curve, pts, random.Random(6))
-        assert set(calls.values()) == {1}
+            entry = cache.get(P.key())
+            if entry is None:
+                continue
+            top, lifts = entry
+            assert tops[(P.xminpoly, P.ybranch)] == top and top in lifts
+            for r, Y in lifts.items():
+                assert 1 <= r <= top
+                assert Y == hensel_sqrt(curve.f, P.xminpoly, P.ybranch, r)
+                assert Y == hensel_sqrt_by_xgcd(curve.f, P.xminpoly,
+                                                P.ybranch, r)
+                checked += 1
+        assert checked == sum(len(lifts) for _, lifts in cache.values())
+        assert checked > len(calls)
+        # a fresh curve object starts with an empty cache of its own
         assert HyperellipticCurve(curve.field, curve.f)._lift_cache == {}
 
 
