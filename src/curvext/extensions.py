@@ -4,7 +4,9 @@ An extension datum fixes a curve, a quotient class N (deg N = n, even)
 and a divisor M with 2M ~ N + K; L = K - M is derived.  Extension
 classes of N by the trivial bundle live in H^1(C, N^{-1}), which is
 handled exclusively through Serre duality as the dual of H^0(C, N+K):
-a class is a linear functional on the normalized basis of L(N+K).
+a class is its coordinates, the values of a linear functional on the
+normalized basis of L(N+K), and evaluating it on a function is one inner
+product with the function's coordinates in that basis.
 
 The boundary map of a class e, for a twist pair (L', M'), is the matrix
 e(s_i * t_j * u') over bases of L(M') and L(K-L'), where u' is the
@@ -28,8 +30,8 @@ from .curves import (Divisor, HyperellipticCurve, curve_from_json,
 from .errors import ExhaustionError, InputError, InternalError
 from .fields import FieldElement
 from .linalg import Matrix, linear_combination, rank
-from .riemann_roch import (LinearFunctional, RationalFunction, coordinates,
-                           is_principal, rr_basis)
+from .riemann_roch import (RationalFunction, coordinates, is_principal,
+                           rr_basis)
 
 
 class ExtensionDatum:
@@ -59,6 +61,12 @@ class ExtensionDatum:
         """dim H^1(C, N^{-1}) = h0(N+K) = n + g - 1 for valid data."""
         return self.basis_NK.dim
 
+    def nk_coordinates(self, fn: RationalFunction) -> tuple:
+        """Payload coordinates of fn in the normalized basis of L(N+K),
+        the vector a class pairs with; MembershipError if fn is not in
+        L(N+K)."""
+        return tuple(v.payload for v in coordinates(fn, self.basis_NK))
+
     def pair_tensor(self):
         """T[i][j] = coordinates of s_i * s_j * u in the L(N+K) basis,
         for the balanced boundary map; symmetric in (i, j)."""
@@ -68,9 +76,7 @@ class ExtensionDatum:
             T = [[None] * m for _ in range(m)]
             for i in range(m):
                 for j in range(i, m):
-                    vec = tuple(v.payload for v in
-                                coordinates(self.basis_M.basis[i] * su[j],
-                                            self.basis_NK))
+                    vec = self.nk_coordinates(self.basis_M.basis[i] * su[j])
                     T[i][j] = vec
                     T[j][i] = vec
             self._tensor = tuple(tuple(row) for row in T)
@@ -144,27 +150,29 @@ def make_datum(curve: HyperellipticCurve, N: Divisor, M: Divisor) -> ExtensionDa
 
 
 class ExtensionClass:
-    """An element of Ext(N, O) = H^1(C, N^{-1}), stored dually."""
+    """An element of Ext(N, O) = H^1(C, N^{-1}), stored dually: its
+    payload coordinates, the functional's values on the basis of L(N+K)."""
 
-    __slots__ = ("datum", "functional")
+    __slots__ = ("datum", "coords")
 
     def __init__(self, datum: ExtensionDatum, values):
+        coords = tuple(map(datum.curve.field.coerce, values))
+        if len(coords) != datum.class_dim:
+            raise InputError(
+                f"need {datum.class_dim} coordinates, got {len(coords)}")
         self.datum = datum
-        self.functional = LinearFunctional(datum.basis_NK, values)
+        self.coords = coords
 
     @classmethod
     def zero(cls, datum):
         return cls(datum, [datum.curve.field.pzero] * datum.class_dim)
 
-    @property
-    def coords(self):
-        return self.functional.coords
-
     def evaluate(self, fn: RationalFunction) -> FieldElement:
-        return self.functional.evaluate(fn)
+        F = self.datum.curve.field
+        return FieldElement(F, F.dot(self.coords, self.datum.nk_coordinates(fn)))
 
     def is_zero(self) -> bool:
-        return self.functional.is_zero()
+        return all(map(self.datum.curve.field.is_zero, self.coords))
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionClass) and other.datum is self.datum
@@ -213,8 +221,8 @@ def boundary_matrix(e: ExtensionClass, Lp: Divisor | None = None,
     rows = []
     for s in S.basis:
         su = s * up
-        row = [e.evaluate(su * t).payload for t in T.basis]
-        rows.append(row)
+        rows.append([F.dot(e.coords, datum.nk_coordinates(su * t))
+                     for t in T.basis])
     return BoundaryMatrix(Matrix._trusted(F, rows, T.dim), S, T, up)
 
 
@@ -325,7 +333,8 @@ def _witness_scan(e: ExtensionClass, base: Divisor, bound: int,
     1.  Returns (D or None, number of divisors examined).  A hit is
     re-verified before it is returned.
     """
-    curve = e.datum.curve
+    datum = e.datum
+    curve = datum.curve
     F = curve.field
     examined = 0
     if bound < 0:
@@ -333,8 +342,9 @@ def _witness_scan(e: ExtensionClass, base: Divisor, bound: int,
     for D in enumerate_effective_divisors(curve, bound, points=points):
         examined += 1
         B = rr_basis(curve, base - D)
-        if all(F.is_zero(e.evaluate(w if multiplier is None else w * multiplier)
-                         .payload) for w in B.basis):
+        if all(F.is_zero(F.dot(e.coords, datum.nk_coordinates(
+                w if multiplier is None else w * multiplier)))
+               for w in B.basis):
             _reverify_annihilation(e, B, multiplier)
             return D, examined
     return None, examined
@@ -343,10 +353,10 @@ def _witness_scan(e: ExtensionClass, base: Divisor, bound: int,
 def _reverify_annihilation(e: ExtensionClass, B, multiplier):
     # witnesses are cheap to double-check and expensive to trust
     datum = e.datum
+    F = datum.curve.field
     for w in B.basis:
         fn = w if multiplier is None else w * multiplier
-        val = e.functional.evaluate_coords(coordinates(fn, datum.basis_NK))
-        if not datum.curve.field.is_zero(val.payload):
+        if not F.is_zero(F.dot(e.coords, datum.nk_coordinates(fn))):
             raise InternalError("annihilation witness failed re-verification")
 
 

@@ -127,25 +127,12 @@ class FieldDescriptor:
 
     def det(self, entries, m: int):
         """Determinant of the m x m matrix with the given row-major payload
-        entries; the empty 0x0 determinant is 1.
-
-        Up to 3x3 by the closed cofactor forms, which are cheaper there
-        than elimination; beyond that by the forward pass.
-        """
+        entries; the empty 0x0 determinant is 1.  From 2x2 on by the
+        forward pass."""
         if m == 0:
             return self.pone
         if m == 1:
             return entries[0]
-        add, sub, mul = self.add, self.sub, self.mul
-        if m == 2:
-            a, b, c, d = entries
-            return sub(mul(a, d), mul(b, c))
-        if m == 3:
-            a, b, c, d, e, f, g, h, i = entries
-            t1 = mul(a, sub(mul(e, i), mul(f, h)))
-            t2 = mul(b, sub(mul(d, i), mul(f, g)))
-            t3 = mul(c, sub(mul(d, h), mul(e, g)))
-            return add(sub(t1, t2), t3)
         from .linalg import _forward  # linalg imports this module
         _, pivots, d = _forward(self, [entries[k:k + m]
                                        for k in range(0, m * m, m)])

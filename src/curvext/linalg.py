@@ -219,7 +219,7 @@ def solve(mat: Matrix, rhs):
     deterministic.  ``rhs`` is a sequence of length nrows.
     """
     F = mat.field
-    b = [v.payload if isinstance(v, FieldElement) else F.coerce(v) for v in rhs]
+    b = [F.coerce(v) for v in rhs]
     if len(b) != mat.nrows:
         raise InputError("right-hand side length mismatch")
     n_cols = mat.ncols

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError
-from .fields import FieldDescriptor, FieldElement, PrimeField, is_prime
+from .fields import FieldDescriptor, PrimeField, is_prime
 
 
 class Poly:
@@ -204,7 +204,7 @@ class Poly:
     def evaluate(self, value):
         """Horner evaluation; accepts a payload or FieldElement, returns a payload."""
         F = self.field
-        v = value.payload if isinstance(value, FieldElement) else F.coerce(value)
+        v = F.coerce(value)
         acc = F.pzero
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, v), c)

@@ -139,10 +139,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):
-            v = other.payload if isinstance(other, FieldElement) \
-                else self.curve.field.coerce(other)
-            return RationalFunction(self.curve, self.a.scale(v),
-                                    self.b.scale(v), self.c)
+            return RationalFunction(self.curve, self.a.scale(other),
+                                    self.b.scale(other), self.c)
         if other.curve != self.curve:
             raise InputError("functions on different curves")
         a = self.a * other.a + self.b * other.b * self.curve.f
@@ -413,45 +411,6 @@ def basis_transition(src: RRBasis, dst: RRBasis,
         fn2 = fn if mul is None else fn * mul
         cols.append(coordinates(fn2, dst))
     return from_columns(src.curve.field, cols)
-
-
-class LinearFunctional:
-    """Element of the dual of an RRBasis span, stored by coordinates."""
-
-    __slots__ = ("basis", "coords")
-
-    def __init__(self, basis: RRBasis, values):
-        F = basis.curve.field
-        coords = tuple(v.payload if isinstance(v, FieldElement) else F.coerce(v)
-                       for v in values)
-        if len(coords) != basis.dim:
-            raise InputError(f"need {basis.dim} coordinates, got {len(coords)}")
-        self.basis = basis
-        self.coords = coords
-
-    def evaluate_coords(self, vec) -> FieldElement:
-        F = self.basis.curve.field
-        return FieldElement(F, F.dot(self.coords, [
-            v.payload if isinstance(v, FieldElement) else v for v in vec]))
-
-    def evaluate(self, fn: RationalFunction) -> FieldElement:
-        return self.evaluate_coords(coordinates(fn, self.basis))
-
-    def is_zero(self) -> bool:
-        F = self.basis.curve.field
-        return all(F.is_zero(c) for c in self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearFunctional)
-                and other.basis.divisor == self.basis.divisor
-                and other.basis.curve == self.basis.curve
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash((self.basis.curve, self.basis.divisor, self.coords))
-
-    def __repr__(self):
-        return f"LinearFunctional{self.coords!r}"
 
 
 @dataclass

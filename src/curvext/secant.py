@@ -24,7 +24,7 @@ from .curves import Divisor, enumerate_effective_divisors
 from .errors import InputError
 from .extensions import ExtensionClass, ExtensionDatum, _witness_scan
 from .linalg import Matrix, kernel_basis, linear_combination, rank
-from .riemann_roch import coordinates, rr_basis
+from .riemann_roch import rr_basis
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class SecantResult:
     @property
     def member(self) -> bool:
         return self.witness is not None
-
-
-def _annihilator_rows(datum: ExtensionDatum, D: Divisor):
-    """Constraint rows on class coordinates: one per basis element of
-    L(N+K-D), as payload vectors in the L(N+K) coordinates."""
-    B = rr_basis(datum.curve, datum.N + datum.curve.canonical_divisor() - D)
-    return [tuple(v.payload for v in coordinates(w, datum.basis_NK))
-            for w in B.basis]
 
 
 def secant_member(e: ExtensionClass, d: int | None = None,
@@ -82,9 +74,12 @@ def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
     if F.order() is None and points is None:
         raise InputError("infinite base field: supply candidate points")
     payloads = list(F.iter_payloads())
+    NK = datum.N + datum.curve.canonical_divisor()
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d, points=points):
-        rows = _annihilator_rows(datum, D)
+        # one constraint row per basis element of L(N+K-D)
+        rows = [datum.nk_coordinates(w)
+                for w in rr_basis(datum.curve, NK - D).basis]
         ker = kernel_basis(Matrix._trusted(F, rows, datum.class_dim))
         kvecs = [tuple(v.payload for v in vec) for vec in ker]
         for cs in _iproduct(payloads, repeat=len(kvecs)):
@@ -185,7 +180,7 @@ def sample_subspace(datum: ExtensionDatum, s: int, seed: int,
 
 
 def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
-                         seed: int = 0, threads: int = 1) -> OffsecantReport:
+                         seed: int = 0) -> OffsecantReport:
     """Sample s-dimensional subspaces V and look for off-secant classes.
 
     Each trial draws a uniform full-rank s-frame over the field, then
@@ -197,9 +192,6 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
     With s below n - m + g the existence hypothesis is not met and
     failed trials are legitimate; the report records the gate rather
     than refusing to run.
-
-    ``threads`` is validated and otherwise ignored: the trials are pure
-    Python and run serially, so the report cannot depend on it.
     """
     curve = datum.curve
     F = curve.field
@@ -212,8 +204,6 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
             f"subspace dimension {s} outside 1..{datum.class_dim}")
     if trials < 1:
         raise InputError("need at least one trial")
-    if threads < 1:
-        raise InputError("need at least one thread")
     d = datum.n // 2 - 1
     table = secant_table(datum, d)
     payloads = list(F.iter_payloads())

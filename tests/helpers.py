@@ -135,6 +135,29 @@ def evaluation_class(datum, P):
     return ExtensionClass(datum, vals)
 
 
+def skew_reverification(monkeypatch, j):
+    """Make the witness re-verifier disagree with the scan it checks:
+    the L(N+K) coordinate map stays exact while divisors are scanned,
+    and returns the j-th unit vector while the re-verifier runs."""
+    import curvext.extensions as ext
+    exact, reverify = ext.coordinates, ext._reverify_annihilation
+    skewing = []
+
+    def coordinates(fn, B):
+        if skewing:
+            return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
+        return exact(fn, B)
+
+    def second_opinion(*args):
+        skewing.append(True)
+        try:
+            reverify(*args)
+        finally:
+            skewing.clear()
+    monkeypatch.setattr(ext, "coordinates", coordinates)
+    monkeypatch.setattr(ext, "_reverify_annihilation", second_opinion)
+
+
 # ---------------------------------------------------------------------------
 # small constructors and predicates on curve objects
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from pathlib import Path
 import pytest
 
 import curvext.__main__
-import curvext.extensions
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
 from curvext.cli import main
-from helpers import curve_g1_f5, datum_on_infinity, evaluation_class
+from helpers import (curve_g1_f5, datum_on_infinity, evaluation_class,
+                     skew_reverification)
 
 # the directory holding the curvext package this suite imported, so a
 # child process runs the same tree whatever the working directory
@@ -266,10 +266,7 @@ def test_failed_reverification_exits_three(tmp_path, monkeypatch, capsys):
     path = tmp_path / "eval.json"
     path.write_text(json.dumps(class_to_json(e)), encoding="utf-8")
     j = next(i for i, c in enumerate(e.coords) if c)
-
-    def skewed(fn, B):
-        return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
-    monkeypatch.setattr(curvext.extensions, "coordinates", skewed)
+    skew_reverification(monkeypatch, j)
     for argv in (["secant", "member", str(path)], ["ext", "destab", str(path)]):
         code, out, _ = run(capsys, argv)
         assert code == 3
@@ -292,6 +289,15 @@ def test_experiment_thread_count_is_invisible(tree, capsys):
     res = report["result"]
     assert res["trials"] == 3 and res["violations"] == 0
     assert [o["trial"] for o in res["outcomes"]] == [0, 1, 2]
+
+
+def test_experiment_needs_a_thread(tree, capsys):
+    code, report, _ = run_json(capsys, [
+        "secant", "experiment", tree["curve"], "--n", "4", "--dim", "3",
+        "--trials", "3", "--threads", "0"])
+    assert code == 1
+    assert report["result"]["status"] == "input-error"
+    assert report["result"]["message"] == "need at least one thread"
 
 
 def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):

@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from curvext import (Divisor, ExhaustionError, ExtensionClass, InputError,
+from curvext import (Divisor, ExhaustionError, ExtensionClass, FieldElement,
+                     InputError, Matrix, MembershipError, Poly, PrimeField,
                      RationalFunction, boundary_matrix, brute_force_destabilizer,
                      class_from_json, class_to_json, datum_from_json,
                      datum_to_json, det_test, enumerate_closed_points,
                      make_datum, prop1_certificate, rank, search_semistable,
-                     subspace_from_json, valuation)
+                     solve, subspace_from_json, valuation)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity,
                      frac_det, half_class_helper)
@@ -85,9 +86,10 @@ def _class_sample(F, dim, rng, count):
 
 def test_pair_tensor_matches_boundary_matrix():
     """The tensor contraction (one inner product per entry on or above
-    the diagonal) and the direct evaluate() route must give the same
-    boundary matrix: F5 and F3 prime-field kernels, F9 and Q through
-    the generic inner product, and m up to 4."""
+    the diagonal) and the direct route (the class paired with the L(N+K)
+    coordinates of each s_i t_j u') must give the same boundary matrix:
+    F5 and F3 prime-field kernels, F9 and Q through the generic inner
+    product, and m up to 4."""
     rng = random.Random(17)
     cases = [(curve_g1_f5(), 4, 2), (curve_g2_f3(), 2, 2),
              (curve_g2_f9(), 2, 2), (curve_g1_q(), 4, 2),
@@ -139,6 +141,52 @@ def test_det_scales_like_a_degree_m_form():
         scaled = [F.mul(F.coerce(lam), c) for c in e.coords]
         want = F.mul(F.coerce(lam ** datum.m), d)
         assert datum.det_payload(scaled) == want
+
+
+def test_extension_class_contract():
+    """A class is its payload coordinates: evaluate pairs them with the
+    function's L(N+K) coordinates, and the length is checked."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 4)
+    F = curve.field
+    B = datum.basis_NK
+    e = ExtensionClass(datum, [1, 2, 0, 4])
+    assert e.coords == (1, 2, 0, 4)
+    fn = B.basis[0] + B.basis[1] * 3 + B.basis[3]
+    assert datum.nk_coordinates(fn) == (1, 3, 0, 1)
+    assert e.evaluate(fn) == F.element(1 * 1 + 2 * 3 + 4 * 1)
+    x = RationalFunction.x(curve)
+    with pytest.raises(MembershipError):                 # pole order 6 > 4
+        e.evaluate(x * x * x)
+    assert not e.is_zero()
+    assert ExtensionClass.zero(datum).is_zero()
+    assert ExtensionClass(datum, [0, 5, 0, -5]).is_zero()
+    same = ExtensionClass(datum, [6, F.element(2), 5, -1])
+    assert same == e and hash(same) == hash(e)
+    assert e != ExtensionClass(datum, [1, 2, 0, 3])
+    # classes of different data never compare equal, even on equal coords
+    assert e != ExtensionClass(datum_on_infinity(curve, 4), e.coords)
+    with pytest.raises(InputError, match="need 4 coordinates, got 3"):
+        ExtensionClass(datum, [1, 2, 0])
+
+
+def test_values_from_another_field_are_refused():
+    """An F7 element passed where F5 values go is an input error at every
+    entry point that takes caller values, not a value reduced mod 5."""
+    curve = curve_g1_f5()
+    F5 = curve.field
+    seven = FieldElement(PrimeField(7), 6)
+    with pytest.raises(InputError):
+        ExtensionClass(datum_on_infinity(curve, 4), [seven, 0, 0, 0])
+    with pytest.raises(InputError):
+        solve(Matrix(F5, [[1, 0], [0, 1]]), [seven, 0])
+    with pytest.raises(InputError):
+        Poly(F5, [1, 1]).evaluate(seven)
+    with pytest.raises(InputError):
+        RationalFunction.x(curve) * seven
+    # an element of the same field passes as its payload
+    assert Poly(F5, [1, 1]).evaluate(F5.element(3)) == 4
+    assert solve(Matrix(F5, [[2]]), [F5.element(4)]) == [F5.element(2)]
 
 
 def test_exhaustive_equivalences_small():

@@ -1,15 +1,20 @@
-"""Every name a module imports is used by that module, and the package
-depends on the standard library alone.
+"""Every name a module imports is used by that module, every private
+module-level function or class has a caller, and the package depends on
+the standard library alone.
 
 No linter is a dependency, so these are standard-library checks: parse
 each module of src/curvext (the package __init__, which re-exports, is
 exempt) and of tests/, and compare its imported names with the names it
-references; and parse every module of src/curvext, __init__ included,
-for imports from outside the standard library and curvext itself.
+references; look up each module-level ``_private`` function or class of
+src/curvext among the identifiers of src/curvext and tests/ outside its
+own definition; and parse every module of src/curvext, __init__
+included, for imports from outside the standard library and curvext
+itself.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,52 @@ def test_checker_flags_an_unused_import():
     ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def identifiers(node):
+    """Counter of the identifiers node references: names, attributes,
+    imported names and string constants (a monkeypatched name counts)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def unreferenced_privates(modules, others=()):
+    """(module, name) of each module-level _private function or class in
+    modules ({name: source text}) that no text of modules or others
+    references outside its own definition."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        total.update(identifiers(tree))
+    return [(name, node.name) for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and total[node.name] == identifiers(node)[node.name]]
+
+
+def test_dead_code_guard_flags_an_unreferenced_private():
+    module = ("def _dead(x):\n    return _dead(x - 1) if x else 0\n"
+              "def _called():\n    return 1\nclass _Patched:\n    pass\n"
+              "class _Unused:\n    pass\ndef public():\n    return _called()\n")
+    test = "monkeypatch.setattr(mod, '_Patched', None)\n"
+    assert unreferenced_privates({"m": module}, [test]) == \
+        [("m", "_dead"), ("m", "_Unused")]
+
+
+def test_every_private_definition_has_a_reference():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    tests = [p.read_text() for p in TESTS.glob("*.py")]
+    assert unreferenced_privates(modules, tests) == []
 
 
 def foreign_imports(source: str):

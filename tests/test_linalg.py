@@ -193,10 +193,11 @@ def test_extension_field_matches_tiny_oracle(p, minpoly):
 
 
 def test_det_kernel_across_the_closed_form_cut():
-    """The descriptor's det kernel on row-major entries for m = 0..6,
-    closed forms up to 3x3 (and 2x2-minor Laplace at 4x4 over F_p),
-    elimination beyond: against frac_det over Q and mod 7, and against
-    the Leibniz expansion over F_9 and F_8, singular cases included."""
+    """The descriptor's det kernel on row-major entries for m = 0..6:
+    over F_p raw-int closed forms up to 3x3 and 2x2-minor Laplace at
+    4x4, elimination beyond; over Q and F_{p^k} elimination from 2x2 on.
+    Against frac_det over Q and mod 7, and against the Leibniz expansion
+    over F_9 and F_8, singular cases included."""
     rng = random.Random(18)
     for m in range(7):
         for trial in range(25):

@@ -5,7 +5,7 @@ import pytest
 
 import curvext.linalg
 
-from curvext import (Divisor, HyperellipticCurve, InputError, LinearFunctional,
+from curvext import (Divisor, HyperellipticCurve, InputError,
                      MembershipError, Poly, PrimeField, RationalFunction, Rationals,
                      basis_transition, coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
@@ -378,22 +378,6 @@ def test_basis_transition_embeds_and_twists():
         for r in range(B4.dim):
             back = back + B4.basis[r] * Tx.entry(r, i)
         assert back == fn * RationalFunction.x(curve)
-
-
-def test_linear_functional_contract():
-    curve = curve_g1_f5()
-    B = rr_basis(curve, curve.infinity_divisor(3))
-    e = LinearFunctional(B, [1, 2, 0])
-    fn = B.basis[0] + B.basis[1] * 3
-    v = e.evaluate(fn)
-    assert int(v.payload) == (1 * 1 + 2 * 3) % 5
-    assert e.evaluate_coords(coordinates(fn, B)) == v
-    assert e.evaluate_coords([1, 3, 0]) == v
-    assert not e.is_zero()
-    assert LinearFunctional(B, [0, 0, 0]).is_zero()
-    assert e == LinearFunctional(B, [1, 2, 0])
-    with pytest.raises(InputError):
-        LinearFunctional(B, [1, 2])
 
 
 def test_function_json_lists_coefficients():

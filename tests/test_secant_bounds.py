@@ -5,14 +5,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-import curvext.extensions
 from curvext import (BoundInputs, Divisor, ExtensionClass, InputError,
                      InternalError, NotApplicable, brute_force_destabilizer,
                      clifford_sandwich, compute_m, det_test,
                      secant_member, secant_table, sample_subspace,
                      offsecant_experiment, theorem1_delta0, theorem2_bound)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, datum_on_infinity, evaluation_class)
+                     curve_g1w_f3, datum_on_infinity, evaluation_class,
+                     skew_reverification)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +196,14 @@ def test_secant_witness_is_the_default_destabilizer(make):
 
 def test_witness_hits_are_reverified(monkeypatch):
     """The re-verifier recomputes coordinates on its own; if that
-    recomputation disagrees, a hit raises instead of being returned."""
+    recomputation disagrees with the scan, a hit raises instead of being
+    returned."""
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)
     e = evaluation_class(datum, curve.point(2, 2))
+    assert secant_member(e).member and brute_force_destabilizer(e).found
     j = next(i for i, c in enumerate(e.coords) if c)
-
-    def skewed(fn, B):
-        return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
-    monkeypatch.setattr(curvext.extensions, "coordinates", skewed)
+    skew_reverification(monkeypatch, j)
     with pytest.raises(InternalError, match="re-verification"):
         secant_member(e)
     with pytest.raises(InternalError, match="re-verification"):
@@ -272,22 +271,12 @@ def test_offsecant_experiment_reports():
     assert low.successes + low.failures == 4
 
 
-def test_offsecant_experiment_is_thread_invariant():
-    curve = curve_g1_f5()
-    datum = datum_on_infinity(curve, 4)
-    F = curve.field
-    r1 = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=1)
-    r8 = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=8)
-    again = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=1)
-    assert r1.to_json(F) == r8.to_json(F) == again.to_json(F)
-
-
 def test_offsecant_experiment_starts_no_thread(monkeypatch):
     def refuse(self):
         raise AssertionError("offsecant_experiment started a thread")
     monkeypatch.setattr(threading.Thread, "start", refuse)
     datum = datum_on_infinity(curve_g1_f5(), 4)
-    rpt = offsecant_experiment(datum, s=2, trials=6, seed=9, threads=8)
+    rpt = offsecant_experiment(datum, s=2, trials=6, seed=9)
     assert rpt.trials == 6
 
 
@@ -298,7 +287,5 @@ def test_offsecant_experiment_guards():
         offsecant_experiment(datum, s=0, trials=1)
     with pytest.raises(InputError):
         offsecant_experiment(datum, s=1, trials=0)
-    with pytest.raises(InputError):
-        offsecant_experiment(datum, s=1, trials=1, threads=0)
     with pytest.raises(InputError):
         offsecant_experiment(datum_on_infinity(curve_g1_q(), 4), s=1, trials=1)
