@@ -25,11 +25,11 @@ from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
                          subspace_from_json)
 from .fields import (ExtensionField, FieldDescriptor, FieldElement,
                      PrimeField, Rationals, field_from_json, field_to_json)
-from .linalg import Matrix, det, from_columns, kernel_basis, rank, rref, solve
+from .linalg import Matrix, det, kernel_basis, rank, rref, solve
 from .polys import Poly, hensel_sqrt, iter_monic, iter_monic_irreducible
 from .riemann_roch import (PrincipalityResult, RationalFunction, RRBasis,
-                           basis_transition, coordinates, function_to_json, h0,
-                           h1, is_principal, rr_basis)
+                           coordinates, function_to_json, h0, h1,
+                           is_principal, rr_basis)
 from .secant import (OffsecantReport, SecantResult, offsecant_experiment,
                      sample_subspace, secant_member, secant_table)
 

@@ -15,6 +15,7 @@ appears in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,10 @@ def _cmd_bounds_theorem2(args, inputs):
     return result, [], {}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args fills a fresh namespace per call,
+    # so no argument state carries over between calls
     p = _Parser(prog="curvext", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
@@ -324,9 +328,8 @@ def main(argv=None) -> int:
         witnesses, timings, code = [], {}, 1
     report = {"command": name, "inputs": inputs, "result": result,
               "witnesses": witnesses, "timings": timings}
-    json.dump(report, sys.stdout, sort_keys=True, separators=(",", ": "),
-              indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ": "),
+                                indent=1) + "\n")
     _human_table(report, time.perf_counter() - start, sys.stderr)
     return code
 

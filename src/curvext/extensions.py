@@ -10,7 +10,11 @@ product with the function's coordinates in that basis.
 
 The boundary map of a class e, for a twist pair (L', M'), is the matrix
 e(s_i * t_j * u') over bases of L(M') and L(K-L'), where u' is the
-principality witness identifying L(K-L'+M') with L(N+K).  Semistability
+principality witness identifying L(K-L'+M') with L(N+K).  It also maps
+L(K-L'+M'-D) onto L(N+K-D), so the destabilizer scan of every twist is
+one test: e kills L(N+K-D) exactly when e lies in the row span of D's
+rows on L(N+K) coordinates; the twist only names the route by which a
+hit is re-verified.  Semistability
 certificates never assert instability from a failed sufficient test;
 only an explicit destabilizing witness does that.
 """
@@ -29,9 +33,9 @@ from .curves import (Divisor, HyperellipticCurve, curve_from_json,
                      enumerate_effective_divisors)
 from .errors import ExhaustionError, InputError, InternalError
 from .fields import FieldElement
-from .linalg import Matrix, linear_combination, rank
-from .riemann_roch import (RationalFunction, coordinates, is_principal,
-                           rr_basis)
+from .linalg import Matrix, linear_combination, rank, rref
+from .riemann_roch import (RationalFunction, _subspace_rows, coordinates,
+                           is_principal, rr_basis)
 
 
 class ExtensionDatum:
@@ -42,7 +46,8 @@ class ExtensionDatum:
     """
 
     __slots__ = ("curve", "N", "M", "L", "n", "m", "u",
-                 "basis_M", "basis_NK", "_tensor", "_upper", "_mirror")
+                 "basis_M", "basis_NK", "_tensor", "_upper", "_mirror",
+                 "_span_blocks")
 
     def __init__(self, curve, N, M, L, u, basis_M, basis_NK):
         self.curve = curve
@@ -55,6 +60,7 @@ class ExtensionDatum:
         self.basis_M = basis_M
         self.basis_NK = basis_NK
         self._tensor = None
+        self._span_blocks = {}
 
     @property
     def class_dim(self) -> int:
@@ -66,6 +72,24 @@ class ExtensionDatum:
         the vector a class pairs with; MembershipError if fn is not in
         L(N+K)."""
         return tuple(v.payload for v in coordinates(fn, self.basis_NK))
+
+    def span_rows(self, D: Divisor) -> list:
+        """The rows R_D for an effective D: payload functionals on L(N+K)
+        coordinates whose common kernel is L(N+K-D).  A class kills
+        L(N+K-D) exactly when it lies in their row span, the span of D on
+        the curve embedded by |N+K|.  Each place's block is cached per
+        (place, multiplicity) in reduced echelon form."""
+        blocks = self._span_blocks
+        rows = []
+        for pt, mult in D.items:
+            block = blocks.get((pt, mult))
+            if block is None:
+                block = blocks[pt, mult] = rref(Matrix._trusted(
+                    self.curve.field,
+                    _subspace_rows(self.basis_NK, pt, mult),
+                    self.class_dim)).rows
+            rows += block
+        return rows
 
     def pair_tensor(self):
         """T[i][j] = coordinates of s_i * s_j * u in the L(N+K) basis,
@@ -319,39 +343,42 @@ def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
     complete = points is None and bound == full_bound
     up = _twist_witness(datum, Lp, Mp)
-    D, examined = _witness_scan(e, curve.canonical_divisor() - Lp + Mp,
-                                bound, up, points)
+    D, examined = _witness_scan(e, bound, curve.canonical_divisor() - Lp + Mp,
+                                up, points)
     return DestabilizerResult(D, examined, complete, bound)
 
 
-def _witness_scan(e: ExtensionClass, base: Divisor, bound: int,
+def _witness_scan(e: ExtensionClass, bound: int, base: Divisor,
                   multiplier: RationalFunction | None = None, points=None):
     """First effective D of degree <= bound, in divisor enumeration
-    order, such that e vanishes on multiplier * L(base - D).
+    order, such that e kills L(N+K - D): e lies in the row span of R_D.
 
-    The multiplier must map L(base - D) into L(N+K - D); None stands for
+    base and the multiplier only name the re-verifier's route: the
+    multiplier must map L(base - D) onto L(N+K - D), and None stands for
     1.  Returns (D or None, number of divisors examined).  A hit is
     re-verified before it is returned.
     """
     datum = e.datum
     curve = datum.curve
     F = curve.field
+    width = datum.class_dim
     examined = 0
     if bound < 0:
         return None, examined
     for D in enumerate_effective_divisors(curve, bound, points=points):
         examined += 1
-        B = rr_basis(curve, base - D)
-        if all(F.is_zero(F.dot(e.coords, datum.nk_coordinates(
-                w if multiplier is None else w * multiplier)))
-               for w in B.basis):
-            _reverify_annihilation(e, B, multiplier)
+        rows = datum.span_rows(D)
+        if rank(Matrix._trusted(F, rows + [e.coords], width)) == \
+                rank(Matrix._trusted(F, rows, width)):
+            _reverify_annihilation(e, rr_basis(curve, base - D), multiplier)
             return D, examined
     return None, examined
 
 
 def _reverify_annihilation(e: ExtensionClass, B, multiplier):
-    # witnesses are cheap to double-check and expensive to trust
+    # witnesses are cheap to double-check and expensive to trust: the
+    # class on multiplier * L(base - D), through the basis of that space
+    # and the L(N+K) coordinate map, not the rows that found it
     datum = e.datum
     F = datum.curve.field
     for w in B.basis:

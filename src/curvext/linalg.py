@@ -268,13 +268,6 @@ def rref(mat: Matrix) -> Matrix:
     return Matrix._trusted(mat.field, [rows[r] for r, _ in pivots], mat.ncols)
 
 
-def from_columns(field, columns) -> Matrix:
-    cols = [list(c) for c in columns]
-    if not cols:
-        return Matrix(field, [])
-    return Matrix(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
-
-
 def linear_combination(F: FieldDescriptor, coeffs, vectors, width: int):
     """sum_i coeffs[i] * vectors[i] over F, as a list of width payloads:
     one inner product per column."""

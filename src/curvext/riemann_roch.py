@@ -27,10 +27,12 @@ nonmember raises and nothing is ever projected.
 
 Work nobody reads is skipped: h0/h1 read the rank of the constraint
 rows; no basis is built (one private builder gives rr_basis and h0 the
-same ansatz and rows).  A basis stores its numerator pairs over the one
-ansatz denominator and builds its RationalFunction objects on first
-access; the orders v_P(c) come from the multiplicities c was built
-from.  Nor is work repeated: the curve keeps one power ladder
+same ansatz and rows).  Nor for a subspace L(D - E) of L(D), E
+effective: the same congruences at raised precision cut it out as rows
+on coordinates in the basis of L(D).  A basis stores its numerator
+pairs over the one ansatz denominator and builds its RationalFunction
+objects on first access; the orders v_P(c) come from the multiplicities
+c was built from.  Nor is work repeated: the curve keeps one power ladder
 [1, p, p^2, ...] per xminpoly p, from which c and every congruence
 modulus are read, and caches the branch lift at a split place per
 (place, r).  The constraint rows are payloads already and go into the
@@ -45,8 +47,7 @@ from functools import cached_property
 from .curves import Divisor, HyperellipticCurve, _branch_lift, _xpower
 from .errors import InputError, MembershipError
 from .fields import FieldElement
-from .linalg import (Matrix, from_columns, kernel_basis, linear_combination,
-                     rank)
+from .linalg import Matrix, kernel_basis, linear_combination, rank
 from .polys import Poly
 
 
@@ -306,6 +307,37 @@ def _ansatz(curve: HyperellipticCurve, D: Divisor):
     return c, poles, n_a, order, rows
 
 
+def _subspace_rows(B: RRBasis, pt, extra: int):
+    """Payload rows on coordinates in B whose common kernel is the
+    subspace L(D - extra*pt) of L(D), D = B.divisor, for extra >= 1.
+
+    At an affine place they are the congruences of `_constraint_rows` at
+    D's own precision at pt raised by extra, applied to the numerator
+    pairs of the basis over its denominator.  At infinity they are unit
+    rows on the elements whose pole order exceeds the lowered bound: the
+    pole orders are distinct, so a combination's pole order is the
+    largest among its nonzero coordinates.  No basis of the subspace is
+    built.
+    """
+    F = B.curve.field
+    D = B.divisor
+    if pt.kind == "infinity":
+        top = D.multiplicity(pt) - extra
+        return [[F.pone if j == i else F.pzero for j in range(B.dim)]
+                for i, pole in enumerate(B.pole_orders) if pole > top]
+    if not B.dim:
+        return []
+    _, ords = _ansatz_denominator(D)
+    r = pt.ramification * ords.get(pt.xminpoly, 0) - D.multiplicity(pt) + extra
+    n_a = max(len(a.coeffs) for a, _ in B.raw_pairs)
+    n_b = max(len(b.coeffs) for _, b in B.raw_pairs)
+    zero = (F.pzero,)
+    pairs = [a.coeffs + zero * (n_a - len(a.coeffs))
+             + b.coeffs + zero * (n_b - len(b.coeffs)) for a, b in B.raw_pairs]
+    return [[F.dot(row, v) for v in pairs]
+            for row in _constraint_rows(B.curve, pt, r, n_a, range(n_a + n_b))]
+
+
 def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     """Basis of L(D) = {f : div(f) + D >= 0}, canonically normalized.
 
@@ -398,19 +430,6 @@ def coordinates(fn: RationalFunction, B: RRBasis):
                                       wa + wb) != flat(qa, qb):
         raise MembershipError(f"{fn!r} is not in the span of the basis")
     return [FieldElement(F, t) for t in ts]
-
-
-def basis_transition(src: RRBasis, dst: RRBasis,
-                     mul: RationalFunction | None = None) -> Matrix:
-    """Matrix whose column i gives mul*src[i] in dst coordinates; with
-    mul = None the identity function is used.  Exposed so tests can
-    verify that divisor-representative choices only change results by
-    canonical isomorphisms."""
-    cols = []
-    for fn in src.basis:
-        fn2 = fn if mul is None else fn * mul
-        cols.append(coordinates(fn2, dst))
-    return from_columns(src.curve.field, cols)
 
 
 @dataclass

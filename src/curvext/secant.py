@@ -23,8 +23,7 @@ from itertools import product as _iproduct
 from .curves import Divisor, enumerate_effective_divisors
 from .errors import InputError
 from .extensions import ExtensionClass, ExtensionDatum, _witness_scan
-from .linalg import Matrix, kernel_basis, linear_combination, rank
-from .riemann_roch import rr_basis
+from .linalg import Matrix, linear_combination, rank, rref
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ def secant_member(e: ExtensionClass, d: int | None = None,
         raise InputError("secant index must be nonnegative")
     if points is None and datum.curve.field.order() is None:
         raise InputError("infinite base field: supply candidate points")
-    D, examined = _witness_scan(e, datum.N + datum.curve.canonical_divisor(),
-                                d, points=points)
+    D, examined = _witness_scan(e, d, datum.N + datum.curve.canonical_divisor(),
+                                points=points)
     return SecantResult(D, d, examined, points is None)
 
 
@@ -66,25 +65,21 @@ def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
     """All member coordinate tuples of Sigma_d, as a frozenset.
 
     Enumerates, for each effective divisor D of degree <= d, the
-    annihilator subspace of L(N+K-D) in class space (its dimension is
-    deg D) and takes the union.  Exhaustive sweeps and the experiment
-    use this instead of per-class divisor scans.
+    annihilator of L(N+K-D) in class space, which is the row span of
+    R_D (its dimension is deg D), and takes the union.  Exhaustive
+    sweeps and the experiment use this instead of per-class divisor
+    scans.
     """
     F = datum.curve.field
     if F.order() is None and points is None:
         raise InputError("infinite base field: supply candidate points")
     payloads = list(F.iter_payloads())
-    NK = datum.N + datum.curve.canonical_divisor()
+    width = datum.class_dim
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d, points=points):
-        # one constraint row per basis element of L(N+K-D)
-        rows = [datum.nk_coordinates(w)
-                for w in rr_basis(datum.curve, NK - D).basis]
-        ker = kernel_basis(Matrix._trusted(F, rows, datum.class_dim))
-        kvecs = [tuple(v.payload for v in vec) for vec in ker]
-        for cs in _iproduct(payloads, repeat=len(kvecs)):
-            members.add(tuple(linear_combination(F, cs, kvecs,
-                                                 datum.class_dim)))
+        span = rref(Matrix._trusted(F, datum.span_rows(D), width)).rows
+        for cs in _iproduct(payloads, repeat=len(span)):
+            members.add(tuple(linear_combination(F, cs, span, width)))
     return frozenset(members)
 
 

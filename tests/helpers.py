@@ -11,8 +11,11 @@ import itertools
 import random
 
 from curvext import (Divisor, ExtensionClass, ExtensionField, FieldElement,
-                     MembershipError, Poly, PrimeField, RationalFunction,
-                     Rationals, from_columns, make_curve, make_datum, solve)
+                     Matrix, MembershipError, Poly, PrimeField,
+                     RationalFunction, Rationals, coordinates,
+                     enumerate_effective_divisors, is_principal,
+                     kernel_basis, make_curve, make_datum, rr_basis, solve)
+from curvext.linalg import linear_combination
 from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,76 @@ def skew_reverification(monkeypatch, j):
             skewing.clear()
     monkeypatch.setattr(ext, "coordinates", coordinates)
     monkeypatch.setattr(ext, "_reverify_annihilation", second_opinion)
+
+
+# ---------------------------------------------------------------------------
+# witness scans and secant tables through a Riemann-Roch basis per divisor
+# (oracles for the row-span test of extensions._witness_scan and for
+# secant.secant_table)
+# ---------------------------------------------------------------------------
+
+def witness_scan_by_rr_basis(e, base, bound, multiplier=None, points=None):
+    """First effective D of degree <= bound, in enumeration order, with e
+    zero on multiplier * L(base - D): one rr_basis(base - D) per divisor,
+    each basis function times the multiplier, then its L(N+K)
+    coordinates.  Returns (D or None, divisors examined)."""
+    datum = e.datum
+    curve = datum.curve
+    F = curve.field
+    examined = 0
+    if bound < 0:
+        return None, examined
+    for D in enumerate_effective_divisors(curve, bound, points=points):
+        examined += 1
+        if all(F.is_zero(F.dot(e.coords, datum.nk_coordinates(
+                w if multiplier is None else w * multiplier)))
+               for w in rr_basis(curve, base - D).basis):
+            return D, examined
+    return None, examined
+
+
+def secant_member_by_rr_basis(e, d=None, points=None):
+    """(witness, examined) of secant_member through the oracle scan."""
+    datum = e.datum
+    if d is None:
+        d = datum.n // 2 - 1
+    return witness_scan_by_rr_basis(
+        e, datum.N + datum.curve.canonical_divisor(), d, points=points)
+
+
+def destabilizer_by_rr_basis(e, Lp=None, Mp=None, max_degree=None,
+                             points=None):
+    """(witness, examined) of brute_force_destabilizer through the oracle
+    scan on L(K - L' + M' - D) and the twist witness u' of M' - L' - N."""
+    datum = e.datum
+    curve = datum.curve
+    Lp = datum.L if Lp is None else Lp
+    Mp = datum.M if Mp is None else Mp
+    bound = (Mp.degree - Lp.degree - 1) // 2
+    if max_degree is not None:
+        bound = min(bound, max_degree)
+    up = is_principal(curve, datum.N + Lp - Mp).witness
+    return witness_scan_by_rr_basis(
+        e, curve.canonical_divisor() - Lp + Mp, bound, up, points)
+
+
+def secant_table_by_kernel(datum, d):
+    """Sigma_d as a frozenset of coordinate tuples: for each effective D
+    of degree <= d, every combination of a kernel basis of the L(N+K)
+    coordinates of the basis of L(N+K - D)."""
+    F = datum.curve.field
+    payloads = list(F.iter_payloads())
+    NK = datum.N + datum.curve.canonical_divisor()
+    members = set()
+    for D in enumerate_effective_divisors(datum.curve, d):
+        rows = [datum.nk_coordinates(w)
+                for w in rr_basis(datum.curve, NK - D).basis]
+        ker = kernel_basis(Matrix(F, rows, datum.class_dim))
+        kvecs = [tuple(v.payload for v in vec) for vec in ker]
+        for cs in itertools.product(payloads, repeat=len(kvecs)):
+            members.add(tuple(linear_combination(F, cs, kvecs,
+                                                 datum.class_dim)))
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +605,22 @@ def divisor_rational_roots(poly):
 # ---------------------------------------------------------------------------
 # coordinates by elimination (oracle for riemann_roch.coordinates)
 # ---------------------------------------------------------------------------
+
+def from_columns(field, columns):
+    """The matrix with the given columns."""
+    cols = [list(c) for c in columns]
+    if not cols:
+        return Matrix(field, [])
+    return Matrix(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
+
+
+def basis_transition(src, dst, mul=None):
+    """Matrix whose column i gives mul*src[i] in dst coordinates; with
+    mul = None the identity function is used."""
+    return from_columns(src.curve.field,
+                        [coordinates(fn if mul is None else fn * mul, dst)
+                         for fn in src.basis])
+
 
 def solve_coordinates(fn, B):
     """Coordinates of fn in the basis B by one linear solve over the

@@ -23,7 +23,7 @@ import pytest
 import curvext.__main__
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
-from curvext.cli import main
+from curvext.cli import _build_parser, main
 from helpers import (curve_g1_f5, datum_on_infinity, evaluation_class,
                      skew_reverification)
 
@@ -444,6 +444,29 @@ def test_usage_errors_exit_one_with_a_report(tree, capsys):
         report = json.loads(out)
         assert report["result"]["status"] == "input-error"
         assert sorted(report) == TOP_KEYS
+
+
+def test_one_parser_serves_every_call(tree, capsys):
+    """The parser is built once per process; a capped call, then a usage
+    error, then a plain call leave nothing behind in it: the plain report
+    shows the default cap and equals the one a fresh parser gives."""
+    assert _build_parser() is _build_parser()
+    code, capped, _ = run_json(
+        capsys, ["ext", "destab", tree["cls"], "--max-degree", "0"])
+    assert code == 0 and capped["result"]["max_degree"] == 0
+    code, out, _ = run(capsys, ["ext", "destab", tree["cls"], "--max-degree",
+                                "0", "--points", tree["points"]])
+    assert code == 1
+    report = json.loads(out)
+    assert sorted(report) == TOP_KEYS
+    assert report["result"]["status"] == "input-error"
+    code, plain, _ = run(capsys, ["ext", "destab", tree["cls"]])
+    assert code == 0
+    report = json.loads(plain)
+    assert report["inputs"] == {"file": tree["cls"]}
+    assert report["result"]["max_degree"] == 1 and report["result"]["complete"]
+    _build_parser.cache_clear()
+    assert run(capsys, ["ext", "destab", tree["cls"]])[1] == plain
 
 
 def test_inputs_echo_survives_handler_errors(tree, capsys):

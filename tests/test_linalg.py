@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from curvext import (ExtensionField, FieldDescriptor, InputError, Matrix,
-                     PrimeField, Rationals, det, from_columns, kernel_basis,
-                     rank, rref, solve)
-from helpers import (TinyExt, frac_det, frac_rref, modp_rank, tiny_det,
-                     tiny_rref)
+                     PrimeField, Rationals, det, kernel_basis, rank, rref,
+                     solve)
+from helpers import (TinyExt, frac_det, frac_rref, from_columns, modp_rank,
+                     tiny_det, tiny_rref)
 
 Q = Rationals()
 F5 = PrimeField(5)

@@ -7,12 +7,13 @@ import curvext.linalg
 
 from curvext import (Divisor, HyperellipticCurve, InputError,
                      MembershipError, Poly, PrimeField, RationalFunction, Rationals,
-                     basis_transition, coordinates,
+                     coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
                      is_principal, rr_basis, valuation)
-from helpers import (TinyExt, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, curve_g2_f3, curve_g2_f7, curve_g2_f9,
-                     curve_g2_q, curve_g3_f5, datum_on_infinity, frac_rref,
+from helpers import (TinyExt, basis_transition, chain_datum, curve_g1_f5,
+                     curve_g1_q, curve_g1w_f3, curve_g2_f3, curve_g2_f7,
+                     curve_g2_f9, curve_g2_q, curve_g3_f5, datum_on_infinity,
+                     frac_rref,
                      from_parts, hensel_sqrt_by_xgcd, random_divisor,
                      series_valuation, solve_coordinates, tiny_rref)
 

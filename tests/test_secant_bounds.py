@@ -1,3 +1,4 @@
+import random
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -5,13 +6,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from curvext import (BoundInputs, Divisor, ExtensionClass, InputError,
-                     InternalError, NotApplicable, brute_force_destabilizer,
-                     clifford_sandwich, compute_m, det_test,
-                     secant_member, secant_table, sample_subspace,
+from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionField,
+                     InputError, InternalError, NotApplicable,
+                     brute_force_destabilizer, clifford_sandwich, compute_m,
+                     det_test, enumerate_closed_points, make_curve,
+                     make_datum, secant_member, secant_table, sample_subspace,
                      offsecant_experiment, theorem1_delta0, theorem2_bound)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, datum_on_infinity, evaluation_class,
+                     curve_g1w_f3, curve_g2_f3, curve_g2_f5, datum_on_infinity,
+                     destabilizer_by_rr_basis, evaluation_class,
+                     secant_member_by_rr_basis, secant_table_by_kernel,
                      skew_reverification)
 
 
@@ -192,6 +196,135 @@ def test_secant_witness_is_the_default_destabilizer(make):
                (dst.witness, dst.examined, dst.complete)
         members += sec.member
     assert 0 < members < datum.curve.field.order() ** datum.class_dim
+
+
+def assert_scans_match_the_oracle(e, pairs=(), d=None, points=None):
+    """secant_member and brute_force_destabilizer, on the datum's own pair
+    and on each twist pair, give the per-divisor oracle's (witness,
+    examined); returns the witness."""
+    sec = secant_member(e, d, points=points)
+    assert (sec.witness, sec.examined) == \
+        secant_member_by_rr_basis(e, d, points=points)
+    for Lp, Mp in [(None, None), *pairs]:
+        dst = brute_force_destabilizer(e, Lp, Mp, points=points)
+        assert (dst.witness, dst.examined) == \
+            destabilizer_by_rr_basis(e, Lp, Mp, points=points)
+    return sec.witness
+
+
+def twist_pairs(datum):
+    """(L', M') with M' - L' ~ N other than (L, M): a point added to both,
+    and 2*inf traded for a split pair P + P' ~ 2*inf both ways, which
+    moves the base divisor and makes the twist witness nonconstant."""
+    curve = datum.curve
+    L, M, inf = datum.L, datum.M, curve.infinity()
+    P = next(pt for pt in enumerate_closed_points(curve, 1)
+             if pt.kind == "split")
+    pair = Divisor(curve, [(P, 1), (P.conjugate(), 1)])
+    two = curve.infinity_divisor(2)
+    Q = Divisor(curve, [(P, 1)])
+    return [(L + Q, M + Q), (L + two, M + pair), (L + pair, M + two)]
+
+
+@pytest.mark.parametrize("make", [datum_on_infinity, chain_datum])
+@pytest.mark.parametrize("make_curve_", [curve_g1w_f3, curve_g2_f3])
+def test_row_span_scan_matches_the_rr_basis_oracle(make, make_curve_):
+    """Every class of the fixture: the row-span test finds the witness and
+    divisor count that one Riemann-Roch basis per divisor finds; every
+    fifth class also under the twist pairs."""
+    datum = make(make_curve_(), 4)
+    pairs = twist_pairs(datum)
+    members = sum(assert_scans_match_the_oracle(e, () if i % 5 else pairs)
+                  is not None for i, e in enumerate(all_classes(datum)))
+    assert 0 < members < datum.curve.field.order() ** datum.class_dim
+
+
+def test_row_span_scan_over_f25_and_q():
+    """Sampled classes over F25, members among them, and explicit point
+    domains over Q."""
+    rng = random.Random(5)
+    F25 = ExtensionField(5, [2, 0, 1])
+    curve = make_curve(F25, [1, 1, 0, 0, 0, 1])
+    datum = datum_on_infinity(curve, 4)
+    payloads = list(F25.iter_payloads())
+    points = [pt for pt in enumerate_closed_points(curve, 1)
+              if pt.kind == "split"]
+    classes = [ExtensionClass(datum, [rng.choice(payloads)
+                                      for _ in range(datum.class_dim)])
+               for _ in range(6)]
+    classes += [evaluation_class(datum, pt) for pt in rng.sample(points, 3)]
+    witnesses = list(map(assert_scans_match_the_oracle, classes))
+    assert sum(w is not None for w in witnesses) == 3
+
+    qcurve = curve_g1_q()
+    qdatum = datum_on_infinity(qcurve, 4)
+    pts = [qcurve.infinity(), qcurve.point(-1, 0), qcurve.point(0, 1),
+           qcurve.point(2, 3), qcurve.point(2, -3)]
+    P, R = evaluation_class(qdatum, pts[3]), evaluation_class(qdatum, pts[2])
+    qclasses = [P, R, ExtensionClass(qdatum, [1, -2, 3, 1]),
+                ExtensionClass(qdatum, [a + 2 * b for a, b in
+                                        zip(P.coords, R.coords)])]
+    for e in qclasses:
+        for d in (1, 2):
+            assert_scans_match_the_oracle(e, d=d, points=pts)
+    assert secant_member(P, points=pts).witness == Divisor(qcurve,
+                                                           [(pts[3], 1)])
+
+
+def test_row_span_scan_with_raised_precision():
+    """N with affine support of both signs, so that N+K asks the
+    numerator to vanish at places D meets: at the conjugate of P the
+    precision is 4 before D raises it, and d = 2 reaches doubled points
+    and places of degree 2."""
+    curve = curve_g1_f5()
+    P = curve.point(2, 2)
+    Pc, inf = P.conjugate(), curve.infinity()
+    datum = make_datum(curve, Divisor(curve, [(P, 3), (Pc, -1), (inf, 2)]),
+                       Divisor(curve, [(P, 2)]))
+    rng = random.Random(3)
+    classes = list(all_classes(datum))
+    witnesses = [assert_scans_match_the_oracle(e) for e in classes]
+    assert Divisor(curve, [(Pc, 1)]) in witnesses
+    assert sum(w is not None for w in witnesses) == len(secant_table(datum, 1))
+    assert secant_table(datum, 1) == secant_table_by_kernel(datum, 1)
+    witnesses = [assert_scans_match_the_oracle(e, d=2)
+                 for e in rng.sample(classes, 12)]
+    assert any(D is not None and D.degree == 2 for D in witnesses)
+
+
+def test_secant_tables_match_the_kernel_oracle():
+    """The criterion-4 fixtures on both data; chain_datum needs the point
+    (0, 0), which y^2 = x^3+1 over F5 lacks."""
+    fixtures = [(curve_g1w_f3, 2), (curve_g1w_f3, 4), (curve_g2_f3, 4),
+                (curve_g2_f3, 6), (curve_g1_f5, 2), (curve_g1_f5, 4),
+                (curve_g2_f5, 4), (curve_g2_f5, 6)]
+    for make_curve_, n in fixtures:
+        makers = [datum_on_infinity]
+        if make_curve_ is not curve_g1_f5:
+            makers.append(chain_datum)
+        for make in makers:
+            datum = make(make_curve_(), n)
+            d = n // 2 - 1
+            assert secant_table(datum, d) == secant_table_by_kernel(datum, d)
+
+
+def test_scans_build_one_basis_per_hit():
+    """The scan reads rows on L(N+K) coordinates: a miss leaves the
+    Riemann-Roch cache as it was, and a hit adds exactly the basis the
+    re-verifier reads, L(N+K-D) for the witness D."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 4)
+    NK = datum.N + curve.canonical_divisor()
+    P, R = curve.point(2, 2), curve.point(0, 1)
+    off = ExtensionClass(datum, [a + b for a, b in zip(
+        evaluation_class(datum, P).coords, evaluation_class(datum, R).coords)])
+    before = set(curve._rr_cache)
+    assert not secant_member(off).member
+    assert not brute_force_destabilizer(off).found
+    assert set(curve._rr_cache) == before
+    res = secant_member(evaluation_class(datum, P))
+    assert res.witness == Divisor(curve, [(P, 1)])
+    assert set(curve._rr_cache) - before == {(NK - res.witness).key()}
 
 
 def test_witness_hits_are_reverified(monkeypatch):
