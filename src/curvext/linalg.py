@@ -3,6 +3,8 @@
 Rank, determinant, solving and kernel bases, all from one forward pass
 per payload representation.  Over Q it is fraction-free (Bareiss
 recurrence on integer-scaled rows) to keep entries at determinant size;
+rows that are all ints, as the Riemann-Roch constraint rows over Q are,
+go in as they are, and only Fraction rows are scaled row by row;
 over finite fields it is ordinary elimination below each pivot.  Rank
 reads the pivots of that pass, and so does the descriptor's ``det``
 kernel beyond its closed forms (``det`` here calls that kernel on the
@@ -75,13 +77,18 @@ class Matrix:
 
 
 def _scale_rows_to_int(rows):
-    """Clear denominators row by row; preserves rank and kernel.
+    """Clear denominators row by row; preserves rank and kernel.  A row
+    of ints, as the Riemann-Roch constraint rows over Q are, is copied
+    as it is.
 
     Returns the integer rows and the product of the row scales, by which
     the determinant grows."""
     out = []
     scale = 1
     for row in rows:
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+            continue
         den = math.lcm(*(v.denominator for v in row))
         scale *= den
         out.append([v.numerator * (den // v.denominator) for v in row])

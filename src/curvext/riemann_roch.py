@@ -27,26 +27,32 @@ nonmember raises and nothing is ever projected.
 
 Work nobody reads is skipped: h0/h1 read the rank of the constraint
 rows; no basis is built (one private builder gives rr_basis and h0 the
-same ansatz and rows).  Nor for a subspace L(D - E) of L(D), E
-effective: the same congruences at raised precision cut it out as rows
-on coordinates in the basis of L(D).  A basis stores its numerator
-pairs over the one ansatz denominator and builds its RationalFunction
-objects on first access; the orders v_P(c) come from the multiplicities
-c was built from.  Nor is work repeated: the curve keeps one power ladder
-[1, p, p^2, ...] per xminpoly p, from which c and every congruence
-modulus are read, and caches the branch lift at a split place per
-(place, r).  The constraint rows are payloads already and go into the
-elimination as they are.
+same ansatz and rows), nor the denominator c, whose degree and orders
+v_P(c) are read from the multiplicities c is made of; only rr_basis,
+which stores c, multiplies it out.  Nor for a subspace L(D - E) of
+L(D), E effective: the same congruences at raised precision cut it out
+as rows on coordinates in the basis of L(D).  A basis stores its
+numerator pairs over the one ansatz denominator and builds its
+RationalFunction objects on first access.  Nor is work repeated: the
+curve keeps one power ladder [1, p, p^2, ...] per xminpoly p, from
+which c and every congruence modulus are read, and caches the branch
+lift at a split place per (place, r).  The constraint rows go into the
+elimination as they are: over a finite field they are payloads, and
+over Q they are ints, since each congruence puts its columns over one
+common denominator and builds them on ints against the primitive
+integer multiple of its modulus (`_residue_columns`), so no Fraction is
+made per entry and the fraction-free pass has nothing to rescale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .curves import Divisor, HyperellipticCurve, _branch_lift, _xpower
 from .errors import InputError, MembershipError
-from .fields import FieldElement
+from .fields import FieldElement, Rationals
 from .linalg import Matrix, kernel_basis, linear_combination, rank
 from .polys import Poly
 
@@ -201,18 +207,25 @@ class RRBasis:
         return self.dim
 
 
-def _ansatz_denominator(D: Divisor):
-    """c = product of xminpoly(P)^{m_P} over the affine positive support
-    of D, and ord_p(c) for each xminpoly p in it.  The powers come from
-    the curve's ladder per xminpoly."""
+def _denominator_orders(D: Divisor):
+    """ord_p(c) for each xminpoly p of the ansatz denominator c, the
+    product of xminpoly(P)^{m_P} over the affine positive support of D.
+    deg c and every v_P(c) are read from these; c itself is built only
+    by rr_basis, which stores it."""
     ords = {}
     for pt, m in D.items:
         if m > 0 and pt.kind != "infinity":
             ords[pt.xminpoly] = ords.get(pt.xminpoly, 0) + m
-    c = Poly.one(D.curve.field)
+    return ords
+
+
+def _ansatz_denominator(curve: HyperellipticCurve, ords) -> Poly:
+    """c = product of p^k over the orders `ords`, the powers read from
+    the curve's ladder per xminpoly."""
+    c = Poly.one(curve.field)
     for p, k in ords.items():
-        c = c * _xpower(D.curve, p, k)
-    return c, ords
+        c = c * _xpower(curve, p, k)
+    return c
 
 
 def _constraint_points(D: Divisor, ords):
@@ -232,26 +245,50 @@ def _constraint_points(D: Divisor, ords):
     return {pt: r for pt, r in req.items() if r >= 1}
 
 
-def _residue_columns(s: Poly, count: int, modulus: Poly):
-    """Coefficient columns of x^j * s mod modulus for j < count, each
-    deg(modulus) long, on payloads.  s is reduced once; each next column
-    is the last one times x, whose top coefficient t turns into
-    -t * low(modulus) since the modulus is monic.  A degree-0 modulus
-    (p^0 = 1) gives empty columns."""
-    F = s.field
+def _residue_columns(modulus: Poly, seeds):
+    """Coefficient columns of x^j * s mod modulus for j < count, for each
+    (s, count) of seeds in turn, each deg(modulus) long.
+
+    s is reduced once; each next column is the last one times x, whose
+    top coefficient t turns into -t * low(modulus) since the modulus is
+    monic.  Over a finite field the columns are payloads.  Over Q they
+    are ints: every column is its rational value times one factor
+    d * e^(n-1), with d the common denominator of the reduced seeds, e
+    the lcm of the modulus's denominators (e * modulus is its primitive
+    integer multiple) and n the largest count.  Column j is e^(n-1-j)
+    times the j-th pseudo-remainder by e * modulus, so every top t but
+    the last column's is a multiple of e, and a step subtracts t/e times
+    the integer low coefficients of e * modulus.  A degree-0 modulus
+    (p^0 = 1) gives empty columns.
+    """
+    F = modulus.field
     width = modulus.degree
     if width == 0:
-        return [[] for _ in range(count)]
+        return [[] for _, count in seeds for _ in range(count)]
     low = modulus.coeffs[:width]
-    q = list((s % modulus).coeffs)
-    q += [F.pzero] * (width - len(q))
+    starts = [list((s % modulus).coeffs) for s, _ in seeds]
+    zero = F.pzero
+    e = 1
+    if isinstance(F, Rationals):
+        zero = 0
+        e = math.lcm(*(v.denominator for v in low))
+        low = [v.numerator * (e // v.denominator) for v in low]
+        n = max(count for _, count in seeds)
+        scale = math.lcm(*(v.denominator for q in starts for v in q)) \
+            * e ** max(n - 1, 0)
+        starts = [[v.numerator * (scale // v.denominator) for v in q]
+                  for q in starts]
     cols = []
-    for _ in range(count):
-        cols.append(q)
-        top = q[-1]
-        q = [F.pzero] + q[:-1]
-        if not F.is_zero(top):
-            q = F.axpy(q, top, low)
+    for q, (_, count) in zip(starts, seeds):
+        q += [zero] * (width - len(q))
+        for j in range(count):
+            cols.append(q)
+            if j == count - 1:
+                break
+            top = q[-1]
+            q = [zero] + q[:-1]
+            if top != zero:
+                q = F.axpy(q, top if e == 1 else top // e, low)
     return cols
 
 
@@ -275,8 +312,7 @@ def _constraint_rows(curve, pt, r, n_a, order):
         congruences = [(pr, one, zero), (pr, zero, one)]
     rows = []
     for modulus, s, t in congruences:
-        cols = _residue_columns(s, n_a, modulus) \
-            + _residue_columns(t, len(order) - n_a, modulus)
+        cols = _residue_columns(modulus, ((s, n_a), (t, len(order) - n_a)))
         rows.extend([cols[j][i] for j in order] for i in range(modulus.degree))
     return rows
 
@@ -284,14 +320,15 @@ def _constraint_rows(curve, pt, r, n_a, order):
 def _ansatz(curve: HyperellipticCurve, D: Divisor):
     """The ansatz of L(D) for deg D >= 0, one builder for rr_basis and h0.
 
-    Returns (c, poles, n_a, order, rows): the denominator c, the pole
-    order at infinity of each column x^j (a) and then x^j*y (b), the
-    number n_a of a-columns, the columns sorted by increasing pole order,
-    and the payload constraint rows with their columns in that order.
+    Returns (ords, poles, n_a, order, rows): the orders of the
+    denominator c (`_denominator_orders`), the pole order at infinity of
+    each column x^j (a) and then x^j*y (b), the number n_a of a-columns,
+    the columns sorted by increasing pole order, and the constraint rows
+    with their columns in that order.
     """
-    c, ords = _ansatz_denominator(D)
+    ords = _denominator_orders(D)
     g = curve.genus
-    degc = c.degree
+    degc = sum(k * p.degree for p, k in ords.items())
     m_inf = D.multiplicity(curve.infinity())
     # pole orders at infinity of the columns x^j (a) and x^j*y (b),
     # all distinct, so sorting by them orders the columns totally
@@ -304,7 +341,7 @@ def _ansatz(curve: HyperellipticCurve, D: Divisor):
     req = _constraint_points(D, ords)
     for pt in sorted(req, key=lambda q: q.key()):
         rows.extend(_constraint_rows(curve, pt, req[pt], n_a, order))
-    return c, poles, n_a, order, rows
+    return ords, poles, n_a, order, rows
 
 
 def _subspace_rows(B: RRBasis, pt, extra: int):
@@ -327,7 +364,7 @@ def _subspace_rows(B: RRBasis, pt, extra: int):
                 for i, pole in enumerate(B.pole_orders) if pole > top]
     if not B.dim:
         return []
-    _, ords = _ansatz_denominator(D)
+    ords = _denominator_orders(D)
     r = pt.ramification * ords.get(pt.xminpoly, 0) - D.multiplicity(pt) + extra
     n_a = max(len(a.coeffs) for a, _ in B.raw_pairs)
     n_b = max(len(b.coeffs) for _, b in B.raw_pairs)
@@ -356,7 +393,7 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     # deg(div f) = 0, so L(D) = 0 when deg D < 0; from deg D >= 0 on the
     # ansatz has at least the column a_0
     if D.degree >= 0:
-        c, poles, n_a, order, rows = _ansatz(curve, D)
+        ords, poles, n_a, order, rows = _ansatz(curve, D)
         kern = kernel_basis(Matrix._trusted(F, rows, len(order)))
 
     # kernel_basis gives free column j a vector with 1 at j, 0 at the
@@ -373,8 +410,8 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
         b = Poly(F, coeffs[n_a:])
         raw.append((a, b))
         pole_orders.append(poles[order[top]])
-    out = RRBasis(curve, D, len(raw), c if raw else Poly.one(F), tuple(raw),
-                  tuple(pole_orders))
+    c = _ansatz_denominator(curve, ords) if raw else Poly.one(F)
+    out = RRBasis(curve, D, len(raw), c, tuple(raw), tuple(pole_orders))
     curve._rr_cache[key] = out
     return out
 

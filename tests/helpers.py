@@ -685,6 +685,56 @@ def constraint_points_by_division(D, c):
 
 
 # ---------------------------------------------------------------------------
+# constraint rows on field payloads, one remainder per column (oracle for
+# riemann_roch._constraint_rows, whose rows over Q are ints)
+# ---------------------------------------------------------------------------
+
+def residue_columns_on_payloads(s, count, modulus):
+    """Coefficient columns of x^j * s mod modulus for j < count, each
+    deg(modulus) long, on payloads (Fractions over Q): each column is
+    the last one times x, its top coefficient folded back through the
+    monic modulus."""
+    F = s.field
+    width = modulus.degree
+    if width == 0:
+        return [[] for _ in range(count)]
+    low = modulus.coeffs[:width]
+    q = list((s % modulus).coeffs)
+    q += [F.pzero] * (width - len(q))
+    cols = []
+    for _ in range(count):
+        cols.append(q)
+        top = q[-1]
+        q = [F.pzero] + q[:-1]
+        if not F.is_zero(top):
+            q = [F.sub(v, F.mul(top, w)) for v, w in zip(q, low)]
+    return cols
+
+
+def constraint_rows_on_payloads(curve, pt, r, n_a, order):
+    """The congruences a*s + b*t = 0 mod modulus enforcing
+    v_pt(a + b*y) >= r, as payload rows with the columns a_0.., b_0..
+    taken in `order`; the branch is lifted by `hensel_sqrt_by_xgcd` and
+    every modulus is a fresh power."""
+    F = curve.field
+    p = pt.xminpoly
+    one, zero = Poly.one(F), Poly.zero(F)
+    if pt.kind == "split":
+        congruences = [(p ** r, one,
+                        hensel_sqrt_by_xgcd(curve.f, p, pt.ybranch, r))]
+    elif pt.kind == "ramified":
+        congruences = [(p ** ((r + 1) // 2), one, zero), (p ** (r // 2), zero, one)]
+    else:
+        congruences = [(p ** r, one, zero), (p ** r, zero, one)]
+    rows = []
+    for modulus, s, t in congruences:
+        cols = residue_columns_on_payloads(s, n_a, modulus) \
+            + residue_columns_on_payloads(t, len(order) - n_a, modulus)
+        rows.extend([cols[j][i] for j in order] for i in range(modulus.degree))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # truncated Laurent expansions at a place (oracle for curves.valuation)
 #
 # x and y are developed as exact series in a uniformizer with coefficients

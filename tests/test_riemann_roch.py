@@ -9,7 +9,7 @@ from curvext import (Divisor, HyperellipticCurve, InputError,
                      MembershipError, Poly, PrimeField, RationalFunction, Rationals,
                      coordinates,
                      enumerate_closed_points, function_to_json, h0, h1,
-                     is_principal, rr_basis, valuation)
+                     is_principal, make_curve, rr_basis, valuation)
 from helpers import (TinyExt, basis_transition, chain_datum, curve_g1_f5,
                      curve_g1_q, curve_g1w_f3, curve_g2_f3, curve_g2_f7,
                      curve_g2_f9, curve_g2_q, curve_g3_f5, datum_on_infinity,
@@ -435,7 +435,8 @@ def _forced_divisors(curve, pts):
 
 
 def test_required_orders_match_repeated_division():
-    from curvext.riemann_roch import _ansatz_denominator, _constraint_points
+    from curvext.riemann_roch import (_ansatz_denominator, _constraint_points,
+                                      _denominator_orders)
     from helpers import (ansatz_denominator_by_product,
                          constraint_points_by_division)
     seen = set()
@@ -446,7 +447,8 @@ def test_required_orders_match_repeated_division():
         cases += [("random", random_divisor(curve, rng, pts, 3 * curve.genus + 4))
                   for _ in range(60)]
         for label, D in cases:
-            c, ords = _ansatz_denominator(D)
+            ords = _denominator_orders(D)
+            c = _ansatz_denominator(curve, ords)
             assert c == ansatz_denominator_by_product(D), D
             assert _constraint_points(D, ords) \
                 == constraint_points_by_division(D, c), D
@@ -490,8 +492,11 @@ def test_h0_rank_matches_basis_dimension(monkeypatch):
 
 
 def test_residue_columns_match_poly_remainders():
-    """Column j is (s * x^j) mod modulus, zero-padded to deg(modulus), for
-    monic moduli of degree 0 (p^0 = 1, empty columns) through 4."""
+    """Column j of seed s is (s * x^j) mod modulus, zero-padded to
+    deg(modulus), for monic moduli of degree 0 (p^0 = 1, empty columns)
+    through 4.  Over Q the columns are ints, the remainders of all seeds
+    of one call times one common nonzero factor, also when the modulus
+    and the seeds have denominators."""
     from curvext import ExtensionField
     from curvext.riemann_roch import _residue_columns
     rng = random.Random(77)
@@ -502,14 +507,151 @@ def test_residue_columns_match_poly_remainders():
         for width in range(5):
             for _ in range(6):
                 modulus = Poly(F, rng.choices(payloads, k=width) + [F.pone])
-                s = Poly(F, rng.choices(payloads, k=rng.randint(0, 7)))
-                count = rng.randint(0, 7)
-                cols = _residue_columns(s, count, modulus)
-                assert len(cols) == count
-                for j, col in enumerate(cols):
-                    r = (s * x ** j) % modulus
-                    assert col == [r.coeff(i) for i in range(width)], \
-                        (F, modulus, s, j)
+                seeds = [(Poly(F, rng.choices(payloads, k=rng.randint(0, 7))),
+                          rng.randint(0, 7)) for _ in range(2)]
+                cols = _residue_columns(modulus, seeds)
+                assert len(cols) == sum(count for _, count in seeds)
+                want = [[((s * x ** j) % modulus).coeff(i) for i in range(width)]
+                        for s, count in seeds for j in range(count)]
+                if isinstance(F, Rationals):
+                    assert all(type(v) is int for col in cols for v in col)
+                    ratios = {Fraction(v) / w for col, wcol in zip(cols, want)
+                              for v, w in zip(col, wcol) if w}
+                    assert len(ratios) <= 1 and 0 not in ratios, (modulus, seeds)
+                    scale = ratios.pop() if ratios else 1
+                    want = [[w * scale for w in wcol] for wcol in want]
+                assert cols == want, (F, modulus, seeds)
+
+
+def _nonintegral_q_places():
+    """Curves over Q with places whose x or xminpoly has a denominator.
+
+    On y^2 = x^3 + 63/64: a split place at x = 1/4 (f = 1 there) with its
+    conjugate, a nonsplit one at x = 1/2 (f = 71/64) and one over
+    x^2 + 1/3, where f = 63/64 - x/3 has norm 111259/110592, no rational
+    square.  On y^2 = x^5 - x/16 = x(x^2 - 1/4)(x^2 + 1/4): ramified
+    places at x = 1/2 and over x^2 + 1/4.  On y^2 = x^3 + x/3 + 1/4 =
+    1/4 + x(x^2 + 1/3): the split places over x^2 + 1/3 with branches
+    1/2 and -1/2.
+    """
+    Q = Rationals()
+    half, quarter, third = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
+    x2_third = Poly.from_values(Q, [third, 0, 1])
+    A = make_curve(Q, [Fraction(63, 64), 0, 0, 1])
+    P = A.point(quarter, 1)
+    yield A, [P, P.conjugate(), A.point(half, None),
+              A.closed_point(x2_third, None)]
+    B = make_curve(Q, [0, -Fraction(1, 16), 0, 0, 0, 1])
+    yield B, [B.point(half, 0),
+              B.closed_point(Poly.from_values(Q, [quarter, 0, 1]), None)]
+    C = make_curve(Q, [quarter, third, 0, 1])
+    S = C.closed_point(x2_third, Poly.from_values(Q, [half]))
+    yield C, [S, S.conjugate()]
+
+
+def _nonintegral_divisors(curve, places):
+    """Each place alone at multiplicities up to 5 (so the modulus
+    denominators e reach e^5 and the columns e^(n-1) on top), a place
+    against its conjugate or neighbour, and seeded random divisors."""
+    inf = curve.infinity()
+    out = [Divisor(curve, [(pt, m), (inf, k)])
+           for pt in places for m in (1, 2, 5) for k in (-1, 2)]
+    out.append(Divisor(curve, [(places[0], 4), (places[1], -2), (inf, 1)]))
+    rng = random.Random(64)
+    out += [random_divisor(curve, rng, places + [inf], 4 * curve.genus + 6)
+            for _ in range(12)]
+    return out
+
+
+def test_integer_rows_over_q_match_the_fraction_oracle():
+    """Over Q the ansatz rows are ints, each a nonzero multiple of the
+    oracle's Fraction row, with the same reduced echelon form."""
+    from curvext.riemann_roch import _ansatz
+    from helpers import (ansatz_denominator_by_product,
+                         constraint_points_by_division,
+                         constraint_rows_on_payloads)
+    kinds = set()
+    for curve, places in _nonintegral_q_places():
+        assert all(max(v.denominator for v in pt.xminpoly.coeffs) > 1
+                   for pt in places)
+        for D in _nonintegral_divisors(curve, places):
+            if D.degree < 0:
+                continue
+            _, _, n_a, order, rows = _ansatz(curve, D)
+            req = constraint_points_by_division(D, ansatz_denominator_by_product(D))
+            oracle = [row for pt in sorted(req, key=lambda q: q.key())
+                      for row in constraint_rows_on_payloads(
+                          curve, pt, req[pt], n_a, order)]
+            assert all(type(v) is int for row in rows for v in row), D
+            assert len(rows) == len(oracle), D
+            for row, want in zip(rows, oracle):
+                ratios = {Fraction(v) / w for v, w in zip(row, want) if w}
+                assert len(ratios) <= 1 and 0 not in ratios and all(
+                    not v for v, w in zip(row, want) if not w), D
+            assert frac_rref(rows) == frac_rref(oracle), D
+            kinds.update((pt.kind, pt.xminpoly.degree) for pt in req)
+    assert kinds == {("split", 1), ("split", 2), ("ramified", 1),
+                     ("ramified", 2), ("nonsplit", 1), ("nonsplit", 2)}
+
+
+def test_bases_over_q_match_the_fraction_oracle(monkeypatch):
+    """rr_basis, h0 and the subspace rows of a basis are the same when
+    the constraint rows come from the Fraction oracle."""
+    import curvext.riemann_roch as rr
+    from helpers import constraint_rows_on_payloads
+    for curve, places in _nonintegral_q_places():
+        divisors = _nonintegral_divisors(curve, places)
+        K = curve.canonical_divisor()
+        bases = [rr_basis(curve, D) for D in divisors]
+        dims = [h0(curve, D) for D in divisors]
+
+        def subspaces():
+            return [frac_rref(rr._subspace_rows(B, pt, 1))
+                    for B in bases for pt, _ in B.divisor.items]
+        cut = subspaces()
+        twin = HyperellipticCurve(curve.field, curve.f)
+        with monkeypatch.context() as m:
+            m.setattr(rr, "_constraint_rows", constraint_rows_on_payloads)
+            assert [rr_basis(twin, D) for D in divisors] == bases
+            assert [h0(twin, D) for D in divisors] == dims
+            assert subspaces() == cut
+        assert any(B.dim > 1 for B in bases)
+        for D, dim in zip(divisors, dims):
+            assert dim - h0(curve, K - D) == D.degree - curve.genus + 1, D
+
+
+def test_warm_h0_multiplies_no_polynomials(monkeypatch):
+    """Over Q every constraint row entry is an int, and once the curve's
+    ladders and branch lifts are warm, h0 builds no product of
+    polynomials: no ansatz denominator, no power, no lift."""
+    from curvext.riemann_roch import _ansatz
+    pools = [(curve, places + [curve.infinity()])
+             for curve, places in _nonintegral_q_places()]
+    pools += [(curve_g1_q(), _q_pool(curve_g1_q())),
+              (curve_g2_f7(), enumerate_closed_points(curve_g2_f7(), 2))]
+    mul = Poly.__mul__
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    for curve, pts in pools:
+        curve = pts[0].curve
+        rng = random.Random(31)
+        divisors = [random_divisor(curve, rng, pts, 4 * curve.genus + 6)
+                    for _ in range(30)]
+        dims = [h0(curve, D) for D in divisors]
+        if isinstance(curve.field, Rationals):
+            for D in divisors:
+                if D.degree >= 0:
+                    rows = _ansatz(curve, D)[-1]
+                    assert all(type(v) is int for row in rows for v in row)
+        calls[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", counted)
+            assert [h0(curve, D) for D in divisors] == dims
+        assert calls[0] == 0, curve
 
 
 def _rr_cold_pass(curve, pts, rng):
