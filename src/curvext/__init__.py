@@ -25,7 +25,7 @@ from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
                          subspace_from_json)
 from .fields import (ExtensionField, FieldDescriptor, FieldElement,
                      PrimeField, Rationals, field_from_json, field_to_json)
-from .linalg import Matrix, det, kernel_basis, rank, rref, solve
+from .linalg import Matrix, det, kernel_basis, rank, rref
 from .polys import Poly, hensel_sqrt, iter_monic, iter_monic_irreducible
 from .riemann_roch import (PrincipalityResult, RationalFunction, RRBasis,
                            coordinates, function_to_json, h0, h1,

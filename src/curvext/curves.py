@@ -24,12 +24,9 @@ places.  No series and no precision policy are involved.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import InputError
 from .fields import FieldDescriptor, field_from_json, field_to_json
-from .polys import (Poly, hensel_sqrt, iter_monic_irreducible, residue_is_square,
-                    residue_sqrt)
+from .polys import Poly, hensel_sqrt, iter_monic_irreducible, residue_sqrt
 
 _KIND_RANK = {"infinity": 0, "ramified": 1, "split": 2, "nonsplit": 3}
 
@@ -152,23 +149,16 @@ def _check_irreducible(p: Poly):
     # degree >= 4 over Q: irreducibility is not decided here; callers own it
 
 
-def _is_rational_square(v) -> bool:
-    if v < 0:
-        return False
-    a, b = v.numerator, v.denominator
-    return isqrt(a) ** 2 == a and isqrt(b) ** 2 == b
-
-
 def _check_nonsquare(fbar: Poly, p: Poly):
     F = fbar.field
     if F.order() is not None:
-        if residue_is_square(fbar, p):
+        if residue_sqrt(fbar, p) is not None:
             raise InputError("f is a square at this place; it splits")
         return
-    if p.degree == 1:
-        v = fbar.coeffs[0]
-        if _is_rational_square(v):
-            raise InputError("f is a rational square at this place; it splits")
+    # in degree 1, f(x0) is a rational square iff x^2 - f(x0) has a root
+    if p.degree == 1 and Poly.from_values(
+            F, [-fbar.coeffs[0], 0, 1]).rational_roots():
+        raise InputError("f is a rational square at this place; it splits")
     # higher-degree places over Q: squareness in the number field not decided
 
 

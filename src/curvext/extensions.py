@@ -217,37 +217,36 @@ class BoundaryMatrix:
     witness: RationalFunction    # u' identifying L(K-L'+M') with L(N+K)
 
 
-def _twist_witness(datum: ExtensionDatum, Lp: Divisor, Mp: Divisor):
-    Dp = datum.N + Lp - Mp
+def _twist(datum: ExtensionDatum, L: Divisor | None, M: Divisor | None):
+    """Resolve a twist pair (L', M'), the datum's (L, M) by default, to
+    (L', M', u'): deg L' <= deg M', deg M' - deg L' = n, and u' the
+    principality witness of N + L' - M', which maps L(K - L' + M') onto
+    L(N+K)."""
+    L = datum.L if L is None else L
+    M = datum.M if M is None else M
+    if L.degree > M.degree:
+        raise InputError("need deg L' <= deg M'")
+    Dp = datum.N + L - M
     if Dp.degree != 0:
         raise InputError(
-            f"deg(M') - deg(L') = {Mp.degree - Lp.degree} != n = {datum.n}")
+            f"deg(M') - deg(L') = {M.degree - L.degree} != n = {datum.n}")
     pr = is_principal(datum.curve, Dp)
     if not pr:
         raise InputError("M' - L' is not linearly equivalent to N")
-    return pr.witness
+    return L, M, pr.witness
 
 
 def boundary_matrix(e: ExtensionClass, Lp: Divisor | None = None,
                     Mp: Divisor | None = None) -> BoundaryMatrix:
     """Matrix of the connecting map H^0(M') -> H^1(L') of the twisted
     extension, entries e(s_i t_j u').  Defaults to the datum's (L, M)."""
-    datum = e.datum
-    if Lp is None:
-        Lp = datum.L
-    if Mp is None:
-        Mp = datum.M
-    up = _twist_witness(datum, Lp, Mp)
-    curve = datum.curve
+    Lp, Mp, up = _twist(e.datum, Lp, Mp)
+    curve = e.datum.curve
     S = rr_basis(curve, Mp)
     T = rr_basis(curve, curve.canonical_divisor() - Lp)
-    F = curve.field
-    rows = []
-    for s in S.basis:
-        su = s * up
-        rows.append([F.dot(e.coords, datum.nk_coordinates(su * t))
-                     for t in T.basis])
-    return BoundaryMatrix(Matrix._trusted(F, rows, T.dim), S, T, up)
+    rows = [[e.evaluate(su * t).payload for t in T.basis]
+            for su in (s * up for s in S.basis)]
+    return BoundaryMatrix(Matrix._trusted(curve.field, rows, T.dim), S, T, up)
 
 
 @dataclass(frozen=True)
@@ -273,19 +272,12 @@ def prop1_certificate(e: ExtensionClass, Lp: Divisor | None = None,
     test is Inconclusive, never "unstable": semi-stable extensions with
     degenerate boundary maps exist.
     """
-    datum = e.datum
-    if Lp is None:
-        Lp = datum.L
-    if Mp is None:
-        Mp = datum.M
-    if Lp.degree > Mp.degree:
-        raise InputError("need deg L' <= deg M'")
     B = boundary_matrix(e, Lp, Mp)
     r = rank(B.matrix)
-    s = Lp.degree + Mp.degree
-    edge = 2 * datum.curve.genus - 2
-    case_a = s >= edge
-    case_b = s <= edge
+    # deg L' + deg M' against 2g-2 is deg M' against deg(K - L')
+    dm, dk = B.row_basis.divisor.degree, B.col_basis.divisor.degree
+    case_a = dm >= dk
+    case_b = dm <= dk
     ok = (case_a and r == B.matrix.nrows) or (case_b and r == B.matrix.ncols)
     return Prop1Certificate(
         "certified-semistable" if ok else "inconclusive",
@@ -328,21 +320,17 @@ def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
     a degree cap; over infinite fields an explicit candidate point set
     is required and the verdict "none" only covers that domain.
     """
+    if max_degree is not None and max_degree < 0:
+        raise InputError(f"degree cap must be nonnegative, got {max_degree}")
     datum = e.datum
     curve = datum.curve
-    if Lp is None:
-        Lp = datum.L
-    if Mp is None:
-        Mp = datum.M
-    if Lp.degree > Mp.degree:
-        raise InputError("need deg L' <= deg M'")
     if curve.field.order() is None and points is None:
         raise InputError("infinite base field: supply candidate points")
+    Lp, Mp, up = _twist(datum, Lp, Mp)
     delta = Mp.degree - Lp.degree
     full_bound = (delta - 1) // 2     # deg D < delta/2, strict slope
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
     complete = points is None and bound == full_bound
-    up = _twist_witness(datum, Lp, Mp)
     D, examined = _witness_scan(e, bound, curve.canonical_divisor() - Lp + Mp,
                                 up, points)
     return DestabilizerResult(D, examined, complete, bound)
@@ -379,11 +367,10 @@ def _reverify_annihilation(e: ExtensionClass, B, multiplier):
     # witnesses are cheap to double-check and expensive to trust: the
     # class on multiplier * L(base - D), through the basis of that space
     # and the L(N+K) coordinate map, not the rows that found it
-    datum = e.datum
-    F = datum.curve.field
+    F = e.datum.curve.field
     for w in B.basis:
         fn = w if multiplier is None else w * multiplier
-        if not F.is_zero(F.dot(e.coords, datum.nk_coordinates(fn))):
+        if not F.is_zero(e.evaluate(fn).payload):
             raise InternalError("annihilation witness failed re-verification")
 
 

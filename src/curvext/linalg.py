@@ -219,28 +219,6 @@ def det(mat: Matrix) -> FieldElement:
                                  mat.nrows))
 
 
-def solve(mat: Matrix, rhs):
-    """One exact solution of mat * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, which makes the returned solution
-    deterministic.  ``rhs`` is a sequence of length nrows.
-    """
-    F = mat.field
-    b = [F.coerce(v) for v in rhs]
-    if len(b) != mat.nrows:
-        raise InputError("right-hand side length mismatch")
-    n_cols = mat.ncols
-    rows, pivots = _echelon(F, [row + (bv,) for row, bv in zip(mat.rows, b)])
-    x = [F.pzero] * n_cols
-    # reduced form with free variables at zero: x[c] is row r's rhs, and
-    # a pivot in the rhs column means the system is inconsistent
-    for r, c in pivots:
-        if c == n_cols:
-            return None
-        x[c] = rows[r][n_cols]
-    return [FieldElement(F, v) for v in x]
-
-
 def kernel_basis(mat: Matrix):
     """Basis of the right kernel, one vector per free column, in column order.
 

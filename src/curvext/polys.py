@@ -437,19 +437,6 @@ def residue_inverse(a: Poly, modulus: Poly) -> Poly:
     return s % modulus
 
 
-def residue_is_square(a: Poly, modulus: Poly) -> bool:
-    """Euler criterion in F_q[x]/(modulus) for irreducible modulus, odd q."""
-    F = a.field
-    q = F.order()
-    if q is None:
-        raise InputError("residue_is_square requires a finite field")
-    r = a % modulus
-    if r.is_zero():
-        return True
-    qk = q ** modulus.degree
-    return r.powmod((qk - 1) // 2, modulus).is_one()
-
-
 def residue_sqrt(a: Poly, modulus: Poly):
     """A square root of a in F_q[x]/(modulus), or None if a is a nonsquare.
 

@@ -14,34 +14,25 @@ denominator dividing c.
 Basis normalization: the pole orders at infinity of the basis elements
 are strictly increasing, each element has coefficient 1 at its
 highest-pole monomial and 0 at the highest-pole monomials of the
-others.  It costs no pass of its own: the ansatz columns are ordered by
-increasing pole order before the one elimination, whose reduced-echelon
-kernel basis is then already this normal form.  This makes bases,
-coordinates, and everything built on them reproducible across runs.
+others.  The ansatz columns are ordered by increasing pole order before
+the one elimination, whose reduced-echelon kernel basis is then this
+normal form, so bases and coordinates are reproducible across runs.  A
+basis is those kernel vectors on the ansatz columns, over the ansatz
+denominator c.
 
-Coordinates are read off the normal form, not solved for: over the
-basis denominator a member's numerator pair has coordinate i as its
-coefficient at element i's top monomial, and the combination those
-coefficients give is then checked exactly against the pair, so a
-nonmember raises and nothing is ever projected.
+Coordinates are read off the normal form: coordinate i of a member is
+the coefficient of its numerator pair over c at element i's top
+monomial, and the combination is checked exactly against the pair, so
+a nonmember raises.  h0/h1 read the rank of the constraint rows.  A
+subspace L(D - E) of L(D), E effective, is cut out by the same
+congruences at raised precision, as rows on coordinates in the basis
+of L(D).
 
-Work nobody reads is skipped: h0/h1 read the rank of the constraint
-rows; no basis is built (one private builder gives rr_basis and h0 the
-same ansatz and rows), nor the denominator c, whose degree and orders
-v_P(c) are read from the multiplicities c is made of; only rr_basis,
-which stores c, multiplies it out.  Nor for a subspace L(D - E) of
-L(D), E effective: the same congruences at raised precision cut it out
-as rows on coordinates in the basis of L(D).  A basis stores its
-numerator pairs over the one ansatz denominator and builds its
-RationalFunction objects on first access.  Nor is work repeated: the
-curve keeps one power ladder [1, p, p^2, ...] per xminpoly p, from
+The curve keeps one power ladder [1, p, p^2, ...] per xminpoly p, from
 which c and every congruence modulus are read, and caches the branch
-lift at a split place per (place, r).  The constraint rows go into the
-elimination as they are: over a finite field they are payloads, and
-over Q they are ints, since each congruence puts its columns over one
-common denominator and builds them on ints against the primitive
-integer multiple of its modulus (`_residue_columns`), so no Fraction is
-made per entry and the fraction-free pass has nothing to rescale.
+lift at a split place per (place, r).  Over a finite field the
+constraint rows are payloads; over Q they are ints, each congruence
+over one common denominator (`_residue_columns`).
 """
 
 from __future__ import annotations
@@ -180,25 +171,26 @@ class RationalFunction:
 class RRBasis:
     """Normalized basis of L(D); immutable and safe to share.
 
-    Only the raw pairs are computed with the space: the RationalFunction
-    objects of ``basis`` are built on first access.  h0/h1 read the rank
-    of the constraint rows and build no basis.  The powers of xminpolys
-    behind the denominator and the constraint rows come from one ladder
-    per xminpoly on the curve, and the branch lifts are cached on the
-    curve per (place, r).
+    The basis is its kernel vectors: payloads on the ansatz columns,
+    the n_a coefficients of a first, then those of b, with element i
+    (a + b*y)/denominator.  ``basis`` builds the RationalFunction
+    objects on first access.
     """
 
     curve: HyperellipticCurve
     divisor: Divisor
     dim: int
-    denominator: Poly          # shared ansatz denominator of the raw pairs
-    raw_pairs: tuple           # (a, b) with basis[i] = (a + b*y)/denominator
+    denominator: Poly          # the ansatz denominator c
+    n_a: int                   # number of a-columns of the ansatz
+    vectors: tuple             # payload kernel vectors, a-columns then b
     pole_orders: tuple         # -v_infinity per element, strictly increasing
 
     @cached_property
     def basis(self) -> tuple:
-        return tuple(RationalFunction(self.curve, a, b, self.denominator)
-                     for a, b in self.raw_pairs)
+        F, n_a = self.curve.field, self.n_a
+        return tuple(RationalFunction(self.curve, Poly(F, v[:n_a]),
+                                      Poly(F, v[n_a:]), self.denominator)
+                     for v in self.vectors)
 
     def __iter__(self):
         return iter(self.basis)
@@ -349,8 +341,8 @@ def _subspace_rows(B: RRBasis, pt, extra: int):
     subspace L(D - extra*pt) of L(D), D = B.divisor, for extra >= 1.
 
     At an affine place they are the congruences of `_constraint_rows` at
-    D's own precision at pt raised by extra, applied to the numerator
-    pairs of the basis over its denominator.  At infinity they are unit
+    D's own precision at pt raised by extra, applied to the kernel
+    vectors of the basis.  At infinity they are unit
     rows on the elements whose pole order exceeds the lowered bound: the
     pole orders are distinct, so a combination's pole order is the
     largest among its nonzero coordinates.  No basis of the subspace is
@@ -366,13 +358,9 @@ def _subspace_rows(B: RRBasis, pt, extra: int):
         return []
     ords = _denominator_orders(D)
     r = pt.ramification * ords.get(pt.xminpoly, 0) - D.multiplicity(pt) + extra
-    n_a = max(len(a.coeffs) for a, _ in B.raw_pairs)
-    n_b = max(len(b.coeffs) for _, b in B.raw_pairs)
-    zero = (F.pzero,)
-    pairs = [a.coeffs + zero * (n_a - len(a.coeffs))
-             + b.coeffs + zero * (n_b - len(b.coeffs)) for a, b in B.raw_pairs]
-    return [[F.dot(row, v) for v in pairs]
-            for row in _constraint_rows(B.curve, pt, r, n_a, range(n_a + n_b))]
+    cols = range(len(B.vectors[0]))
+    return [[F.dot(row, v) for v in B.vectors]
+            for row in _constraint_rows(B.curve, pt, r, B.n_a, cols)]
 
 
 def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
@@ -389,29 +377,24 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
         return hit
 
     F = curve.field
-    kern = []
+    n_a, vectors, pole_orders = 0, [], []
     # deg(div f) = 0, so L(D) = 0 when deg D < 0; from deg D >= 0 on the
     # ansatz has at least the column a_0
     if D.degree >= 0:
         ords, poles, n_a, order, rows = _ansatz(curve, D)
-        kern = kernel_basis(Matrix._trusted(F, rows, len(order)))
-
-    # kernel_basis gives free column j a vector with 1 at j, 0 at the
-    # other free columns and nonzeros only left of j: j is its
-    # highest-pole monomial, and the vectors are the normal form
-    raw = []
-    pole_orders = []
-    for vec in kern:
-        coeffs = [F.pzero] * len(order)
-        for j, v in zip(order, vec):
-            coeffs[j] = v.payload
-        top = max(t for t, v in enumerate(vec) if not F.is_zero(v.payload))
-        a = Poly(F, coeffs[:n_a])
-        b = Poly(F, coeffs[n_a:])
-        raw.append((a, b))
-        pole_orders.append(poles[order[top]])
-    c = _ansatz_denominator(curve, ords) if raw else Poly.one(F)
-    out = RRBasis(curve, D, len(raw), c, tuple(raw), tuple(pole_orders))
+        # kernel_basis gives free column j a vector with 1 at j, 0 at the
+        # other free columns and nonzeros only left of j: j is its
+        # highest-pole monomial, and the vectors are the normal form
+        for vec in kernel_basis(Matrix._trusted(F, rows, len(order))):
+            coeffs = [None] * len(order)
+            for j, v in zip(order, vec):
+                coeffs[j] = v.payload
+            vectors.append(tuple(coeffs))
+            top = max(t for t, v in enumerate(vec) if not F.is_zero(v.payload))
+            pole_orders.append(poles[order[top]])
+    c = _ansatz_denominator(curve, ords) if vectors else Poly.one(F)
+    out = RRBasis(curve, D, len(vectors), c, n_a, tuple(vectors),
+                  tuple(pole_orders))
     curve._rr_cache[key] = out
     return out
 
@@ -458,13 +441,11 @@ def coordinates(fn: RationalFunction, B: RRBasis):
     odd = 2 * fn.curve.genus + 1
     ts = [qa.coeff((pole + shift) // 2) if pole % 2 == 0
           else qb.coeff((pole - odd + shift) // 2) for pole in B.pole_orders]
-    wa = max(len(qa.coeffs), *(len(a.coeffs) for a, _ in B.raw_pairs))
-    wb = max(len(qb.coeffs), *(len(b.coeffs) for _, b in B.raw_pairs))
-
-    def flat(a, b):
-        return [a.coeff(k) for k in range(wa)] + [b.coeff(k) for k in range(wb)]
-    if ra or rb or linear_combination(F, ts, [flat(a, b) for a, b in B.raw_pairs],
-                                      wa + wb) != flat(qa, qb):
+    n_a, width = B.n_a, len(B.vectors[0])
+    if (ra or rb or len(qa.coeffs) > n_a or len(qb.coeffs) > width - n_a
+            or linear_combination(F, ts, B.vectors, width)
+            != [qa.coeff(k) for k in range(n_a)]
+            + [qb.coeff(k) for k in range(width - n_a)]):
         raise MembershipError(f"{fn!r} is not in the span of the basis")
     return [FieldElement(F, t) for t in ts]
 

@@ -61,7 +61,7 @@ def secant_member(e: ExtensionClass, d: int | None = None,
     return SecantResult(D, d, examined, points is None)
 
 
-def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
+def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
     """All member coordinate tuples of Sigma_d, as a frozenset.
 
     Enumerates, for each effective divisor D of degree <= d, the
@@ -71,12 +71,12 @@ def secant_table(datum: ExtensionDatum, d: int, points=None) -> frozenset:
     scans.
     """
     F = datum.curve.field
-    if F.order() is None and points is None:
-        raise InputError("infinite base field: supply candidate points")
+    if F.order() is None:
+        raise InputError("secant tables need a finite base field")
     payloads = list(F.iter_payloads())
     width = datum.class_dim
     members = set()
-    for D in enumerate_effective_divisors(datum.curve, d, points=points):
+    for D in enumerate_effective_divisors(datum.curve, d):
         span = rref(Matrix._trusted(F, datum.span_rows(D), width)).rows
         for cs in _iproduct(payloads, repeat=len(span)):
             members.add(tuple(linear_combination(F, cs, span, width)))

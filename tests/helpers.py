@@ -11,11 +11,11 @@ import itertools
 import random
 
 from curvext import (Divisor, ExtensionClass, ExtensionField, FieldElement,
-                     Matrix, MembershipError, Poly, PrimeField,
+                     InputError, Matrix, MembershipError, Poly, PrimeField,
                      RationalFunction, Rationals, coordinates,
                      enumerate_effective_divisors, is_principal,
-                     kernel_basis, make_curve, make_datum, rr_basis, solve)
-from curvext.linalg import linear_combination
+                     kernel_basis, make_curve, make_datum, rr_basis)
+from curvext.linalg import _echelon, linear_combination
 from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,20 @@ def tiny_det(K, rows):
     return acc
 
 
+def residue_is_square(a, modulus):
+    """Euler criterion in F_q[x]/(modulus) for irreducible modulus, odd q
+    (oracle for the squareness decision of polys.residue_sqrt)."""
+    F = a.field
+    q = F.order()
+    if q is None:
+        raise InputError("residue_is_square requires a finite field")
+    r = a % modulus
+    if r.is_zero():
+        return True
+    qk = q ** modulus.degree
+    return r.powmod((qk - 1) // 2, modulus).is_one()
+
+
 def brute_residue_sqrts(modulus):
     """Oracle for polys.residue_sqrt: {coefficient tuple of a: root} for
     every square a of F_q[x]/(modulus).
@@ -622,6 +636,35 @@ def basis_transition(src, dst, mul=None):
                          for fn in src.basis])
 
 
+def solve(mat, rhs):
+    """One exact solution of mat * x = rhs, or None if inconsistent.
+
+    Free variables are set to zero, which makes the returned solution
+    deterministic.  ``rhs`` is a sequence of length nrows.
+    """
+    F = mat.field
+    b = [F.coerce(v) for v in rhs]
+    if len(b) != mat.nrows:
+        raise InputError("right-hand side length mismatch")
+    n_cols = mat.ncols
+    rows, pivots = _echelon(F, [row + (bv,) for row, bv in zip(mat.rows, b)])
+    x = [F.pzero] * n_cols
+    # reduced form with free variables at zero: x[c] is row r's rhs, and
+    # a pivot in the rhs column means the system is inconsistent
+    for r, c in pivots:
+        if c == n_cols:
+            return None
+        x[c] = rows[r][n_cols]
+    return [FieldElement(F, v) for v in x]
+
+
+def basis_pairs(B):
+    """The numerator pairs (a, b) of an RRBasis, basis[i] = (a + b*y)/c
+    over its denominator c, sliced from its kernel vectors."""
+    F = B.curve.field
+    return [(Poly(F, v[:B.n_a]), Poly(F, v[B.n_a:])) for v in B.vectors]
+
+
 def solve_coordinates(fn, B):
     """Coordinates of fn in the basis B by one linear solve over the
     cleared-denominator coefficient identities; MembershipError when the
@@ -635,12 +678,13 @@ def solve_coordinates(fn, B):
     # identities after clearing denominators
     A, Bb, C = fn.a, fn.b, fn.c
     den = B.denominator
-    deg_a = max(max(a.degree for a, _ in B.raw_pairs) + C.degree,
+    pairs = basis_pairs(B)
+    deg_a = max(max(a.degree for a, _ in pairs) + C.degree,
                 A.degree + den.degree) + 1
-    deg_b = max(max(b.degree for _, b in B.raw_pairs) + C.degree,
+    deg_b = max(max(b.degree for _, b in pairs) + C.degree,
                 Bb.degree + den.degree) + 1
     cols = []
-    for a, b in B.raw_pairs:
+    for a, b in pairs:
         pa = a * C
         pb = b * C
         cols.append([pa.coeff(i) for i in range(deg_a)]

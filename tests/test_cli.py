@@ -406,6 +406,7 @@ def test_input_errors_exit_one(tree, capsys):
         ["secant", "experiment", tree["curve"], "--n", "3", "--dim", "1",
          "--trials", "1"],
         ["secant", "member", tree["cls"], "--d", "-1"],
+        ["ext", "destab", tree["cls"], "--max-degree", "-3"],
     ]
     for i, obj in enumerate(MALFORMED_CURVES):
         cases.append(["curve", "validate", dump(f"malformed{i}.json", obj)])

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,10 @@ from curvext import (Divisor, ExtensionField, InputError, Poly, PrimeField,
                      divisor_to_json, enumerate_closed_points,
                      enumerate_effective_divisors, make_curve, point_from_json,
                      point_to_json, rr_basis, valuation)
-from curvext.polys import residue_sqrt
-from helpers import (brute_point_count, curve_g1_f5, curve_g1_q, curve_g1w_f3,
-                     curve_g2_f3, curve_g2_f7, curve_g2_f9, curve_g2_q,
+from curvext.polys import iter_monic_irreducible, residue_sqrt
+from helpers import (brute_point_count, brute_residue_sqrts, curve_g1_f5,
+                     curve_g1_q, curve_g1w_f3, curve_g2_f3, curve_g2_f7,
+                     curve_g2_f9, curve_g2_q,
                      curve_g3_f5, effective_divisors_by_recursion, is_effective,
                      is_weierstrass, positive_part, random_divisor,
                      series_expansions, series_residual_vanishes,
@@ -459,6 +461,40 @@ def test_closed_point_guards():
     g1q = curve_g1_q()
     far = point_from_json(g1q, {"xminpoly": [-1000000007, 0, 1], "ybranch": None})
     assert far.kind == "nonsplit" and far.degree == 4
+
+
+@pytest.mark.parametrize("make", [curve_g1_f5, curve_g2_f9])
+def test_nonsplit_requests_are_refused_exactly_where_f_is_a_square(make):
+    """A nonsplit place over xminpoly p of degree 1 or 2 is refused when f
+    is a square modulo p, by a brute-force scan of the residue field, and
+    accepted otherwise; both outcomes occur in each degree."""
+    curve = make()
+    outcomes = Counter()
+    for p in iter_monic_irreducible(curve.field, 2):
+        fbar = curve.f % p
+        if fbar.is_zero():
+            continue
+        square = fbar.coeffs in brute_residue_sqrts(p)
+        if square:
+            with pytest.raises(InputError,
+                               match="f is a square at this place; it splits"):
+                curve.closed_point(p, None)
+        else:
+            assert curve.closed_point(p, None).kind == "nonsplit"
+        outcomes[p.degree, square] += 1
+    assert set(outcomes) == {(d, sq) for d in (1, 2) for sq in (False, True)}
+
+
+def test_nonsplit_requests_over_q_in_degree_one():
+    """y^2 = x^3 + 5/9 x + 4/9 has f(0) = 4/9 = (2/3)^2, f(1) = 2 and
+    f(-1) = -10/9: only the first place splits."""
+    curve = make_curve(Rationals(), [Fraction(4, 9), Fraction(5, 9), 0, 1])
+    with pytest.raises(InputError,
+                       match="f is a rational square at this place; it splits"):
+        curve.point(0, None)
+    assert curve.point(1, None).kind == "nonsplit"
+    assert curve.point(-1, None).kind == "nonsplit"
+    assert curve.point(0, Fraction(-2, 3)).kind == "split"
 
 
 def test_json_round_trips():

@@ -11,7 +11,7 @@ from curvext import (Divisor, ExhaustionError, ExtensionClass, FieldElement,
                      class_from_json, class_to_json, datum_from_json,
                      datum_to_json, det_test, enumerate_closed_points,
                      make_datum, prop1_certificate, rank, search_semistable,
-                     solve, subspace_from_json, valuation)
+                     subspace_from_json, valuation)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity,
                      frac_det, half_class_helper)
@@ -179,14 +179,14 @@ def test_values_from_another_field_are_refused():
     with pytest.raises(InputError):
         ExtensionClass(datum_on_infinity(curve, 4), [seven, 0, 0, 0])
     with pytest.raises(InputError):
-        solve(Matrix(F5, [[1, 0], [0, 1]]), [seven, 0])
+        Matrix(F5, [[1, 0], [seven, 1]])
     with pytest.raises(InputError):
         Poly(F5, [1, 1]).evaluate(seven)
     with pytest.raises(InputError):
         RationalFunction.x(curve) * seven
     # an element of the same field passes as its payload
     assert Poly(F5, [1, 1]).evaluate(F5.element(3)) == 4
-    assert solve(Matrix(F5, [[2]]), [F5.element(4)]) == [F5.element(2)]
+    assert Matrix(F5, [[F5.element(4)]]).rows == ((4,),)
 
 
 def test_exhaustive_equivalences_small():
@@ -256,6 +256,38 @@ def test_unbalanced_twist_mechanics():
         boundary_matrix(e, datum.L + curve.infinity_divisor(1), datum.M)
 
 
+def test_invalid_twists_are_refused_alike():
+    """Each invalid twist (L', M') gets the same refusal from the boundary
+    map, the Prop. 1 certificate and the destabilizer scan: first the
+    degree of M' - L' against n, then its class against N."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 2)
+    inf = curve.infinity_divisor(1)
+    P = Divisor(curve, [(curve.point(0, 1), 1)])
+    e = ExtensionClass(datum, (1, 1))
+    cases = [(datum.L + inf, datum.M, "deg(M') - deg(L') = 1 != n = 2"),
+             (datum.L - inf, datum.M, "deg(M') - deg(L') = 3 != n = 2"),
+             (datum.L, datum.M - inf + P,
+              "M' - L' is not linearly equivalent to N")]
+    for Lp, Mp, want in cases:
+        for entry in (boundary_matrix, prop1_certificate,
+                      brute_force_destabilizer):
+            with pytest.raises(InputError) as exc:
+                entry(e, Lp, Mp)
+            assert str(exc.value) == want, entry.__name__
+
+
+def test_a_reversed_twist_is_refused_before_its_degree():
+    """deg L' > deg M' is refused as such by every twisted entry point,
+    ahead of the degree and class checks."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 2)
+    e = ExtensionClass(datum, (1, 1))
+    for entry in (boundary_matrix, prop1_certificate, brute_force_destabilizer):
+        with pytest.raises(InputError, match="need deg L' <= deg M'"):
+            entry(e, datum.M + datum.N, datum.M)
+
+
 def test_destabilizer_domain_semantics():
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)                  # delta = 4, bound 1
@@ -264,6 +296,8 @@ def test_destabilizer_domain_semantics():
     assert res.found and res.complete and res.max_degree == 1
     capped = brute_force_destabilizer(zero, max_degree=0)
     assert capped.found and not capped.complete          # cap below the bound
+    with pytest.raises(InputError, match="degree cap must be nonnegative"):
+        brute_force_destabilizer(zero, max_degree=-3)
     # explicit candidate domain disables the completeness claim
     dom = brute_force_destabilizer(zero, points=[curve.infinity()])
     assert dom.found and not dom.complete

@@ -1,15 +1,16 @@
-"""Every name a module imports is used by that module, every private
-module-level function or class has a caller, and the package depends on
-the standard library alone.
+"""Every name a module imports is used by that module, every module-level
+function or class has a caller, and the package depends on the standard
+library alone.
 
 No linter is a dependency, so these are standard-library checks: parse
 each module of src/curvext (the package __init__, which re-exports, is
 exempt) and of tests/, and compare its imported names with the names it
 references; look up each module-level ``_private`` function or class of
-src/curvext among the identifiers of src/curvext and tests/ outside its
-own definition; and parse every module of src/curvext, __init__
-included, for imports from outside the standard library and curvext
-itself.
+src/curvext among the identifiers of src/curvext and tests/, and each
+public one among those of src/curvext (its re-exports in __init__ do not
+count), tests/ and perfbench/, outside its own definition; and parse
+every module of src/curvext, __init__ included, for imports from outside
+the standard library and curvext itself.
 """
 
 import ast
@@ -69,10 +70,11 @@ def identifiers(node):
     return found
 
 
-def unreferenced_privates(modules, others=()):
+def unreferenced(modules, others=(), public=False):
     """(module, name) of each module-level _private function or class in
-    modules ({name: source text}) that no text of modules or others
-    references outside its own definition."""
+    modules ({name: source text}), or each public one with public=True,
+    that no text of modules or others references outside its own
+    definition."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
     total = Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
@@ -80,7 +82,8 @@ def unreferenced_privates(modules, others=()):
     return [(name, node.name) for name, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name.startswith("_") != public
+            and not node.name.startswith("__")
             and total[node.name] == identifiers(node)[node.name]]
 
 
@@ -89,14 +92,33 @@ def test_dead_code_guard_flags_an_unreferenced_private():
               "def _called():\n    return 1\nclass _Patched:\n    pass\n"
               "class _Unused:\n    pass\ndef public():\n    return _called()\n")
     test = "monkeypatch.setattr(mod, '_Patched', None)\n"
-    assert unreferenced_privates({"m": module}, [test]) == \
+    assert unreferenced({"m": module}, [test]) == \
         [("m", "_dead"), ("m", "_Unused")]
+
+
+def test_dead_code_guard_flags_an_unreferenced_public_definition():
+    module = ("def orphan(x):\n    return orphan(x - 1) if x else 0\n"
+              "def helper():\n    return 1\ndef entry():\n    return helper()\n"
+              "class Benched:\n    pass\nclass Unused:\n    pass\n"
+              "def _private():\n    pass\n")
+    test = "from m import entry\nentry()\n"
+    bench = "cx.m.Benched()\n"
+    assert unreferenced({"m": module}, [test, bench], public=True) == \
+        [("m", "orphan"), ("m", "Unused")]
 
 
 def test_every_private_definition_has_a_reference():
     modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
     tests = [p.read_text() for p in TESTS.glob("*.py")]
-    assert unreferenced_privates(modules, tests) == []
+    assert unreferenced(modules, tests) == []
+
+
+def test_every_public_definition_has_a_reference():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")
+               if p.name != "__init__.py"}
+    others = [p.read_text() for p in [*TESTS.glob("*.py"),
+                                      *(ROOT / "perfbench").glob("*.py")]]
+    assert unreferenced(modules, others, public=True) == []
 
 
 def foreign_imports(source: str):

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from curvext import (ExtensionField, FieldDescriptor, InputError, Matrix,
-                     PrimeField, Rationals, det, kernel_basis, rank, rref,
-                     solve)
+                     PrimeField, Rationals, det, kernel_basis, rank, rref)
 from helpers import (TinyExt, frac_det, frac_rref, from_columns, modp_rank,
-                     tiny_det, tiny_rref)
+                     solve, tiny_det, tiny_rref)
 
 Q = Rationals()
 F5 = PrimeField(5)

@@ -10,10 +10,11 @@ from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
                      hensel_sqrt)
 from curvext.polys import (_nonsquare_power, iter_monic,
                            iter_monic_irreducible, residue_inverse,
-                           residue_is_square, residue_sqrt)
+                           residue_sqrt)
 from helpers import (_divisors, brute_residue_sqrts, count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
-                     nonsquare_power_by_scan, rabin_monic_irreducible)
+                     nonsquare_power_by_scan, rabin_monic_irreducible,
+                     residue_is_square)
 
 Q = Rationals()
 F5 = PrimeField(5)
