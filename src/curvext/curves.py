@@ -35,7 +35,7 @@ class HyperellipticCurve:
     """y^2 = f(x) with the conventions above.  Build through make_curve."""
 
     __slots__ = ("field", "f", "genus", "label", "_hash", "_rr_cache",
-                 "_lift_cache", "_ladders", "_point_cache")
+                 "_lift_cache", "_ladders")
 
     def __init__(self, field: FieldDescriptor, f: Poly, label: str | None = None):
         self.field = field
@@ -47,7 +47,6 @@ class HyperellipticCurve:
         self._rr_cache = {}
         self._lift_cache = {}
         self._ladders = {}
-        self._point_cache = {}
 
     def __eq__(self, other):
         return other is self or (
@@ -101,9 +100,6 @@ class HyperellipticCurve:
         return CurvePoint(self, "split", p, b)
 
     # -- divisors ---------------------------------------------------------------
-
-    def divisor(self, items) -> "Divisor":
-        return Divisor(self, items)
 
     def infinity_divisor(self, mult: int) -> "Divisor":
         return Divisor(self, [(self.infinity(), mult)])
@@ -396,9 +392,6 @@ def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
         raise InputError("point enumeration requires a finite field")
     if max_degree < 1:
         return []
-    key = ("points", max_degree)
-    if key in curve._point_cache:
-        return curve._point_cache[key]
     out = [curve.infinity()]
     for p in iter_monic_irreducible(curve.field, max_degree):
         fbar = curve.f % p
@@ -412,7 +405,6 @@ def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
         elif 2 * p.degree <= max_degree:
             out.append(CurvePoint(curve, "nonsplit", p, None))
     out.sort(key=lambda pt: pt.key())
-    curve._point_cache[key] = out
     return out
 
 

@@ -32,7 +32,6 @@ from .curves import (Divisor, HyperellipticCurve, curve_from_json,
                      divisor_from_json, divisor_to_json,
                      enumerate_effective_divisors)
 from .errors import ExhaustionError, InputError, InternalError
-from .fields import FieldElement
 from .linalg import Matrix, linear_combination, rank, rref
 from .riemann_roch import (RationalFunction, _subspace_rows, coordinates,
                            is_principal, rr_basis)
@@ -71,7 +70,7 @@ class ExtensionDatum:
         """Payload coordinates of fn in the normalized basis of L(N+K),
         the vector a class pairs with; MembershipError if fn is not in
         L(N+K)."""
-        return tuple(v.payload for v in coordinates(fn, self.basis_NK))
+        return tuple(coordinates(fn, self.basis_NK))
 
     def span_rows(self, D: Divisor) -> list:
         """The rows R_D for an effective D: payload functionals on L(N+K)
@@ -191,9 +190,10 @@ class ExtensionClass:
     def zero(cls, datum):
         return cls(datum, [datum.curve.field.pzero] * datum.class_dim)
 
-    def evaluate(self, fn: RationalFunction) -> FieldElement:
+    def evaluate(self, fn: RationalFunction):
+        """The class on fn, as a payload."""
         F = self.datum.curve.field
-        return FieldElement(F, F.dot(self.coords, self.datum.nk_coordinates(fn)))
+        return F.dot(self.coords, self.datum.nk_coordinates(fn))
 
     def is_zero(self) -> bool:
         return all(map(self.datum.curve.field.is_zero, self.coords))
@@ -244,7 +244,7 @@ def boundary_matrix(e: ExtensionClass, Lp: Divisor | None = None,
     curve = e.datum.curve
     S = rr_basis(curve, Mp)
     T = rr_basis(curve, curve.canonical_divisor() - Lp)
-    rows = [[e.evaluate(su * t).payload for t in T.basis]
+    rows = [[e.evaluate(su * t) for t in T.basis]
             for su in (s * up for s in S.basis)]
     return BoundaryMatrix(Matrix._trusted(curve.field, rows, T.dim), S, T, up)
 
@@ -370,7 +370,7 @@ def _reverify_annihilation(e: ExtensionClass, B, multiplier):
     F = e.datum.curve.field
     for w in B.basis:
         fn = w if multiplier is None else w * multiplier
-        if not F.is_zero(e.evaluate(fn).payload):
+        if not F.is_zero(e.evaluate(fn)):
             raise InternalError("annihilation witness failed re-verification")
 
 
@@ -382,13 +382,13 @@ class SearchResult:
     examined: int
 
 
-def search_semistable(V, box: int | None = None) -> SearchResult:
+def search_semistable(V) -> SearchResult:
     """First class in the integer box with a nonzero boundary determinant.
 
     V is a list of linearly independent ExtensionClass over one datum.
     Candidates e = sum n_i V_i are scanned with increasing max-norm of
-    (n_1..n_k), lexicographically within each shell; the default box
-    bound is m.  Exhausting the box raises; over characteristic 0 with
+    (n_1..n_k), lexicographically within each shell; the box bound is
+    m.  Exhausting the box raises; over characteristic 0 with
     dim V >= n - m + g that indicates a bug, not bad luck.
     """
     if not V:
@@ -402,8 +402,7 @@ def search_semistable(V, box: int | None = None) -> SearchResult:
     vecs = [e.coords for e in V]
     if rank(Matrix._trusted(F, vecs, datum.class_dim)) != k:
         raise InputError("classes are not linearly independent")
-    if box is None:
-        box = datum.m
+    box = datum.m
     examined = 0
     for r in range(box + 1):
         for tup in _iproduct(range(-r, r + 1), repeat=k):

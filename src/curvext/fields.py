@@ -15,9 +15,9 @@ irreducibility test are polynomial operations from ``polys``.
 
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
-wrapper overhead.  ``FieldElement`` wraps one payload with operator
-overloading for everything else.  Four payload kernels carry the hot
-paths:
+wrapper overhead.  Library functions return payloads; ``F.element(v)``
+wraps one in a ``FieldElement``, the caller's wrapper with operator
+overloading.  Four payload kernels carry the hot paths:
 
 * ``dot``, the inner product of two payload sequences, on every
   descriptor.  The base class folds ``add`` and ``mul`` (Q and F_{p^k}

@@ -1,18 +1,19 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Rank, determinant, solving and kernel bases, all from one forward pass
-per payload representation.  Over Q it is fraction-free (Bareiss
-recurrence on integer-scaled rows) to keep entries at determinant size;
-rows that are all ints, as the Riemann-Roch constraint rows over Q are,
-go in as they are, and only Fraction rows are scaled row by row;
-over finite fields it is ordinary elimination below each pivot.  Rank
-reads the pivots of that pass, and so does the descriptor's ``det``
-kernel beyond its closed forms (``det`` here calls that kernel on the
-row-major entries).  rref, kernel bases and solving share one
-back-substitution to the reduced form, which is unique, so the choice
-of forward pass never shows in their results.
-Pivoting is deterministic: the first row with a nonzero entry, scanning
-columns left to right, so results are reproducible across runs.
+A ``Matrix`` holds payloads, and every result is payloads (``det`` one,
+``kernel_basis`` lists of them).  Rank, determinant, rref and kernel
+bases come from one forward pass per payload representation.  Over Q it
+is fraction-free (Bareiss recurrence on integer-scaled rows) to keep
+entries at determinant size; rows that are all ints, as the Riemann-Roch
+constraint rows over Q are, go in as they are, and only Fraction rows
+are scaled row by row; over finite fields it is ordinary elimination
+below each pivot.  Rank reads the pivots of that pass, and so does the
+descriptor's ``det`` kernel beyond its closed forms (``det`` here calls
+that kernel on the row-major entries).  rref and kernel bases share one
+back-substitution to the reduced form, which is unique, so the choice of
+forward pass never shows in their results.  Pivoting is deterministic:
+the first row with a nonzero entry, scanning columns left to right, so
+results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class Matrix:
         mat.nrows = len(mat.rows)
         mat.ncols = ncols
         return mat
-
-    def entry(self, i, j) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
@@ -210,13 +208,11 @@ def rank(mat: Matrix) -> int:
     return len(_forward(mat.field, mat.rows)[1])
 
 
-def det(mat: Matrix) -> FieldElement:
-    """Determinant of a square matrix; det of the empty 0x0 matrix is 1."""
+def det(mat: Matrix):
+    """Payload determinant of a square matrix; the empty 0x0 one has 1."""
     if mat.nrows != mat.ncols:
         raise InputError("determinant of a non-square matrix")
-    F = mat.field
-    return FieldElement(F, F.det([v for row in mat.rows for v in row],
-                                 mat.nrows))
+    return mat.field.det([v for row in mat.rows for v in row], mat.nrows)
 
 
 def kernel_basis(mat: Matrix):
@@ -239,7 +235,7 @@ def kernel_basis(mat: Matrix):
         v[j] = F.pone
         for r, c in pivots:
             v[c] = F.neg(rows[r][j])
-        basis.append([FieldElement(F, x) for x in v])
+        basis.append(v)
     return basis
 
 

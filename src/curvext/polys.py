@@ -153,12 +153,6 @@ class Poly:
             e >>= 1
         return out
 
-    def shift(self, k: int):
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.pzero] * k + list(self.coeffs))
-
     def divmod(self, other: "Poly"):
         self._check_field(other)
         F = self.field

@@ -43,9 +43,12 @@ from functools import cached_property
 
 from .curves import Divisor, HyperellipticCurve, _branch_lift, _xpower
 from .errors import InputError, MembershipError
-from .fields import FieldElement, Rationals
+from .fields import Rationals
 from .linalg import Matrix, kernel_basis, linear_combination, rank
 from .polys import Poly
+
+# a larger ansatz of L(D) is refused before anything is built for it
+MAX_ANSATZ_COLUMNS = 10_000
 
 
 class RationalFunction:
@@ -322,12 +325,15 @@ def _ansatz(curve: HyperellipticCurve, D: Divisor):
     g = curve.genus
     degc = sum(k * p.degree for p, k in ords.items())
     m_inf = D.multiplicity(curve.infinity())
+    n_a = degc + m_inf // 2 + 1
+    n_b = max(degc + (m_inf - (2 * g + 1)) // 2 + 1, 0)
+    if n_a + n_b > MAX_ANSATZ_COLUMNS:
+        raise InputError(f"L(D) needs {n_a + n_b} ansatz columns, more "
+                         f"than the limit of {MAX_ANSATZ_COLUMNS}")
     # pole orders at infinity of the columns x^j (a) and x^j*y (b),
     # all distinct, so sorting by them orders the columns totally
-    poles = [2 * j - 2 * degc for j in range(degc + m_inf // 2 + 1)]
-    n_a = len(poles)
-    poles += [2 * j + 2 * g + 1 - 2 * degc
-              for j in range(degc + (m_inf - (2 * g + 1)) // 2 + 1)]
+    poles = [2 * j - 2 * degc for j in range(n_a)]
+    poles += [2 * j + 2 * g + 1 - 2 * degc for j in range(n_b)]
     order = sorted(range(len(poles)), key=poles.__getitem__)
     rows = []
     req = _constraint_points(D, ords)
@@ -388,9 +394,9 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
         for vec in kernel_basis(Matrix._trusted(F, rows, len(order))):
             coeffs = [None] * len(order)
             for j, v in zip(order, vec):
-                coeffs[j] = v.payload
+                coeffs[j] = v
             vectors.append(tuple(coeffs))
-            top = max(t for t, v in enumerate(vec) if not F.is_zero(v.payload))
+            top = max(t for t, v in enumerate(vec) if not F.is_zero(v))
             pole_orders.append(poles[order[top]])
     c = _ansatz_denominator(curve, ords) if vectors else Poly.one(F)
     out = RRBasis(curve, D, len(vectors), c, n_a, tuple(vectors),
@@ -416,7 +422,7 @@ def h1(curve: HyperellipticCurve, D: Divisor) -> int:
 
 
 def coordinates(fn: RationalFunction, B: RRBasis):
-    """Exact coordinates of fn in B, read off the normal form.
+    """Exact coordinates of fn in B as payloads, read off the normal form.
 
     Over the basis denominator den, fn = (a + b*y)/c has the numerator
     pair (qa, qb) = (a*den, b*den)/c, which must divide exactly.  Element
@@ -429,7 +435,7 @@ def coordinates(fn: RationalFunction, B: RRBasis):
         raise InputError("function on a different curve")
     F = fn.curve.field
     if fn.is_zero():
-        return [FieldElement(F, F.pzero)] * B.dim
+        return [F.pzero] * B.dim
     if B.dim == 0:
         raise MembershipError("nonzero function against an empty basis")
     den = B.denominator
@@ -447,7 +453,7 @@ def coordinates(fn: RationalFunction, B: RRBasis):
             != [qa.coeff(k) for k in range(n_a)]
             + [qb.coeff(k) for k in range(width - n_a)]):
         raise MembershipError(f"{fn!r} is not in the span of the basis")
-    return [FieldElement(F, t) for t in ts]
+    return ts
 
 
 @dataclass

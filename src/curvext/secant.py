@@ -25,6 +25,8 @@ from .errors import InputError
 from .extensions import ExtensionClass, ExtensionDatum, _witness_scan
 from .linalg import Matrix, linear_combination, rank, rref
 
+HEIGHT = 9      # frames over Q draw their entries from [-HEIGHT, HEIGHT]
+
 
 @dataclass(frozen=True)
 class SecantResult:
@@ -134,14 +136,14 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _sample_frame(F, rng, s: int, width: int, height: int = 9):
+def _sample_frame(F, rng, s: int, width: int):
     """Full-rank s x width payload rows.  Finite fields draw entries
     uniformly; over the rationals entries come from the integer box
-    [-height, height]."""
+    [-HEIGHT, HEIGHT]."""
     q = F.order()
     if q is None:
         def draw():
-            return F.coerce(rng.randint(-height, height))
+            return F.coerce(rng.randint(-HEIGHT, HEIGHT))
     else:
         p = F.characteristic()
         k = 1
@@ -158,19 +160,18 @@ def _sample_frame(F, rng, s: int, width: int, height: int = 9):
             return rows
 
 
-def sample_subspace(datum: ExtensionDatum, s: int, seed: int,
-                    height: int = 9):
+def sample_subspace(datum: ExtensionDatum, s: int, seed: int):
     """Seeded full-rank s-frame in class space, as ExtensionClass list.
 
     Finite fields draw entries uniformly; over the rationals entries
-    come from the integer box [-height, height].  Rank-deficient draws
+    come from the integer box [-HEIGHT, HEIGHT].  Rank-deficient draws
     are rejected and redrawn, so the frame is always independent.
     """
     if s < 1 or s > datum.class_dim:
         raise InputError(
             f"subspace dimension {s} outside 1..{datum.class_dim}")
     rng = random.Random(_trial_seed(seed, 0))
-    rows = _sample_frame(datum.curve.field, rng, s, datum.class_dim, height)
+    rows = _sample_frame(datum.curve.field, rng, s, datum.class_dim)
     return [ExtensionClass(datum, row) for row in rows]
 
 
@@ -203,27 +204,22 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
     table = secant_table(datum, d)
     payloads = list(F.iter_payloads())
     width = datum.class_dim
-
-    def run_trial(trial: int) -> tuple:
-        rng = random.Random(_trial_seed(seed, trial))
-        frame = _sample_frame(F, rng, s, width)
-        examined = 0
-        violations = 0
+    outcomes = []
+    violations = 0
+    for trial in range(trials):
+        frame = _sample_frame(F, random.Random(_trial_seed(seed, trial)),
+                              s, width)
         witness = None
-        for cs in _iproduct(payloads, repeat=s):
+        for examined, cs in enumerate(_iproduct(payloads, repeat=s), 1):
             coords = tuple(linear_combination(F, cs, frame, width))
-            examined += 1
             member = coords in table
             if not F.is_zero(datum.det_payload(coords)) and member:
                 violations += 1
             if not member:
                 witness = coords
                 break
-        return TrialOutcome(trial, witness is not None, examined, witness), violations
-
-    raw = [run_trial(t) for t in range(trials)]
-    outcomes = tuple(out for out, _ in raw)
-    violations = sum(v for _, v in raw)
+        outcomes.append(TrialOutcome(trial, witness is not None, examined,
+                                     witness))
     successes = sum(1 for out in outcomes if out.success)
     return OffsecantReport(
         q=F.order(), n=datum.n, g=curve.genus, m=datum.m, s=s, d=d,
@@ -231,4 +227,4 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
         hypothesis_met=s >= datum.n - datum.m + curve.genus,
         successes=successes, failures=trials - successes,
         examined_total=sum(out.examined for out in outcomes),
-        violations=violations, outcomes=outcomes)
+        violations=violations, outcomes=tuple(outcomes))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import itertools
 import random
 
-from curvext import (Divisor, ExtensionClass, ExtensionField, FieldElement,
+from curvext import (Divisor, ExtensionClass, ExtensionField,
                      InputError, Matrix, MembershipError, Poly, PrimeField,
                      RationalFunction, Rationals, coordinates,
                      enumerate_effective_divisors, is_principal,
@@ -148,7 +148,8 @@ def skew_reverification(monkeypatch, j):
 
     def coordinates(fn, B):
         if skewing:
-            return [B.curve.field.element(int(i == j)) for i in range(B.dim)]
+            F = B.curve.field
+            return [F.pone if i == j else F.pzero for i in range(B.dim)]
         return exact(fn, B)
 
     def second_opinion(*args):
@@ -223,8 +224,7 @@ def secant_table_by_kernel(datum, d):
     for D in enumerate_effective_divisors(datum.curve, d):
         rows = [datum.nk_coordinates(w)
                 for w in rr_basis(datum.curve, NK - D).basis]
-        ker = kernel_basis(Matrix(F, rows, datum.class_dim))
-        kvecs = [tuple(v.payload for v in vec) for vec in ker]
+        kvecs = kernel_basis(Matrix(F, rows, datum.class_dim))
         for cs in itertools.product(payloads, repeat=len(kvecs)):
             members.add(tuple(linear_combination(F, cs, kvecs,
                                                  datum.class_dim)))
@@ -655,7 +655,7 @@ def solve(mat, rhs):
         if c == n_cols:
             return None
         x[c] = rows[r][n_cols]
-    return [FieldElement(F, v) for v in x]
+    return x
 
 
 def basis_pairs(B):
@@ -671,7 +671,7 @@ def solve_coordinates(fn, B):
     system is inconsistent.  Reads nothing off the normal form."""
     F = fn.curve.field
     if fn.is_zero():
-        return [FieldElement(F, F.pzero)] * B.dim
+        return [F.pzero] * B.dim
     if B.dim == 0:
         raise MembershipError("nonzero function against an empty basis")
     # sum_i t_i (a_i + b_i y)/den = (A + B y)/C  <=>  componentwise poly

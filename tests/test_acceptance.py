@@ -134,9 +134,9 @@ def _destabilized_classes(datum, max_deg):
     payloads = list(F.iter_payloads())
     killed = set()
     for D in enumerate_effective_divisors(curve, max_deg):
-        rows = [[c.payload for c in coordinates(datum.u * w, datum.basis_NK)]
+        rows = [coordinates(datum.u * w, datum.basis_NK)
                 for w in rr_basis(curve, NK - D).basis]
-        vecs = [[v.payload for v in k] for k in kernel_basis(Matrix(F, rows))]
+        vecs = kernel_basis(Matrix(F, rows))
         for combo in product(payloads, repeat=len(vecs)):
             acc = [F.pzero] * datum.class_dim
             for t, vec in zip(combo, vecs):

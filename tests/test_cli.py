@@ -480,12 +480,12 @@ def test_inputs_echo_survives_handler_errors(tree, capsys):
     assert report["inputs"]["divisor"] == [{"point": "infinity", "mult": "x"}]
 
 
-def run_child(command, argv):
+def run_child(command, argv, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(command + argv, capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=env, timeout=timeout)
 
 
 DELTA0 = ["bounds", "delta0", "--n", "4", "--g", "1", "--m", "2"]
@@ -514,6 +514,29 @@ def test_module_run_matches_in_process(tree, capsys):
         proc = run_child(MODULE, argv)
         assert proc.returncode == code, argv
         assert proc.stdout == out, argv
+
+
+def test_oversized_divisors_are_refused_before_they_allocate(tree):
+    """A divisor whose Riemann-Roch ansatz would pass MAX_ANSATZ_COLUMNS
+    is refused with exit 1 and one report before anything is built for
+    it.  The child runs under a 1 GiB address-space cap and a timeout,
+    so a regression fails fast instead of filling the host's memory."""
+    capped = [sys.executable, "-c",
+              "import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from curvext.cli import main\n"
+              "sys.exit(main())\n"]
+    huge = json.dumps([{"point": "infinity", "mult": 10 ** 30}])
+    cases = [["rr", "basis", tree["curve"], "--divisor", huge],
+             ["bounds", "m", tree["curve"], "--divisor", huge],
+             ["secant", "experiment", tree["curve"], "--n", str(10 ** 18),
+              "--dim", "1", "--trials", "1"]]
+    for argv in cases:
+        proc = run_child(capped, argv, timeout=20)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        result = json.loads(proc.stdout)["result"]
+        assert result["status"] == "input-error"
+        assert "ansatz columns" in result["message"]
 
 
 def test_console_script_is_declared():

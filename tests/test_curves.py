@@ -118,11 +118,13 @@ def test_enumeration_over_larger_primes():
         assert r == min(b, (-b) % p, key=lambda y: (y.coeff(0), y.coeff(1)))
 
 
-def test_point_list_is_sorted_and_cached():
+def test_point_list_is_sorted_and_unshared():
     curve = curve_g1_f5()
     pts = enumerate_closed_points(curve, 2)
     assert [pt.key() for pt in pts] == sorted(pt.key() for pt in pts)
-    assert enumerate_closed_points(curve, 2) is pts
+    # each call hands back its own list, so no caller edits another's
+    again = enumerate_closed_points(curve, 2)
+    assert again == pts and again is not pts
     assert all(pt.degree <= 2 for pt in pts)
     # split places come in conjugate pairs, everything else is self-conjugate
     for pt in pts:

@@ -1,6 +1,6 @@
 """Every name a module imports is used by that module, every module-level
-function or class has a caller, and the package depends on the standard
-library alone.
+function or class and every method has a caller, and the package depends
+on the standard library alone.
 
 No linter is a dependency, so these are standard-library checks: parse
 each module of src/curvext (the package __init__, which re-exports, is
@@ -8,9 +8,11 @@ exempt) and of tests/, and compare its imported names with the names it
 references; look up each module-level ``_private`` function or class of
 src/curvext among the identifiers of src/curvext and tests/, and each
 public one among those of src/curvext (its re-exports in __init__ do not
-count), tests/ and perfbench/, outside its own definition; and parse
-every module of src/curvext, __init__ included, for imports from outside
-the standard library and curvext itself.
+count), tests/ and perfbench/, outside its own definition; look up each
+non-dunder method of a class of src/curvext among the attribute
+references of src/curvext, tests/ and perfbench/, outside its own
+definition; and parse every module of src/curvext, __init__ included,
+for imports from outside the standard library and curvext itself.
 """
 
 import ast
@@ -87,6 +89,26 @@ def unreferenced(modules, others=(), public=False):
             and total[node.name] == identifiers(node)[node.name]]
 
 
+def unreferenced_methods(modules, others=()):
+    """(module, "Class.method") of each non-dunder method of a
+    module-level class in modules ({name: source text}) that no text of
+    modules or others references as an attribute, ``.method``, outside
+    its own definition."""
+    def attributes(node):
+        return Counter(sub.attr for sub in ast.walk(node)
+                       if isinstance(sub, ast.Attribute))
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        total.update(attributes(tree))
+    return [(name, f"{cls.name}.{node.name}")
+            for name, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and total[node.name] == attributes(node)[node.name]]
+
+
 def test_dead_code_guard_flags_an_unreferenced_private():
     module = ("def _dead(x):\n    return _dead(x - 1) if x else 0\n"
               "def _called():\n    return 1\nclass _Patched:\n    pass\n"
@@ -119,6 +141,25 @@ def test_every_public_definition_has_a_reference():
     others = [p.read_text() for p in [*TESTS.glob("*.py"),
                                       *(ROOT / "perfbench").glob("*.py")]]
     assert unreferenced(modules, others, public=True) == []
+
+
+def test_dead_code_guard_flags_an_unreferenced_method():
+    module = ("class A:\n    def entry(self):\n        return self._helper()\n"
+              "    def _helper(self):\n        return 1\n"
+              "    def dead(self, n):\n        return self.dead(n - 1) if n else 0\n"
+              "    def named(self):\n        pass\n"
+              "    @property\n    def size(self):\n        return 0\n"
+              "    def __len__(self):\n        return 0\n")
+    test = "a = A()\na.entry()\nassert a.size == len(a)\nnamed = 1\n"
+    assert unreferenced_methods({"m": module}, [test]) == \
+        [("m", "A.dead"), ("m", "A.named")]
+
+
+def test_every_method_has_a_reference():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    others = [p.read_text() for p in [*TESTS.glob("*.py"),
+                                      *(ROOT / "perfbench").glob("*.py")]]
+    assert unreferenced_methods(modules, others) == []
 
 
 def foreign_imports(source: str):

@@ -380,10 +380,10 @@ def test_sample_subspace_is_seeded_and_full_rank():
         sample_subspace(datum, datum.class_dim + 1, seed=1)
 
     qdatum = datum_on_infinity(curve_g1_q(), 4)
-    frame = sample_subspace(qdatum, 2, seed=5, height=4)
+    frame = sample_subspace(qdatum, 2, seed=5)
     for e in frame:
         for v in e.coords:
-            assert v.denominator == 1 and abs(v) <= 4
+            assert v.denominator == 1 and abs(v) <= 9
 
 
 def test_offsecant_experiment_reports():
