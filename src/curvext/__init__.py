@@ -16,8 +16,8 @@ from .curves import (CurvePoint, Divisor, HyperellipticCurve, curve_from_json,
                      make_curve, point_from_json, point_to_json, valuation)
 from .errors import (CurvextError, ExhaustionError, InputError, InternalError,
                      MembershipError, NotApplicable)
-from .extensions import (BoundaryMatrix, DestabilizerResult, ExtensionClass,
-                         ExtensionDatum, Prop1Certificate, SearchResult,
+from .extensions import (BoundaryMatrix, ExtensionClass, ExtensionDatum,
+                         Prop1Certificate, ScanResult, SearchResult,
                          boundary_matrix, brute_force_destabilizer,
                          class_from_json, class_to_json, datum_from_json,
                          datum_to_json, det_test, make_datum,
@@ -30,8 +30,8 @@ from .polys import Poly, hensel_sqrt, iter_monic, iter_monic_irreducible
 from .riemann_roch import (PrincipalityResult, RationalFunction, RRBasis,
                            coordinates, function_to_json, h0, h1,
                            is_principal, rr_basis)
-from .secant import (OffsecantReport, SecantResult, offsecant_experiment,
-                     sample_subspace, secant_member, secant_table)
+from .secant import (OffsecantReport, offsecant_experiment, sample_subspace,
+                     secant_member, secant_table)
 
 __version__ = "0.1.0"
 

@@ -148,7 +148,7 @@ def _cmd_ext_destab(args, inputs):
         inputs["max_degree"] = args.max_degree
     res = brute_force_destabilizer(e, max_degree=args.max_degree, points=points)
     result = {"status": "ok", "found": res.found, "examined": res.examined,
-              "complete": res.complete, "max_degree": res.max_degree}
+              "complete": res.complete, "max_degree": res.bound}
     witnesses = [divisor_to_json(res.witness)] if res.found else []
     return result, witnesses, {"examined": res.examined}
 
@@ -159,9 +159,9 @@ def _cmd_secant_member(args, inputs):
         inputs["d"] = args.d
     e = _load_class(args.file)
     res = secant_member(e, args.d)
-    result = {"status": "ok", "member": res.member, "d": res.d,
+    result = {"status": "ok", "member": res.found, "d": res.bound,
               "examined": res.examined, "complete": res.complete}
-    witnesses = [divisor_to_json(res.witness)] if res.member else []
+    witnesses = [divisor_to_json(res.witness)] if res.found else []
     return result, witnesses, {"examined": res.examined}
 
 

@@ -24,6 +24,8 @@ places.  No series and no precision policy are involved.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import InputError
 from .fields import FieldDescriptor, field_from_json, field_to_json
 from .polys import Poly, hensel_sqrt, iter_monic_irreducible, residue_sqrt
@@ -414,9 +416,11 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
 
     Deterministic order: total degree ascending; within a degree,
     lexicographic in the multiplicity vector over the key-sorted point
-    list (so supports built from later points come first).  ``points``
-    restricts the support to an explicit candidate list, which is also
-    the only mode available over infinite fields.
+    list (so supports built from later points come first).  The
+    recursion depth is the support size, at most the total degree, and
+    only points of degree <= total are read.  ``points`` restricts the
+    support to an explicit candidate list, which is also the only mode
+    available over infinite fields.
     """
     if points is None:
         pts = enumerate_closed_points(curve, max_degree)
@@ -427,32 +431,20 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
                 raise InputError("candidate point from a different curve")
     degs = [pt.degree for pt in pts]
 
-    def supports(total):
-        # depth-first over the multiplicity vectors in lexicographic order,
-        # on an explicit stack: one [m, degree left before m] frame per
-        # point decided, and no descent once no degree is left, since the
-        # remaining multiplicities can then only be zero
-        frames = []
-        remaining = total
-        while True:
-            if remaining == 0:
-                yield [(pts[i], m) for i, (m, _) in enumerate(frames) if m]
-            elif len(frames) < len(pts):
-                frames.append([0, remaining])
-                continue
-            while frames:
-                i = len(frames) - 1
-                m, before = frames[i]
-                if (m + 1) * degs[i] <= before:
-                    frames[i][0] = m + 1
-                    remaining = before - (m + 1) * degs[i]
-                    break
-                frames.pop()
-            else:
-                return
+    def supports(i, total):
+        # the first point of the support is the latest one that fits,
+        # then earlier ones down to pts[i]; its multiplicity ascends, and
+        # the rest of the support lies after it
+        if total == 0:
+            yield []
+            return
+        for j in range(bisect_right(degs, total) - 1, i - 1, -1):
+            for m in range(1, total // degs[j] + 1):
+                for rest in supports(j + 1, total - m * degs[j]):
+                    yield [(pts[j], m)] + rest
 
     for total in range(max_degree + 1):
-        for items in supports(total):
+        for items in supports(0, total):
             yield Divisor(curve, items)
 
 

@@ -296,22 +296,10 @@ def det_test(e: ExtensionClass) -> bool:
     return not F.is_zero(e.datum.det_payload(e.coords))
 
 
-@dataclass(frozen=True)
-class DestabilizerResult:
-    witness: Divisor | None
-    examined: int
-    complete: bool
-    max_degree: int
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
 def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
                              Mp: Divisor | None = None,
                              max_degree: int | None = None,
-                             points=None) -> DestabilizerResult:
+                             points=None) -> ScanResult:
     """Search for a destabilizing sub-line bundle of the twisted extension.
 
     A witness is an effective D with deg D < (deg M' - deg L')/2 such
@@ -330,37 +318,50 @@ def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
     delta = Mp.degree - Lp.degree
     full_bound = (delta - 1) // 2     # deg D < delta/2, strict slope
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
-    complete = points is None and bound == full_bound
-    D, examined = _witness_scan(e, bound, curve.canonical_divisor() - Lp + Mp,
-                                up, points)
-    return DestabilizerResult(D, examined, complete, bound)
+    return _witness_scan(e, bound, curve.canonical_divisor() - Lp + Mp,
+                         up, points, bound == full_bound)
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """A witness scan's verdict: the first annihilating divisor of degree
+    <= bound, or None; complete when no candidate list or degree cap
+    narrowed the scan below the question it answers."""
+    witness: Divisor | None
+    bound: int
+    examined: int
+    complete: bool
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
 
 
 def _witness_scan(e: ExtensionClass, bound: int, base: Divisor,
-                  multiplier: RationalFunction | None = None, points=None):
+                  multiplier: RationalFunction | None = None, points=None,
+                  complete: bool = True) -> ScanResult:
     """First effective D of degree <= bound, in divisor enumeration
     order, such that e kills L(N+K - D): e lies in the row span of R_D.
 
     base and the multiplier only name the re-verifier's route: the
     multiplier must map L(base - D) onto L(N+K - D), and None stands for
-    1.  Returns (D or None, number of divisors examined).  A hit is
+    1.  A scan over candidate points is never complete.  A hit is
     re-verified before it is returned.
     """
     datum = e.datum
     curve = datum.curve
     F = curve.field
     width = datum.class_dim
+    complete = complete and points is None
     examined = 0
-    if bound < 0:
-        return None, examined
     for D in enumerate_effective_divisors(curve, bound, points=points):
         examined += 1
         rows = datum.span_rows(D)
         if rank(Matrix._trusted(F, rows + [e.coords], width)) == \
                 rank(Matrix._trusted(F, rows, width)):
             _reverify_annihilation(e, rr_basis(curve, base - D), multiplier)
-            return D, examined
-    return None, examined
+            return ScanResult(D, bound, examined, complete)
+    return ScanResult(None, bound, examined, complete)
 
 
 def _reverify_annihilation(e: ExtensionClass, B, multiplier):

@@ -25,11 +25,10 @@ overloading.  Four payload kernels carry the hot paths:
   once, so each boundary-matrix entry, functional value and linear
   combination column costs one ``% p``.
 * ``det``, the determinant of an m x m matrix given as m*m row-major
-  payload entries, on every descriptor.  The base class takes the
-  closed cofactor forms up to 3x3 through ``add``/``sub``/``mul`` and
-  the forward pass of ``linalg`` beyond; ``PrimeField`` computes up to
-  4x4 on raw ints with one ``% p`` per determinant, which is what each
-  extension-class decision costs.
+  payload entries, on every descriptor.  The base class answers 0x0
+  and 1x1 directly and runs the forward pass of ``linalg`` from 2x2
+  on; ``PrimeField`` computes up to 4x4 on raw ints with one ``% p``
+  per determinant, which is what each extension-class decision costs.
 * ``axpy``, the row update ``a[k] - t*b[k]`` over paired payloads, on
   every descriptor.  The base class folds ``sub`` and ``mul``;
   ``PrimeField`` reduces each raw int entry once.  Elimination and the

@@ -49,6 +49,9 @@ from .polys import Poly
 
 # a larger ansatz of L(D) is refused before anything is built for it
 MAX_ANSATZ_COLUMNS = 10_000
+# rr_basis refuses D when (deg D + 1) * columns, a bound on the payloads
+# of its basis since h0(D) <= deg D + 1, exceeds this
+MAX_BASIS_ENTRIES = 10_000_000
 
 
 class RationalFunction:
@@ -149,10 +152,6 @@ class RationalFunction:
         return RationalFunction(self.curve, a, b, self.c * other.c)
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        """y -> -y."""
-        return RationalFunction(self.curve, self.a, -self.b, self.c)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -388,6 +387,10 @@ def rr_basis(curve: HyperellipticCurve, D: Divisor) -> RRBasis:
     # ansatz has at least the column a_0
     if D.degree >= 0:
         ords, poles, n_a, order, rows = _ansatz(curve, D)
+        size = (D.degree + 1) * len(order)
+        if size > MAX_BASIS_ENTRIES:
+            raise InputError(f"a basis of L(D) may hold {size} entries, "
+                             f"more than the limit of {MAX_BASIS_ENTRIES}")
         # kernel_basis gives free column j a vector with 1 at j, 0 at the
         # other free columns and nonzeros only left of j: j is its
         # highest-pole monomial, and the vectors are the normal form

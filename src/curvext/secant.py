@@ -20,28 +20,17 @@ import random
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
-from .curves import Divisor, enumerate_effective_divisors
+from .curves import enumerate_effective_divisors
 from .errors import InputError
-from .extensions import ExtensionClass, ExtensionDatum, _witness_scan
+from .extensions import (ExtensionClass, ExtensionDatum, ScanResult,
+                         _witness_scan)
 from .linalg import Matrix, linear_combination, rank, rref
 
 HEIGHT = 9      # frames over Q draw their entries from [-HEIGHT, HEIGHT]
 
 
-@dataclass(frozen=True)
-class SecantResult:
-    witness: Divisor | None
-    d: int
-    examined: int
-    complete: bool
-
-    @property
-    def member(self) -> bool:
-        return self.witness is not None
-
-
 def secant_member(e: ExtensionClass, d: int | None = None,
-                  points=None) -> SecantResult:
+                  points=None) -> ScanResult:
     """Decide e in Sigma_d, returning the smallest witness divisor.
 
     d defaults to the datum's own index n/2 - 1 when n >= 2.  Witnesses
@@ -58,9 +47,8 @@ def secant_member(e: ExtensionClass, d: int | None = None,
         raise InputError("secant index must be nonnegative")
     if points is None and datum.curve.field.order() is None:
         raise InputError("infinite base field: supply candidate points")
-    D, examined = _witness_scan(e, d, datum.N + datum.curve.canonical_divisor(),
-                                points=points)
-    return SecantResult(D, d, examined, points is None)
+    return _witness_scan(e, d, datum.N + datum.curve.canonical_divisor(),
+                         points=points)
 
 
 def secant_table(datum: ExtensionDatum, d: int) -> frozenset:

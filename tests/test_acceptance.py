@@ -164,7 +164,7 @@ def _chain_spot_checks(datum, table, marked):
         nonzero = det_test(e)
         cert = prop1_certificate(e)
         assert (cert.status == "certified-semistable") == nonzero
-        assert secant_member(e).member == (coords in table)
+        assert secant_member(e).found == (coords in table)
         res = brute_force_destabilizer(e)
         assert res.complete
         assert res.found == (coords in marked)

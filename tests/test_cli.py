@@ -11,6 +11,7 @@ subprocess startup would dominate the suite.
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -321,6 +322,99 @@ def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):
     assert catalog["entries"] and differ == []
 
 
+# values a mutant puts where the catalog has another JSON type, and field
+# specs that name no field; ints stay small, so no mutant asks for a size
+# that only the allocation would refuse
+WRONG_TYPES = ["x", None, True, 1.5, [], {}, [[]], {"k": 1}]
+BAD_FIELDS = [{"Fp": 4}, {"Fp": "5"}, {"Fp": 2}, {"Fp": -5}, {"Fp": 5.0},
+              {"Fpk": {"p": 5}}, {"Fpk": {"p": 5, "minpoly": [1, 1]}},
+              {"Fpk": {"p": 4, "minpoly": [3, 0, 1]}}, "R", {}]
+
+
+def _json_paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield from _json_paths(v, path + (k,))
+
+
+def _mutate_json(obj, rng):
+    """A deep copy of obj with one node given a wrong type, dropped, made
+    a small negative int, or, under a "field" key, a bad field spec."""
+    obj = json.loads(json.dumps(obj))
+    path = rng.choice(list(_json_paths(obj)))
+    if not path:
+        return rng.choice(WRONG_TYPES)
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    op = "field" if path[-1] == "field" else rng.choice(["type", "drop", "neg"])
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = (rng.choice(BAD_FIELDS) if op == "field"
+                            else rng.choice(WRONG_TYPES) if op == "type"
+                            else -rng.randint(1, 3))
+    return obj
+
+
+def _mutate_argv(argv, files, work, rng):
+    """argv with one token mutated: an int becomes a small negative int
+    or a non-int, inline JSON and the JSON file a path names are
+    mutated, or a token is dropped."""
+    argv = list(argv)
+    i = rng.randrange(2, len(argv))
+    tok = argv[i]
+    name = tok.replace("{work}/", "")
+    if name in files:
+        path = work / f"mut_{rng.getrandbits(32):08x}_{name}"
+        path.write_text(json.dumps(_mutate_json(files[name], rng)),
+                        encoding="utf-8")
+        argv[i] = str(path)
+    elif tok[:1] in "[{":
+        argv[i] = json.dumps(_mutate_json(json.loads(tok), rng))
+    elif tok.lstrip("-").isdigit() and rng.random() < 0.7:
+        argv[i] = str(-rng.randint(1, 3))
+    elif tok.lstrip("-").isdigit():
+        argv[i] = rng.choice(["x", "1.5", ""])
+    else:
+        del argv[i]
+    return [a.replace("{work}", str(work)) for a in argv]
+
+
+def test_cli_contract_on_seeded_mutants(tmp_path, capsys):
+    """Seeded mutants of the benchmark's cli-mix catalog (wrong JSON
+    types, missing keys, bad field specs, small negative ints) each give
+    one JSON report on stdout and an exit code in {0, 1, 2, 3}, never a
+    traceback; all of them run within 5 s."""
+    catalog = json.loads((PERFBENCH / "goldens.json").read_text(
+        encoding="utf-8"))["cli-mix"]
+    files = catalog["files"]
+    for fname, obj in files.items():
+        (tmp_path / fname).write_text(json.dumps(obj), encoding="utf-8")
+    rng = random.Random("cli-contract")
+    statuses = {1: {"input-error"}, 2: {"not-applicable", "exhausted"},
+                3: {"internal-error"}}
+    start = time.perf_counter()
+    seen = set()
+    for entry in catalog["entries"]:
+        for _ in range(4):
+            argv = _mutate_argv(entry["argv"], files, tmp_path, rng)
+            try:
+                code, out, _ = run(capsys, argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{argv} escaped: {exc!r}")
+            report = json.loads(out)
+            assert set(report) == {"command", "inputs", "result",
+                                   "witnesses", "timings"}, argv
+            assert code in (0, 1, 2, 3), argv
+            assert code == 0 or report["result"]["status"] in statuses[code]
+            seen.add(code)
+    assert time.perf_counter() - start < 5
+    assert {0, 1} <= seen
+
+
 def test_relative_curve_path_resolves_against_the_class_file(tree, capsys):
     code, report, _ = run_json(capsys, ["ext", "det", tree["cls_rel"]])
     assert code == 0
@@ -517,26 +611,33 @@ def test_module_run_matches_in_process(tree, capsys):
 
 
 def test_oversized_divisors_are_refused_before_they_allocate(tree):
-    """A divisor whose Riemann-Roch ansatz would pass MAX_ANSATZ_COLUMNS
-    is refused with exit 1 and one report before anything is built for
-    it.  The child runs under a 1 GiB address-space cap and a timeout,
-    so a regression fails fast instead of filling the host's memory."""
+    """A divisor whose Riemann-Roch ansatz would pass MAX_ANSATZ_COLUMNS,
+    or whose basis could pass MAX_BASIS_ENTRIES payloads (mult 10 000 at
+    infinity, exactly at the column cap), is refused with exit 1 and one report before anything
+    is built for it.  The child runs under a 1 GiB address-space cap and
+    a timeout, so a regression fails fast instead of filling the host's
+    memory."""
     capped = [sys.executable, "-c",
               "import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from curvext.cli import main\n"
               "sys.exit(main())\n"]
     huge = json.dumps([{"point": "infinity", "mult": 10 ** 30}])
-    cases = [["rr", "basis", tree["curve"], "--divisor", huge],
-             ["bounds", "m", tree["curve"], "--divisor", huge],
-             ["secant", "experiment", tree["curve"], "--n", str(10 ** 18),
-              "--dim", "1", "--trials", "1"]]
-    for argv in cases:
+    at_cap = json.dumps([{"point": "infinity", "mult": 10 ** 4}])
+    cases = [(["rr", "basis", tree["curve"], "--divisor", huge],
+              "ansatz columns"),
+             (["bounds", "m", tree["curve"], "--divisor", huge],
+              "ansatz columns"),
+             (["secant", "experiment", tree["curve"], "--n", str(10 ** 18),
+               "--dim", "1", "--trials", "1"], "ansatz columns"),
+             (["rr", "basis", tree["curve"], "--divisor", at_cap],
+              "basis of L(D) may hold")]
+    for argv, message in cases:
         proc = run_child(capped, argv, timeout=20)
         assert proc.returncode == 1, (argv, proc.stderr)
         result = json.loads(proc.stdout)["result"]
         assert result["status"] == "input-error"
-        assert "ansatz columns" in result["message"]
+        assert message in result["message"]
 
 
 def test_console_script_is_declared():

@@ -200,7 +200,7 @@ def test_exhaustive_equivalences_small():
         d = det_test(e)
         cert = prop1_certificate(e)
         destab = brute_force_destabilizer(e)
-        assert destab.complete and destab.max_degree == 0
+        assert destab.complete and destab.bound == 0
         assert cert.certified == d
         assert cert.status in ("certified-semistable", "inconclusive")
         if d:
@@ -293,7 +293,7 @@ def test_destabilizer_domain_semantics():
     datum = datum_on_infinity(curve, 4)                  # delta = 4, bound 1
     zero = ExtensionClass.zero(datum)
     res = brute_force_destabilizer(zero)
-    assert res.found and res.complete and res.max_degree == 1
+    assert res.found and res.complete and res.bound == 1
     capped = brute_force_destabilizer(zero, max_degree=0)
     assert capped.found and not capped.complete          # cap below the bound
     with pytest.raises(InputError, match="degree cap must be nonnegative"):

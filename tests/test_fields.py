@@ -184,6 +184,16 @@ def test_prime_field_validation():
     assert PrimeField(5).characteristic() == 5
 
 
+def test_prime_field_refuses_composites_past_trial_division():
+    """41*43 has no factor below 41, and 151*751*28351 is a strong
+    pseudoprime to the bases 2, 3, 5 and 7: Miller-Rabin refuses both,
+    and accepts the Mersenne prime 2^61 - 1."""
+    for n in (1763, 3215031751):
+        with pytest.raises(InputError):
+            PrimeField(n)
+    assert PrimeField(2 ** 61 - 1).characteristic() == 2 ** 61 - 1
+
+
 def test_finite_fields_refuse_strings():
     """Strings are not finite-field values: InputError, never a bare
     ValueError, and a string never compares equal to an element."""

@@ -13,6 +13,12 @@ non-dunder method of a class of src/curvext among the attribute
 references of src/curvext, tests/ and perfbench/, outside its own
 definition; and parse every module of src/curvext, __init__ included,
 for imports from outside the standard library and curvext itself.
+
+The method check matches by name alone, so it cannot see a dead method
+that shares its name with a live method of another class: a caller of
+``CurvePoint.conjugate`` once kept an uncalled
+``RationalFunction.conjugate`` alive.  Such a method shows up only in a
+line trace of the suite.
 """
 
 import ast

@@ -7,14 +7,16 @@ import mpmath
 import pytest
 
 from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionField,
-                     InputError, InternalError, NotApplicable,
+                     InputError, InternalError, Matrix, NotApplicable,
                      brute_force_destabilizer, clifford_sandwich, compute_m,
                      det_test, enumerate_closed_points, make_curve,
-                     make_datum, secant_member, secant_table, sample_subspace,
-                     offsecant_experiment, theorem1_delta0, theorem2_bound)
+                     make_datum, offsecant_experiment, rank, sample_subspace,
+                     secant_member, secant_table, theorem1_delta0,
+                     theorem2_bound)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
-                     curve_g1w_f3, curve_g2_f3, curve_g2_f5, datum_on_infinity,
-                     destabilizer_by_rr_basis, evaluation_class,
+                     curve_g1w_f3, curve_g2_f3, curve_g2_f5, curve_g2_f9,
+                     datum_on_infinity, destabilizer_by_rr_basis,
+                     evaluation_class,
                      secant_member_by_rr_basis, secant_table_by_kernel,
                      skew_reverification)
 
@@ -161,7 +163,7 @@ def test_point_evaluation_lies_on_the_first_secant():
     P = curve.point(2, 2)
     e = evaluation_class(datum, P)
     res = secant_member(e)
-    assert res.member and res.complete and res.d == 1
+    assert res.found and res.complete and res.bound == 1
     assert res.witness == Divisor(curve, [(P, 1)])
 
 
@@ -171,7 +173,7 @@ def test_secant_membership_matches_table_exhaustively():
     table = secant_table(datum, 1)
     hits = 0
     for e in all_classes(datum):
-        member = secant_member(e).member
+        member = secant_member(e).found
         assert member == (tuple(e.coords) in table)
         hits += member
     assert hits == len(table)
@@ -194,7 +196,7 @@ def test_secant_witness_is_the_default_destabilizer(make):
         dst = brute_force_destabilizer(e)
         assert (sec.witness, sec.examined, sec.complete) == \
                (dst.witness, dst.examined, dst.complete)
-        members += sec.member
+        members += sec.found
     assert 0 < members < datum.curve.field.order() ** datum.class_dim
 
 
@@ -319,7 +321,7 @@ def test_scans_build_one_basis_per_hit():
     off = ExtensionClass(datum, [a + b for a, b in zip(
         evaluation_class(datum, P).coords, evaluation_class(datum, R).coords)])
     before = set(curve._rr_cache)
-    assert not secant_member(off).member
+    assert not secant_member(off).found
     assert not brute_force_destabilizer(off).found
     assert set(curve._rr_cache) == before
     res = secant_member(evaluation_class(datum, P))
@@ -334,7 +336,7 @@ def test_witness_hits_are_reverified(monkeypatch):
     curve = curve_g1_f5()
     datum = datum_on_infinity(curve, 4)
     e = evaluation_class(datum, curve.point(2, 2))
-    assert secant_member(e).member and brute_force_destabilizer(e).found
+    assert secant_member(e).found and brute_force_destabilizer(e).found
     j = next(i for i, c in enumerate(e.coords) if c)
     skew_reverification(monkeypatch, j)
     with pytest.raises(InternalError, match="re-verification"):
@@ -356,7 +358,7 @@ def test_secant_guards_and_explicit_domains():
     with pytest.raises(InputError):           # infinite field, no domain
         secant_member(qe)
     res = secant_member(qe, points=[qP, qcurve.point(0, 1)])
-    assert res.member and not res.complete
+    assert res.found and not res.complete
     assert res.witness == Divisor(qcurve, [(qP, 1)])
     with pytest.raises(InputError, match="secant tables need a finite base field"):
         secant_table(qdatum, 1)
@@ -402,6 +404,29 @@ def test_offsecant_experiment_reports():
     low = offsecant_experiment(datum, s=1, trials=4, seed=3)
     assert not low.hypothesis_met             # recorded, not enforced
     assert low.successes + low.failures == 4
+
+
+def test_subspace_and_experiment_over_f9():
+    """Frames over F_{p^k} draw one base-field digit per coordinate of a
+    payload: seeded, full rank and valid F9 payloads; the experiment on
+    them is reproducible and its witnesses lie off the kernel-built
+    secant table."""
+    datum = datum_on_infinity(curve_g2_f9(), 4)
+    F = datum.curve.field
+    frame = sample_subspace(datum, 3, seed=11)
+    assert [e.coords for e in frame] == \
+        [e.coords for e in sample_subspace(datum, 3, seed=11)]
+    assert rank(Matrix(F, [e.coords for e in frame], datum.class_dim)) == 3
+    payloads = set(F.iter_payloads())
+    assert all(v in payloads for e in frame for v in e.coords)
+
+    table = secant_table_by_kernel(datum, 1)
+    rpt = offsecant_experiment(datum, s=4, trials=4, seed=3)
+    assert rpt == offsecant_experiment(datum, s=4, trials=4, seed=3)
+    assert rpt.q == 9 and rpt.hypothesis_met and rpt.violations == 0
+    assert rpt.successes == 4
+    for o in rpt.outcomes:
+        assert o.witness not in table
 
 
 def test_offsecant_experiment_starts_no_thread(monkeypatch):
