@@ -25,7 +25,6 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from itertools import repeat
 from operator import itemgetter
 
 from .curves import (Divisor, HyperellipticCurve, curve_from_json,
@@ -45,7 +44,7 @@ class ExtensionDatum:
     """
 
     __slots__ = ("curve", "N", "M", "L", "n", "m", "u",
-                 "basis_M", "basis_NK", "_tensor", "_upper", "_mirror",
+                 "basis_M", "basis_NK", "_tensor", "_dots", "_mirror",
                  "_span_blocks")
 
     def __init__(self, curve, N, M, L, u, basis_M, basis_NK):
@@ -103,13 +102,14 @@ class ExtensionDatum:
                     T[i][j] = vec
                     T[j][i] = vec
             self._tensor = tuple(tuple(row) for row in T)
-            # the tensor columns on and above the diagonal, row by row,
-            # and the getter that lays their values out as the row-major
-            # m x m matrix, mirrored below the diagonal; for m <= 1 the
-            # upper triangle is the whole matrix (and a one-index
-            # itemgetter would return the bare entry)
+            # the field's inner products with the tensor columns on and
+            # above the diagonal, row by row, and the getter that lays
+            # their values out as the row-major m x m matrix, mirrored
+            # below the diagonal; for m <= 1 the upper triangle is the
+            # whole matrix (and a one-index itemgetter would return the
+            # bare entry)
             upper = [(i, j) for i in range(m) for j in range(i, m)]
-            self._upper = tuple(T[i][j] for i, j in upper)
+            self._dots = self.curve.field.dots([T[i][j] for i, j in upper])
             where = {ij: k for k, ij in enumerate(upper)}
             self._mirror = (itemgetter(*(where[min(i, j), max(i, j)]
                                          for i in range(m) for j in range(m)))
@@ -117,26 +117,27 @@ class ExtensionDatum:
         return self._tensor
 
     def _entries(self, coords):
-        # row-major entries of the balanced boundary matrix of the class:
-        # one inner product per tensor column on or above the diagonal
+        # row-major entries of the balanced boundary matrix of the class,
+        # from the field's dots map over the upper tensor columns; over
+        # F_p they may be unreduced ints, which det reduces once
         if self._tensor is None:
             self.pair_tensor()
-        return self._mirror(list(map(self.curve.field.dot, repeat(coords),
-                                     self._upper)))
+        return self._mirror(self._dots(coords))
 
     def boundary_payload_rows(self, coords):
-        """Balanced boundary matrix of the class with the given payload
-        coordinates, as a list of payload rows: the entries ``det_payload``
-        takes the determinant of, reshaped, and the same rows as
-        ``boundary_matrix`` of the class."""
+        """Balanced boundary matrix of the class with the given canonical
+        payload coordinates, as a list of payload rows: the entries
+        ``det_payload`` takes the determinant of, reshaped and reduced,
+        and the same rows as ``boundary_matrix`` of the class."""
         m = self.m
-        entries = self._entries(coords)
-        return [list(entries[k:k + m]) for k in range(0, m * m, m)]
+        entries = list(map(self.curve.field.coerce, self._entries(coords)))
+        return [entries[k:k + m] for k in range(0, m * m, m)]
 
     def det_payload(self, coords):
         """det of the balanced boundary matrix of the class with the given
-        payload coordinates, as a payload: the descriptor's ``det`` kernel
-        on the row-major entries (hot path for exhaustive runs)."""
+        canonical payload coordinates, as a payload: the descriptor's
+        ``det`` kernel on the row-major entries (hot path for exhaustive
+        runs)."""
         return self.curve.field.det(self._entries(coords), self.m)
 
     def __repr__(self):

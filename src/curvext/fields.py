@@ -17,18 +17,26 @@ A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  Library functions return payloads; ``F.element(v)``
 wraps one in a ``FieldElement``, the caller's wrapper with operator
-overloading.  Four payload kernels carry the hot paths:
+overloading.  Five payload kernels carry the hot paths:
 
 * ``dot``, the inner product of two payload sequences, on every
   descriptor.  The base class folds ``add`` and ``mul`` (Q and F_{p^k}
   use it as is); ``PrimeField`` sums the raw int products and reduces
-  once, so each boundary-matrix entry, functional value and linear
-  combination column costs one ``% p``.
+  once, so each functional value and linear combination column costs
+  one ``% p``.
+* ``dots``, which turns fixed columns into a map from a payload
+  sequence to its inner products with each column, on every
+  descriptor.  The base class calls ``dot`` per column; ``PrimeField``
+  packs each coordinate's column entries into one int, so the upper
+  entries of a boundary matrix cost one big-int sum of products and
+  one ``struct`` unpack per class, left unreduced for ``det``.
 * ``det``, the determinant of an m x m matrix given as m*m row-major
   payload entries, on every descriptor.  The base class answers 0x0
   and 1x1 directly and runs the forward pass of ``linalg`` from 2x2
-  on; ``PrimeField`` computes up to 4x4 on raw ints with one ``% p``
-  per determinant, which is what each extension-class decision costs.
+  on; ``PrimeField`` takes any int entries, computes up to 4x4 on raw
+  ints with one ``% p`` per determinant, which is what each
+  extension-class decision costs, and reduces the entries first
+  otherwise.
 * ``axpy``, the row update ``a[k] - t*b[k]`` over paired payloads, on
   every descriptor.  The base class folds ``sub`` and ``mul``;
   ``PrimeField`` reduces each raw int entry once.  Elimination and the
@@ -41,6 +49,7 @@ No floating point anywhere; all tests for zero are exact.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import product
 from operator import mul as _imul
@@ -108,6 +117,11 @@ class FieldDescriptor:
         for x, y in zip(a, b):
             acc = add(acc, mul(x, y))
         return acc
+
+    def dots(self, columns):
+        """The map a -> [dot(a, c) for c in columns], for payload
+        columns of one length."""
+        return lambda a: [self.dot(a, c) for c in columns]
 
     def axpy(self, a, t, b):
         """[a[k] - t*b[k]] over paired payloads, as a list."""
@@ -246,8 +260,31 @@ class PrimeField(FieldDescriptor):
 
     def dot(self, a, b):
         # one reduction for the whole sum; unreduced or negative int
-        # inputs give the same residue
+        # inputs give the same residue (not so for dots)
         return sum(map(_imul, a, b)) % self.p
+
+    def dots(self, columns):
+        # Column u's k-th entry sits in slot u, w bits wide, of the int
+        # P_k, so sum_k a[k] * P_k holds every inner product in its own
+        # slot, read back by one struct unpack.  A slot stays below
+        # width * (p-1)**2 < 2**w only for canonical a[k] in [0, p): a
+        # negative or unreduced coordinate borrows or carries between
+        # slots and gives wrong entries.  The entries come back
+        # unreduced (det reduces once); primes whose slots would need
+        # more than 64 bits take the base class.
+        width = len(columns[0]) if columns else 0
+        bound = width * (self.p - 1) ** 2
+        for bits, code in ((16, "H"), (32, "I"), (64, "Q")):
+            if bound < 1 << bits:
+                break
+        else:
+            return FieldDescriptor.dots(self, columns)
+        packed = [sum(c[k] << bits * u for u, c in enumerate(columns))
+                  for k in range(width)]
+        nbytes = bits // 8 * len(columns)
+        unpack = struct.Struct(f"<{len(columns)}{code}").unpack
+        return lambda a: unpack(sum(map(_imul, a, packed)).to_bytes(
+            nbytes, "little"))
 
     def axpy(self, a, t, b):
         # one reduction per entry on raw ints, as in dot
@@ -258,6 +295,7 @@ class PrimeField(FieldDescriptor):
         # raw int products and one reduction per determinant, as in dot:
         # the closed forms, and at 4x4 Laplace expansion in the 2x2 minors
         # of the top two rows; 0x0, 1x1 and beyond 4x4 by the base class
+        # on reduced entries (the forward pass tests payloads for zero)
         if m == 3:
             a, b, c, d, e, f, g, h, i = entries
             return (a * (e * i - f * h) - b * (d * i - f * g)
@@ -273,7 +311,8 @@ class PrimeField(FieldDescriptor):
         if m == 2:
             a, b, c, d = entries
             return (a * d - b * c) % self.p
-        return FieldDescriptor.det(self, entries, m)
+        p = self.p
+        return FieldDescriptor.det(self, [x % p for x in entries], m)
 
     def power(self, a, e: int):
         return pow(a, e, self.p)

@@ -27,6 +27,7 @@ from .extensions import (ExtensionClass, ExtensionDatum, ScanResult,
 from .linalg import Matrix, linear_combination, rank, rref
 
 HEIGHT = 9      # frames over Q draw their entries from [-HEIGHT, HEIGHT]
+MAX_TRIALS = 10_000   # an experiment keeps and reports every trial
 
 
 def secant_member(e: ExtensionClass, d: int | None = None,
@@ -188,6 +189,9 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
             f"subspace dimension {s} outside 1..{datum.class_dim}")
     if trials < 1:
         raise InputError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise InputError(
+            f"{trials} trials is more than the limit of {MAX_TRIALS}")
     d = datum.n // 2 - 1
     table = secant_table(datum, d)
     payloads = list(F.iter_payloads())

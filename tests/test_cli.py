@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import curvext.__main__
+import curvext.secant
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
 from curvext.cli import _build_parser, main
@@ -290,6 +291,17 @@ def test_experiment_thread_count_is_invisible(tree, capsys):
     res = report["result"]
     assert res["trials"] == 3 and res["violations"] == 0
     assert [o["trial"] for o in res["outcomes"]] == [0, 1, 2]
+
+
+def test_experiment_trial_cap_is_inclusive(tree, capsys, monkeypatch):
+    monkeypatch.setattr(curvext.secant, "MAX_TRIALS", 3)
+    base = ["secant", "experiment", tree["curve"], "--n", "4", "--dim", "1",
+            "--trials"]
+    assert run(capsys, base + ["3"])[0] == 0
+    code, report, _ = run_json(capsys, base + ["4"])
+    assert code == 1
+    assert report["result"]["status"] == "input-error"
+    assert "limit of 3" in report["result"]["message"]
 
 
 def test_experiment_needs_a_thread(tree, capsys):
@@ -614,9 +626,10 @@ def test_oversized_divisors_are_refused_before_they_allocate(tree):
     """A divisor whose Riemann-Roch ansatz would pass MAX_ANSATZ_COLUMNS,
     or whose basis could pass MAX_BASIS_ENTRIES payloads (mult 10 000 at
     infinity, exactly at the column cap), is refused with exit 1 and one report before anything
-    is built for it.  The child runs under a 1 GiB address-space cap and
-    a timeout, so a regression fails fast instead of filling the host's
-    memory."""
+    is built for it, and so is an experiment past MAX_TRIALS (10**6
+    trials would otherwise run for minutes and need gigabytes).  The
+    child runs under a 1 GiB address-space cap and a timeout, so a
+    regression fails fast instead of filling the host's memory."""
     capped = [sys.executable, "-c",
               "import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -631,7 +644,10 @@ def test_oversized_divisors_are_refused_before_they_allocate(tree):
              (["secant", "experiment", tree["curve"], "--n", str(10 ** 18),
                "--dim", "1", "--trials", "1"], "ansatz columns"),
              (["rr", "basis", tree["curve"], "--divisor", at_cap],
-              "basis of L(D) may hold")]
+              "basis of L(D) may hold"),
+             (["secant", "experiment", tree["curve"], "--n", "4",
+               "--dim", "1", "--trials", str(10 ** 6)],
+              f"limit of {curvext.secant.MAX_TRIALS}")]
     for argv, message in cases:
         proc = run_child(capped, argv, timeout=20)
         assert proc.returncode == 1, (argv, proc.stderr)

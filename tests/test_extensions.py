@@ -5,13 +5,14 @@ from itertools import product
 
 import pytest
 
-from curvext import (Divisor, ExhaustionError, ExtensionClass, FieldElement,
-                     InputError, Matrix, MembershipError, Poly, PrimeField,
-                     RationalFunction, boundary_matrix, brute_force_destabilizer,
+from curvext import (Divisor, ExhaustionError, ExtensionClass,
+                     FieldDescriptor, FieldElement, InputError, Matrix,
+                     MembershipError, Poly, PrimeField, RationalFunction,
+                     boundary_matrix, brute_force_destabilizer,
                      class_from_json, class_to_json, datum_from_json,
                      datum_to_json, det_test, enumerate_closed_points,
-                     make_datum, prop1_certificate, rank, search_semistable,
-                     subspace_from_json, valuation)
+                     make_curve, make_datum, prop1_certificate, rank,
+                     search_semistable, subspace_from_json, valuation)
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f9, datum_on_infinity,
                      frac_det, half_class_helper)
@@ -85,11 +86,12 @@ def _class_sample(F, dim, rng, count):
 
 
 def test_pair_tensor_matches_boundary_matrix():
-    """The tensor contraction (one inner product per entry on or above
-    the diagonal) and the direct route (the class paired with the L(N+K)
-    coordinates of each s_i t_j u') must give the same boundary matrix:
-    F5 and F3 prime-field kernels, F9 and Q through the generic inner
-    product, and m up to 4."""
+    """The tensor contraction (the field's dots map over the tensor
+    columns on or above the diagonal) and the direct route (the class
+    paired with the L(N+K) coordinates of each s_i t_j u') must give the
+    same boundary matrix: F5 and F3 through the packed prime-field
+    kernel, F9 and Q through one inner product per entry, and m up to
+    4."""
     rng = random.Random(17)
     cases = [(curve_g1_f5(), 4, 2), (curve_g2_f3(), 2, 2),
              (curve_g2_f9(), 2, 2), (curve_g1_q(), 4, 2),
@@ -129,6 +131,35 @@ def test_det_payload_at_m_4_matches_the_fraction_oracle():
     assert 0 < nonzero < 500
     T = datum.pair_tensor()
     assert all(T[i][j] is T[j][i] for i in range(4) for j in range(4))
+
+
+def test_det_payload_over_large_primes_matches_the_forward_pass():
+    """y^2 = x^3 + x + 1 over F_65521 (64-bit packed slots at these
+    widths) and F_{2^61-1} (past 64 bits: one dot per column), at m = 1,
+    2 and 5: the boundary rows are canonical and equal the direct
+    pairing, and det_payload is the base class forward pass on them,
+    in [0, p) at m = 1 too."""
+    rng = random.Random(22)
+    for p in (65521, 2 ** 61 - 1):
+        F = PrimeField(p)
+        curve = make_curve(F, [1, 1, 0, 1])
+        for n, m in ((2, 1), (4, 2), (10, 5)):
+            datum = datum_on_infinity(curve, n)
+            assert datum.m == m
+            for trial in range(12):
+                coords = [rng.randrange(p) for _ in range(datum.class_dim)]
+                if trial == 0:
+                    coords = [p - 1] * datum.class_dim
+                rows = datum.boundary_payload_rows(coords)
+                assert all(0 <= v < p for row in rows for v in row)
+                if trial < 2:
+                    e = ExtensionClass(datum, coords)
+                    assert [list(r) for r in boundary_matrix(e).matrix.rows] \
+                        == rows
+                d = datum.det_payload(coords)
+                assert 0 <= d < p
+                assert d == FieldDescriptor.det(
+                    F, [v for row in rows for v in row], m)
 
 
 def test_det_scales_like_a_degree_m_form():

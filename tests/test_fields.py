@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from curvext import (ExtensionField, FieldElement, InputError, Poly, PrimeField,
-                     Rationals, field_from_json, field_to_json)
+from curvext import (ExtensionField, FieldDescriptor, FieldElement,
+                     InputError, Poly, PrimeField, Rationals, field_from_json,
+                     field_to_json)
 from helpers import TinyExt
 
 F9 = ExtensionField(3, [1, 0, 1])       # t^2 + 1, irreducible mod 3
@@ -111,6 +112,11 @@ def test_dot_matches_the_add_mul_fold(F):
             b = sample_payloads(F, rng, length)
             assert F.dot(a, b) == fold_dot(F, a, b)
             assert F.dot(a, b) == F.dot(b, a)
+        # dots: one inner product per column (unreduced over F_p)
+        cols = [sample_payloads(F, rng, length) for _ in range(3)]
+        a = sample_payloads(F, rng, length)
+        assert list(map(F.coerce, F.dots(cols)(a))) == [
+            fold_dot(F, a, c) for c in cols]
 
 
 @pytest.mark.parametrize("F", [Rationals(), PrimeField(7), F9], ids=repr)
@@ -148,6 +154,36 @@ def test_prime_dot_reduces_unreduced_and_negative_ints():
             assert got == fold_dot(F, a, b)
             assert 0 <= got < 7
     assert F.dot([-1], [1]) == 6 and F.dot([7 ** 30 + 3], [-2]) == 1
+
+
+def test_prime_dots_packed_slots_match_the_base_class():
+    """PrimeField.dots packs each coordinate's column entries into 16-,
+    32- or 64-bit slots, the narrowest above width * (p-1)**2, and takes
+    the base class past 64 bits.  Primes and widths that reach every slot
+    size and the fallback, some just past a slot's edge (251 and 65521 at
+    width 2), agree with FieldDescriptor.dots mod p, on seeded columns and
+    on the all-(p-1) extreme that fills every slot."""
+    rng = random.Random(21)
+    slots = set()
+    for p in (7, 251, 65521, 4294967291, 2 ** 61 - 1):
+        F = PrimeField(p)
+        for width in (0, 1, 2, 4, 10):
+            bound = width * (p - 1) ** 2
+            slots.add(next((b for b in (16, 32, 64) if bound < 1 << b), None))
+            for count in (0, 1, 3, 10):
+                cols = [[p - 1] * width] + [
+                    [rng.randrange(p) for _ in range(width)]
+                    for _ in range(count - 1)]
+                cols = cols[:count]
+                packed = F.dots(cols)
+                base = FieldDescriptor.dots(F, cols)
+                for a in [[p - 1] * width] + [
+                        [rng.randrange(p) for _ in range(width)]
+                        for _ in range(20)]:
+                    got = packed(a)
+                    assert len(got) == count
+                    assert [x % p for x in got] == base(a)
+    assert slots == {16, 32, 64, None}
 
 
 def test_rationals_exactness():

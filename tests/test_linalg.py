@@ -223,18 +223,24 @@ def test_det_kernel_across_the_closed_form_cut():
 
 
 def test_prime_field_det_matches_the_forward_pass():
-    """PrimeField.det's raw-int forms at 4x4 and its hand-off at 5x5 give
-    the base-class forward pass's payload on the same entries."""
+    """PrimeField.det's raw-int forms at 4x4 and its hand-off at 1x1 and
+    5x5 give the base-class forward pass's payload on the same entries,
+    and on the entries shifted by multiples of p, the unreduced ints
+    PrimeField.dots hands it (a zero entry among them must not become a
+    pivot)."""
     rng = random.Random(19)
     for F in (F5, F7, PrimeField(2**61 - 1)):
-        for m in (4, 5):
+        for m in (1, 4, 5):
             for trial in range(40):
                 entries = [rng.randrange(F.p) for _ in range(m * m)]
-                if trial % 4 == 0:               # singular: repeat a row
+                if m > 1 and trial % 4 == 0:     # singular: repeat a row
                     entries[-m:] = entries[:m]
                 want = FieldDescriptor.det(F, entries, m)
                 assert F.det(entries, m) == want
-                if trial % 4 == 0:
+                shifted = [x + F.p * rng.randrange(1, 1 << 40)
+                           for x in entries]
+                assert F.det(shifted, m) == want
+                if m > 1 and trial % 4 == 0:
                     assert want == 0
 
 
