@@ -390,24 +390,38 @@ def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
     Finite base fields only.  Nonsplit places over p have degree
     2*deg(p) and are included when that fits the bound.
     """
-    if curve.field.order() is None:
+    return [pt for pts in _points_by_degree(curve, max_degree) for pt in pts]
+
+
+def _points_by_degree(curve: HyperellipticCurve, max_degree: int):
+    """For k = 0, 1, ..., max_degree, the closed points of degree exactly
+    k, sorted by point key; keys are degree-first, so the lists chain
+    into the key-sorted point list.  The places over the irreducibles of
+    degree k are found when degree k is drawn, and a nonsplit place over
+    p waits until degree 2*deg(p).  Finite base fields only, checked at
+    the first draw."""
+    F = curve.field
+    if F.order() is None:
         raise InputError("point enumeration requires a finite field")
-    if max_degree < 1:
-        return []
-    out = [curve.infinity()]
-    for p in iter_monic_irreducible(curve.field, max_degree):
-        fbar = curve.f % p
-        if fbar.is_zero():
-            out.append(CurvePoint(curve, "ramified", p, Poly.zero(curve.field)))
-            continue
-        b = residue_sqrt(fbar, p)
-        if b is not None:
-            out.append(CurvePoint(curve, "split", p, b))
-            out.append(CurvePoint(curve, "split", p, (-b) % p))
-        elif 2 * p.degree <= max_degree:
-            out.append(CurvePoint(curve, "nonsplit", p, None))
-    out.sort(key=lambda pt: pt.key())
-    return out
+    found = {1: [curve.infinity()]}     # degree -> places found so far
+    polys = iter_monic_irreducible(F, max_degree)
+    p = next(polys, None)
+    for k in range(max_degree + 1):
+        here = found.setdefault(k, [])
+        while p is not None and p.degree == k:
+            fbar = curve.f % p
+            if fbar.is_zero():
+                here.append(CurvePoint(curve, "ramified", p, Poly.zero(F)))
+            else:
+                b = residue_sqrt(fbar, p)
+                if b is not None:
+                    here.append(CurvePoint(curve, "split", p, b))
+                    here.append(CurvePoint(curve, "split", p, (-b) % p))
+                elif 2 * k <= max_degree:
+                    found.setdefault(2 * k, []).append(
+                        CurvePoint(curve, "nonsplit", p, None))
+            p = next(polys, None)
+        yield sorted(found.pop(k), key=CurvePoint.key)
 
 
 def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
@@ -418,18 +432,22 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
     lexicographic in the multiplicity vector over the key-sorted point
     list (so supports built from later points come first).  The
     recursion depth is the support size, at most the total degree, and
-    only points of degree <= total are read.  ``points`` restricts the
-    support to an explicit candidate list, which is also the only mode
-    available over infinite fields.
+    only points of degree <= total are read: the point list grows by the
+    places of degree ``total`` as each total starts, so a scan that
+    stops early never builds the places of a far degree bound.
+    ``points`` restricts the support to an explicit candidate list,
+    which is also the only mode available over infinite fields.
     """
     if points is None:
-        pts = enumerate_closed_points(curve, max_degree)
+        by_degree = _points_by_degree(curve, max_degree)
     else:
-        pts = sorted(set(points), key=lambda pt: pt.key())
-        for pt in pts:
+        cands = sorted(set(points), key=CurvePoint.key)
+        for pt in cands:
             if pt.curve != curve:
                 raise InputError("candidate point from a different curve")
-    degs = [pt.degree for pt in pts]
+        by_degree = ([pt for pt in cands if pt.degree == k]
+                     for k in range(max_degree + 1))
+    pts, degs = [], []
 
     def supports(i, total):
         # the first point of the support is the latest one that fits,
@@ -444,6 +462,9 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
                     yield [(pts[j], m)] + rest
 
     for total in range(max_degree + 1):
+        new = next(by_degree)
+        pts += new
+        degs += [total] * len(new)
         for items in supports(0, total):
             yield Divisor(curve, items)
 

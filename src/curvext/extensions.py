@@ -10,13 +10,13 @@ product with the function's coordinates in that basis.
 
 The boundary map of a class e, for a twist pair (L', M'), is the matrix
 e(s_i * t_j * u') over bases of L(M') and L(K-L'), where u' is the
-principality witness identifying L(K-L'+M') with L(N+K).  It also maps
-L(K-L'+M'-D) onto L(N+K-D), so the destabilizer scan of every twist is
-one test: e kills L(N+K-D) exactly when e lies in the row span of D's
-rows on L(N+K) coordinates; the twist only names the route by which a
-hit is re-verified.  Semistability
-certificates never assert instability from a failed sufficient test;
-only an explicit destabilizing witness does that.
+principality witness identifying L(K-L'+M') with L(N+K).  A twist
+reaches only the boundary map and Prop. 1: the destabilizer scan asks
+whether e kills L(N+K-D), that is, whether e lies in the row span of
+D's rows R_D on L(N+K) coordinates, and no twist changes that question
+or its degree bound.  Semistability certificates never assert
+instability from a failed sufficient test; only an explicit
+destabilizing witness does that.
 """
 
 from __future__ import annotations
@@ -218,31 +218,27 @@ class BoundaryMatrix:
     witness: RationalFunction    # u' identifying L(K-L'+M') with L(N+K)
 
 
-def _twist(datum: ExtensionDatum, L: Divisor | None, M: Divisor | None):
-    """Resolve a twist pair (L', M'), the datum's (L, M) by default, to
-    (L', M', u'): deg L' <= deg M', deg M' - deg L' = n, and u' the
-    principality witness of N + L' - M', which maps L(K - L' + M') onto
-    L(N+K)."""
-    L = datum.L if L is None else L
-    M = datum.M if M is None else M
-    if L.degree > M.degree:
-        raise InputError("need deg L' <= deg M'")
-    Dp = datum.N + L - M
-    if Dp.degree != 0:
-        raise InputError(
-            f"deg(M') - deg(L') = {M.degree - L.degree} != n = {datum.n}")
-    pr = is_principal(datum.curve, Dp)
-    if not pr:
-        raise InputError("M' - L' is not linearly equivalent to N")
-    return L, M, pr.witness
-
-
 def boundary_matrix(e: ExtensionClass, Lp: Divisor | None = None,
                     Mp: Divisor | None = None) -> BoundaryMatrix:
     """Matrix of the connecting map H^0(M') -> H^1(L') of the twisted
-    extension, entries e(s_i t_j u').  Defaults to the datum's (L, M)."""
-    Lp, Mp, up = _twist(e.datum, Lp, Mp)
-    curve = e.datum.curve
+    extension, entries e(s_i t_j u').  Defaults to the datum's (L, M);
+    a twist needs deg L' <= deg M' and M' - L' ~ N, and u' is the
+    principality witness of N + L' - M', which maps L(K - L' + M') onto
+    L(N+K)."""
+    datum = e.datum
+    curve = datum.curve
+    Lp = datum.L if Lp is None else Lp
+    Mp = datum.M if Mp is None else Mp
+    if Lp.degree > Mp.degree:
+        raise InputError("need deg L' <= deg M'")
+    Dp = datum.N + Lp - Mp
+    if Dp.degree != 0:
+        raise InputError(
+            f"deg(M') - deg(L') = {Mp.degree - Lp.degree} != n = {datum.n}")
+    pr = is_principal(curve, Dp)
+    if not pr:
+        raise InputError("M' - L' is not linearly equivalent to N")
+    up = pr.witness
     S = rr_basis(curve, Mp)
     T = rr_basis(curve, curve.canonical_divisor() - Lp)
     rows = [[e.evaluate(su * t) for t in T.basis]
@@ -297,30 +293,25 @@ def det_test(e: ExtensionClass) -> bool:
     return not F.is_zero(e.datum.det_payload(e.coords))
 
 
-def brute_force_destabilizer(e: ExtensionClass, Lp: Divisor | None = None,
-                             Mp: Divisor | None = None,
-                             max_degree: int | None = None,
+def brute_force_destabilizer(e: ExtensionClass, max_degree: int | None = None,
                              points=None) -> ScanResult:
-    """Search for a destabilizing sub-line bundle of the twisted extension.
+    """Search for a destabilizing sub-line bundle of the extension.
 
-    A witness is an effective D with deg D < (deg M' - deg L')/2 such
-    that e annihilates L(K - L' + M' - D); slope equality never counts
-    as destabilizing.  Exhaustive (complete) over a finite field without
-    a degree cap; over infinite fields an explicit candidate point set
-    is required and the verdict "none" only covers that domain.
+    A witness is an effective D with deg D < n/2 such that e annihilates
+    L(K - L + M - D); slope equality never counts as destabilizing.
+    Twisting E by a line bundle moves neither the bound nor the row-span
+    test, so the scan runs on the datum's own pair.  Exhaustive
+    (complete) over a finite field without a degree cap; over infinite
+    fields an explicit candidate point set is required and the verdict
+    "none" only covers that domain.
     """
     if max_degree is not None and max_degree < 0:
         raise InputError(f"degree cap must be nonnegative, got {max_degree}")
     datum = e.datum
-    curve = datum.curve
-    if curve.field.order() is None and points is None:
-        raise InputError("infinite base field: supply candidate points")
-    Lp, Mp, up = _twist(datum, Lp, Mp)
-    delta = Mp.degree - Lp.degree
-    full_bound = (delta - 1) // 2     # deg D < delta/2, strict slope
+    full_bound = (datum.n - 1) // 2     # deg D < n/2, strict slope
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
-    return _witness_scan(e, bound, curve.canonical_divisor() - Lp + Mp,
-                         up, points, bound == full_bound)
+    return _witness_scan(e, bound, 2 * datum.M, datum.u, points,
+                         bound == full_bound)
 
 
 @dataclass(frozen=True)
@@ -352,6 +343,8 @@ def _witness_scan(e: ExtensionClass, bound: int, base: Divisor,
     datum = e.datum
     curve = datum.curve
     F = curve.field
+    if F.order() is None and points is None:
+        raise InputError("infinite base field: supply candidate points")
     width = datum.class_dim
     complete = complete and points is None
     examined = 0

@@ -63,7 +63,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the base set is exact for n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -152,6 +152,8 @@ class FieldDescriptor:
         return d if len(pivots) == m else self.pzero
 
     def iter_payloads(self):
+        """Every payload of a finite field, once each, in ascending
+        ``payload_key`` order; enumeration sorts nothing on top of it."""
         raise InputError(f"{self!r} is not a finite field")
 
     # subclasses: coerce, add, sub, mul, neg, inv, characteristic, order,
@@ -443,8 +445,7 @@ class ExtensionField(FieldDescriptor):
 
     def iter_payloads(self):
         # lexicographic in the coefficient tuple, constant coordinate slowest
-        for tup in product(range(self.p), repeat=self.k):
-            yield tup
+        return product(range(self.p), repeat=self.k)
 
     def payload_key(self, a):
         return a

@@ -352,9 +352,7 @@ def iter_monic(field: FieldDescriptor, degree: int):
         raise InputError("enumeration requires a finite field")
     if degree < 0:
         return
-    payloads = list(field.iter_payloads())
-    payloads.sort(key=field.payload_key)
-    for tail in product(payloads, repeat=degree):
+    for tail in product(field.iter_payloads(), repeat=degree):
         yield Poly(field, list(tail) + [field.pone])
 
 
@@ -375,7 +373,7 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
     q = F.order()
     if q is None:
         raise InputError("enumeration requires a finite field")
-    payloads = sorted(F.iter_payloads(), key=F.payload_key)
+    payloads = list(F.iter_payloads())
     rank = {c: i for i, c in enumerate(payloads)}
     one = F.pone
     small = []  # (coeffs, 1/g(0)) of irreducible g, 2 deg g <= max_degree

@@ -24,7 +24,7 @@ from .curves import enumerate_effective_divisors
 from .errors import InputError
 from .extensions import (ExtensionClass, ExtensionDatum, ScanResult,
                          _witness_scan)
-from .linalg import Matrix, linear_combination, rank, rref
+from .linalg import Matrix, linear_combination, rank
 
 HEIGHT = 9      # frames over Q draw their entries from [-HEIGHT, HEIGHT]
 MAX_TRIALS = 10_000   # an experiment keeps and reports every trial
@@ -46,8 +46,6 @@ def secant_member(e: ExtensionClass, d: int | None = None,
         d = datum.n // 2 - 1
     if d < 0:
         raise InputError("secant index must be nonnegative")
-    if points is None and datum.curve.field.order() is None:
-        raise InputError("infinite base field: supply candidate points")
     return _witness_scan(e, d, datum.N + datum.curve.canonical_divisor(),
                          points=points)
 
@@ -56,10 +54,9 @@ def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
     """All member coordinate tuples of Sigma_d, as a frozenset.
 
     Enumerates, for each effective divisor D of degree <= d, the
-    annihilator of L(N+K-D) in class space, which is the row span of
-    R_D (its dimension is deg D), and takes the union.  Exhaustive
-    sweeps and the experiment use this instead of per-class divisor
-    scans.
+    annihilator of L(N+K-D) in class space, every combination of the
+    rows R_D as built, and takes the union.  Exhaustive sweeps and the
+    experiment use this instead of per-class divisor scans.
     """
     F = datum.curve.field
     if F.order() is None:
@@ -68,7 +65,7 @@ def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
     width = datum.class_dim
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d):
-        span = rref(Matrix._trusted(F, datum.span_rows(D), width)).rows
+        span = datum.span_rows(D)
         for cs in _iproduct(payloads, repeat=len(span)):
             members.add(tuple(linear_combination(F, cs, span, width)))
     return frozenset(members)

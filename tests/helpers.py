@@ -13,8 +13,8 @@ import random
 from curvext import (Divisor, ExtensionClass, ExtensionField,
                      InputError, Matrix, MembershipError, Poly, PrimeField,
                      RationalFunction, Rationals, coordinates,
-                     enumerate_effective_divisors, is_principal,
-                     kernel_basis, make_curve, make_datum, rr_basis)
+                     enumerate_effective_divisors, kernel_basis,
+                     make_curve, make_datum, rr_basis)
 from curvext.linalg import _echelon, linear_combination
 from curvext.polys import _prime_factors, iter_monic, residue_inverse
 
@@ -197,20 +197,17 @@ def secant_member_by_rr_basis(e, d=None, points=None):
         e, datum.N + datum.curve.canonical_divisor(), d, points=points)
 
 
-def destabilizer_by_rr_basis(e, Lp=None, Mp=None, max_degree=None,
-                             points=None):
+def destabilizer_by_rr_basis(e, max_degree=None, points=None):
     """(witness, examined) of brute_force_destabilizer through the oracle
-    scan on L(K - L' + M' - D) and the twist witness u' of M' - L' - N."""
+    scan on L(K - L + M - D) and the datum's witness u of M - L - N."""
     datum = e.datum
     curve = datum.curve
-    Lp = datum.L if Lp is None else Lp
-    Mp = datum.M if Mp is None else Mp
-    bound = (Mp.degree - Lp.degree - 1) // 2
+    bound = (datum.n - 1) // 2
     if max_degree is not None:
         bound = min(bound, max_degree)
-    up = is_principal(curve, datum.N + Lp - Mp).witness
     return witness_scan_by_rr_basis(
-        e, curve.canonical_divisor() - Lp + Mp, bound, up, points)
+        e, curve.canonical_divisor() - datum.L + datum.M, bound, datum.u,
+        points)
 
 
 def secant_table_by_kernel(datum, d):

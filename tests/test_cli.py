@@ -596,6 +596,14 @@ def run_child(command, argv, timeout=60):
 
 DELTA0 = ["bounds", "delta0", "--n", "4", "--g", "1", "--m", "2"]
 
+# the CLI in a child under a 1 GiB address-space cap, so a regression that
+# allocates without bound fails fast instead of filling the host's memory
+CAPPED = [sys.executable, "-c",
+          "import resource, sys\n"
+          "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+          "from curvext.cli import main\n"
+          "sys.exit(main())\n"]
+
 
 def test_console_script_round_trip():
     proc = run_child(MODULE, DELTA0)
@@ -630,11 +638,6 @@ def test_oversized_divisors_are_refused_before_they_allocate(tree):
     trials would otherwise run for minutes and need gigabytes).  The
     child runs under a 1 GiB address-space cap and a timeout, so a
     regression fails fast instead of filling the host's memory."""
-    capped = [sys.executable, "-c",
-              "import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from curvext.cli import main\n"
-              "sys.exit(main())\n"]
     huge = json.dumps([{"point": "infinity", "mult": 10 ** 30}])
     at_cap = json.dumps([{"point": "infinity", "mult": 10 ** 4}])
     cases = [(["rr", "basis", tree["curve"], "--divisor", huge],
@@ -649,11 +652,34 @@ def test_oversized_divisors_are_refused_before_they_allocate(tree):
                "--dim", "1", "--trials", str(10 ** 6)],
               f"limit of {curvext.secant.MAX_TRIALS}")]
     for argv, message in cases:
-        proc = run_child(capped, argv, timeout=20)
+        proc = run_child(CAPPED, argv, timeout=20)
         assert proc.returncode == 1, (argv, proc.stderr)
         result = json.loads(proc.stdout)["result"]
         assert result["status"] == "input-error"
         assert message in result["message"]
+
+
+def test_secant_member_reads_no_places_past_its_witness(tmp_path):
+    """Places of a degree are built only when the scan reaches it: on
+    the benchmark's g2/F5 member class (n = 6, a witness of degree 4
+    after 312 divisors), --d 1000000 exits 0 within seconds under the
+    1 GiB cap, with the report of --d 4 apart from the index itself."""
+    files = json.loads((PERFBENCH / "goldens.json").read_text(
+        encoding="utf-8"))["cli-mix"]["files"]
+    for fname in ("cls_secant_member_f5_0.json", "c_g2_f5.json"):
+        (tmp_path / fname).write_text(json.dumps(files[fname]),
+                                      encoding="utf-8")
+    reports = []
+    for d in ("4", "1000000"):
+        proc = run_child(CAPPED, ["secant", "member", str(
+            tmp_path / "cls_secant_member_f5_0.json"), "--d", d], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["result"].pop("d") == report["inputs"].pop("d") == int(d)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["result"]["member"]
 
 
 def test_console_script_is_declared():

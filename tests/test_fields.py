@@ -57,6 +57,14 @@ def test_iter_payloads_counts():
         Rationals().iter_payloads()
 
 
+@pytest.mark.parametrize("F", [PrimeField(7), F9, F25], ids=repr)
+def test_iter_payloads_ascend_in_payload_key_order(F):
+    """Enumeration (monic polynomials, irreducibles, closed points) reads
+    iter_payloads as it comes, so it must already be key-sorted."""
+    keys = [F.payload_key(a) for a in F.iter_payloads()]
+    assert keys == sorted(set(keys)) and len(keys) == F.order()
+
+
 def test_f9_against_hand_rolled_tables():
     # oracle first: independent tuple arithmetic mod t^2+1
     K = TinyExt(3, [1, 0, 1])
