@@ -7,10 +7,17 @@ annihilates H^0(C, N+K-D) for such a D.  Membership at index
 d = n/2 - 1 is the obstruction to semi-stability of the extension.
 
 The experiment samples random subspaces V of class space and records
-whether V escapes Sigma_d, cross-checking the determinant test against
-membership on every class it touches.  Trials run one after another;
-per-trial seeds are split from the master seed by hashing "seed:trial",
-so each trial's draws depend on nothing but the seed and its index.
+whether V escapes Sigma_d, cross-checking the determinant test on every
+member of Sigma_d it touches.  Trials run one after another on one
+generator, re-seeded per trial from SHA-256 of "seed:trial", so each
+trial's draws depend on nothing but the seed and its index.
+
+The draw stream is curvext's own: every entry is drawn by rejection on
+getrandbits(n.bit_length()) below n (one digit below p per coefficient
+over F_{p^k}; -HEIGHT + below(2*HEIGHT + 1) over Q).  Seeded frames and
+reports rest only on the Mersenne Twister's seeding and getrandbits,
+not on randrange or randint, whose internals Python does not promise
+to keep.
 """
 
 from __future__ import annotations
@@ -123,22 +130,37 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _sample_frame(F, rng, s: int, width: int):
-    """Full-rank s x width payload rows.  Finite fields draw entries
-    uniformly; over the rationals entries come from the integer box
-    [-HEIGHT, HEIGHT]."""
+    """Full-rank s x width payload rows, drawn row by row.
+
+    Every draw is ``below(n)``: getrandbits(n.bit_length()), redrawn
+    until it is below n.  An F_p entry is below(p); an F_{p^k} entry is
+    k digits below(p), constant coefficient first; a rational entry is
+    -HEIGHT + below(2*HEIGHT + 1), from the integer box [-HEIGHT,
+    HEIGHT].  Rank-deficient frames are rejected and redrawn."""
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     q = F.order()
     if q is None:
         def draw():
-            return F.coerce(rng.randint(-HEIGHT, HEIGHT))
+            return F.coerce(below(2 * HEIGHT + 1) - HEIGHT)
     else:
         p = F.characteristic()
         k = 1
         while p ** k < q:
             k += 1
-
-        def draw():
-            digits = [rng.randrange(p) for _ in range(k)]
-            return F.coerce(digits if k > 1 else digits[0])
+        if k == 1:
+            def draw():
+                return below(p)
+        else:
+            def draw():
+                return F.coerce([below(p) for _ in range(k)])
     # rejection sampling keeps the distribution uniform over full-rank frames
     while True:
         rows = [[draw() for _ in range(width)] for _ in range(s)]
@@ -149,9 +171,11 @@ def _sample_frame(F, rng, s: int, width: int):
 def sample_subspace(datum: ExtensionDatum, s: int, seed: int):
     """Seeded full-rank s-frame in class space, as ExtensionClass list.
 
-    Finite fields draw entries uniformly; over the rationals entries
-    come from the integer box [-HEIGHT, HEIGHT].  Rank-deficient draws
-    are rejected and redrawn, so the frame is always independent.
+    The frame of the experiment's trial 0 with the same seed: a generator
+    seeded from SHA-256 of "seed:0", entries drawn as in _sample_frame
+    (uniform over finite fields, from the integer box [-HEIGHT, HEIGHT]
+    over the rationals).  Rank-deficient draws are rejected and redrawn,
+    so the frame is always independent.
     """
     if s < 1 or s > datum.class_dim:
         raise InputError(
@@ -167,9 +191,9 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
 
     Each trial draws a uniform full-rank s-frame over the field, then
     scans V in coefficient-lexicographic order for a class outside
-    Sigma_d, d = n/2 - 1.  Every scanned class is also determinant
-    tested; a certified class found on the secant variety would be a
-    soundness violation and is counted (the count must stay 0).
+    Sigma_d, d = n/2 - 1.  Every scanned class on Sigma_d is also
+    determinant tested; a certified one would be a soundness violation
+    and is counted (the count must stay 0).
 
     With s below n - m + g the existence hypothesis is not met and
     failed trials are legitimate; the report records the gate rather
@@ -195,18 +219,19 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
     width = datum.class_dim
     outcomes = []
     violations = 0
+    rng = random.Random()
     for trial in range(trials):
-        frame = _sample_frame(F, random.Random(_trial_seed(seed, trial)),
-                              s, width)
+        rng.seed(_trial_seed(seed, trial))     # same state as Random(x)
+        columns = list(zip(*_sample_frame(F, rng, s, width)))
         witness = None
         for examined, cs in enumerate(_iproduct(payloads, repeat=s), 1):
-            coords = tuple(linear_combination(F, cs, frame, width))
-            member = coords in table
-            if not F.is_zero(datum.det_payload(coords)) and member:
-                violations += 1
-            if not member:
+            coords = tuple([F.dot(cs, c) for c in columns])
+            if coords not in table:
                 witness = coords
                 break
+            # a violation needs membership: only members are det tested
+            if not F.is_zero(datum.det_payload(coords)):
+                violations += 1
         outcomes.append(TrialOutcome(trial, witness is not None, examined,
                                      witness))
     successes = sum(1 for out in outcomes if out.success)

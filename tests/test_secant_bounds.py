@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 from decimal import Decimal, localcontext
@@ -6,8 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionField,
-                     InputError, InternalError, Matrix, NotApplicable,
+from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionDatum,
+                     ExtensionField, InputError, InternalError, Matrix,
+                     NotApplicable,
                      brute_force_destabilizer, clifford_sandwich, compute_m,
                      det_test, enumerate_closed_points, make_curve,
                      make_datum, offsecant_experiment, rank, sample_subspace,
@@ -429,3 +431,84 @@ def test_offsecant_experiment_guards():
         offsecant_experiment(datum, s=1, trials=0)
     with pytest.raises(InputError):
         offsecant_experiment(datum_on_infinity(curve_g1_q(), 4), s=1, trials=1)
+
+
+# The draw stream, pinned as literals on every field kind: a frame over
+# F_p, one over F_{p^k} (one digit per coefficient) and one over the Q
+# box, and one experiment's outcomes over F9.  Seeded reports are part
+# of the CLI's contract, so any change of stream must fail here.
+PINNED_FRAMES = [
+    (curve_g1_f5, 3, 11, [(1, 4, 2, 3), (3, 1, 2, 3), (2, 3, 2, 2)]),
+    (curve_g2_f9, 3, 11,
+     [((0, 2), (2, 1), (1, 1), (0, 1), (1, 1)),
+      ((2, 1), (1, 1), (0, 0), (1, 1), (0, 1)),
+      ((2, 0), (0, 2), (2, 0), (2, 2), (0, 2))]),
+    (curve_g1_q, 2, 5, [(9, -4, -2, -6), (-7, -4, 4, 4)]),
+]
+
+
+@pytest.mark.parametrize("make_curve_,s,seed,want", PINNED_FRAMES)
+def test_sample_subspace_stream_is_pinned(make_curve_, s, seed, want):
+    frame = sample_subspace(datum_on_infinity(make_curve_(), 4), s, seed)
+    assert [e.coords for e in frame] == want
+
+
+def test_offsecant_experiment_stream_is_pinned_over_f9():
+    rpt = offsecant_experiment(datum_on_infinity(curve_g2_f9(), 4), s=4,
+                               trials=4, seed=3)
+    assert [(o.trial, o.examined, o.witness) for o in rpt.outcomes] == [
+        (0, 2, ((0, 0), (2, 1), (0, 2), (2, 0), (1, 1))),
+        (1, 2, ((0, 2), (2, 2), (2, 1), (0, 1), (1, 0))),
+        (2, 2, ((0, 2), (2, 2), (1, 1), (0, 0), (2, 1))),
+        (3, 2, ((1, 0), (1, 2), (0, 0), (2, 2), (2, 0))),
+    ]
+
+
+def offsecant_trial_by_rr_basis(datum, frame):
+    """(examined, witness, violations) of one trial on the given frame:
+    V walked in lexicographic coefficient order, each class built by
+    field additions and products, membership through one Riemann-Roch
+    basis per divisor and the determinant through det_test."""
+    F = datum.curve.field
+    violations = 0
+    vs = list(itertools.product(F.iter_payloads(), repeat=len(frame)))
+    for examined, cs in enumerate(vs, 1):
+        coords = [F.pzero] * datum.class_dim
+        for c, e in zip(cs, frame):
+            coords = [F.add(a, F.mul(c, b)) for a, b in zip(coords, e.coords)]
+        e = ExtensionClass(datum, coords)
+        if secant_member_by_rr_basis(e)[0] is None:
+            return examined, e.coords, violations
+        violations += det_test(e)
+    return examined, None, violations
+
+
+@pytest.mark.parametrize("make_curve_,s", [(curve_g1_f5, 1), (curve_g1_f5, 2),
+                                           (curve_g2_f3, 2)])
+def test_offsecant_trials_match_the_rr_basis_oracle(make_curve_, s):
+    """One-trial experiments for seeds 0..11 against an oracle that uses
+    no secant table: trial 0's frame is sample_subspace's."""
+    datum = datum_on_infinity(make_curve_(), 4)
+    witnessless = 0
+    for seed in range(12):
+        rpt = offsecant_experiment(datum, s=s, trials=1, seed=seed)
+        (out,) = rpt.outcomes
+        examined, witness, violations = offsecant_trial_by_rr_basis(
+            datum, sample_subspace(datum, s, seed))
+        assert (out.examined, out.witness, rpt.violations) == \
+            (examined, witness, violations)
+        assert out.success == (witness is not None)
+        witnessless += witness is None
+    if s == 1:
+        assert witnessless > 0                # the no-witness path ran
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_violations_count_every_member_examined(monkeypatch, s):
+    """With a determinant that never vanishes, every secant member a
+    trial examines is a violation and its final non-member is not."""
+    monkeypatch.setattr(ExtensionDatum, "det_payload",
+                        lambda self, coords: self.curve.field.pone)
+    datum = datum_on_infinity(curve_g1_f5(), 4)
+    rpt = offsecant_experiment(datum, s=s, trials=40, seed=2)
+    assert rpt.violations == rpt.examined_total - rpt.successes > 0
