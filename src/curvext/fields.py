@@ -41,8 +41,16 @@ overloading.  Five payload kernels carry the hot paths:
   every descriptor.  The base class folds ``sub`` and ``mul``;
   ``PrimeField`` reduces each raw int entry once.  Elimination and the
   residue columns of Riemann-Roch update their rows through it.
-* ``mul`` on ``ExtensionField``, kept on int tuples because
-  extension-field enumeration is almost all multiplication.
+* ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` on ``ExtensionField``
+  of order q <= 32, which are lookups in tables the descriptor builds
+  at construction, the products and inverses from the powers of one
+  primitive element (exp/log arithmetic).  Enumeration and
+  Riemann-Roch over F_{p^k} make one call per polynomial coefficient,
+  and a lookup costs a fraction of the polynomial product.  The bound
+  keeps each q x q table at 1 024 entries or fewer, so every
+  descriptor, including the fresh one each CLI call parses, builds its
+  own in under a millisecond; larger fields keep the polynomial
+  arithmetic on int tuples, which also builds the tables.
 
 No floating point anywhere; all tests for zero are exact.
 """
@@ -57,6 +65,9 @@ from operator import mul as _imul
 from .errors import InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# ExtensionField of at most this order does its arithmetic on tables
+_TABLE_MAX_ORDER = 32
 
 
 def is_prime(n: int) -> bool:
@@ -363,6 +374,11 @@ class ExtensionField(FieldDescriptor):
     ``minpoly`` is given low degree first as ints, must be monic of degree
     k >= 2, and is checked for irreducibility at construction.  It is kept
     as ``modulus``, a ``Poly`` over ``PrimeField(p)``.
+
+    For q = p^k <= 32 the constructor replaces ``add``, ``sub``, ``neg``,
+    ``mul`` and ``inv`` by lookups in tables over the canonical payloads
+    (see ``_tabulate``); the methods below are the arithmetic of larger
+    fields and the one source of those tables.
     """
 
     def __init__(self, p: int, minpoly):
@@ -385,6 +401,62 @@ class ExtensionField(FieldDescriptor):
         self.minpoly = modulus.coeffs
         self.pzero = (0,) * self.k
         self.pone = (1,) + (0,) * (self.k - 1)
+        if p ** self.k <= _TABLE_MAX_ORDER:
+            self._tabulate()
+
+    def _tabulate(self):
+        """Bind add, sub, neg, mul and inv as instance attributes that look
+        their answers up in tables.  Each table row is a dict, so a binary
+        op costs two lookups on k-tuples, and every answer is one of the
+        canonical payload objects.
+
+        The powers g^i of the first primitive element g in payload order,
+        taken with the polynomial ``mul``, are the exp list: g^i maps g^j
+        to g^(i+j), the exp list rotated by i, and inverts to g^(-i).  The
+        sums a + b, for b in payload order, are the product of the
+        coordinate ranges each rotated by a's coordinate, and
+        a - b = a + (-b)."""
+        p, n = self.p, self.p ** self.k - 1
+        elems = list(self.iter_payloads())
+        canon = {a: a for a in elems}
+        zero, one = canon[self.pzero], canon[self.pone]
+        for g in elems[1:]:
+            exp, x = [one], g
+            while x != one:
+                exp.append(canon[x])
+                x = self.mul(x, g)
+            if len(exp) == n:
+                break
+        mul_rows = {zero: dict.fromkeys(elems, zero)}
+        for i, a in enumerate(exp):
+            mul_rows[a] = row = dict(zip(exp, exp[i:] + exp[:i]))
+            row[zero] = zero
+        shifted = [list(range(c, p)) + list(range(c)) for c in range(p)]
+        add_rows = {a: dict(zip(elems, map(canon.__getitem__, product(
+            *map(shifted.__getitem__, a))))) for a in elems}
+        negs = {a: canon[self.neg(a)] for a in elems}
+        minus = [negs[b] for b in elems]
+        sub_rows = {a: dict(zip(elems, map(row.__getitem__, minus)))
+                    for a, row in add_rows.items()}
+        inverses = {a: exp[-i % n] for i, a in enumerate(exp)}
+        zero_message = f"inverse of 0 in {self!r}"
+
+        def add(a, b):
+            return add_rows[a][b]
+
+        def sub(a, b):
+            return sub_rows[a][b]
+
+        def mul(a, b):
+            return mul_rows[a][b]
+
+        def inv(a):
+            if a == zero:
+                raise ZeroDivisionError(zero_message)
+            return inverses[a]
+
+        self.add, self.sub, self.mul, self.inv = add, sub, mul, inv
+        self.neg = negs.__getitem__
 
     def _wrap(self, lst):
         return tuple(lst) + (0,) * (self.k - len(lst))

@@ -99,7 +99,7 @@ class Poly:
     def _check_field(self, other: "Poly"):
         # payloads carry no field tag, so silent cross-field arithmetic
         # would produce garbage instead of an error
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise InputError("polynomials over different fields")
 
     def __add__(self, other):

@@ -14,6 +14,7 @@ from curvext import (Divisor, ExtensionField, InputError, Poly, PrimeField,
                      divisor_to_json, enumerate_closed_points,
                      enumerate_effective_divisors, make_curve, point_from_json,
                      point_to_json, rr_basis, valuation)
+import curvext.fields
 from curvext.polys import iter_monic_irreducible, residue_sqrt
 from helpers import (brute_point_count, brute_residue_sqrts, curve_g1_f5,
                      curve_g1_q, curve_g1w_f3, curve_g2_f3, curve_g2_f7,
@@ -93,6 +94,48 @@ def test_point_enum_runs_no_irreducibility_test(monkeypatch):
 
     monkeypatch.setattr(Poly, "is_irreducible", refuse)
     assert [as_json(b, d) for _, b, d in cases] == expect
+
+
+@pytest.mark.parametrize("minpoly", [[2, 0, 1], [2, 0, 0, 0, 1]],
+                         ids=["F25", "F625"])
+def test_degree_one_points_over_extension_fields_match_brute_count(minpoly):
+    """y^2 = x^5 + x + 1 over a base field F_{5^k}: F25 does its arithmetic
+    on tables, F625 on polynomials, and both count their degree-1
+    points as brute force over the same minpoly does."""
+    fc = [1, 1, 0, 0, 0, 1]
+    curve = make_curve(ExtensionField(5, minpoly), fc)
+    pts = enumerate_closed_points(curve, 1)
+    assert sum(1 for pt in pts if pt.degree == 1) == brute_point_count(
+        5, fc, minpoly)
+
+
+def test_table_and_polynomial_arithmetic_agree(monkeypatch):
+    """With the table bound at 0 every extension field takes the
+    polynomial path; the point-enum curve g2/F25 gives the same points
+    (as JSON) to degree 2, and curve_g2_f9 the same Riemann-Roch bases
+    (kernel vectors and pole orders), as on tables."""
+    spec = {"field": {"Fpk": {"p": 5, "minpoly": [3, 0, 1]}},
+            "f": [1, 1, 0, 0, 0, 1]}
+
+    def answers():
+        curve = curve_from_json(spec)
+        points = [json.dumps(point_to_json(pt), sort_keys=True)
+                  for pt in enumerate_closed_points(curve, 2)]
+        curve = curve_g2_f9()
+        places = enumerate_closed_points(curve, 2)
+        rng = random.Random(7)
+        bases = []
+        for _ in range(4):
+            D = random_divisor(curve, rng, places, 6) + curve.infinity_divisor(8)
+            B = rr_basis(curve, D)
+            bases.append((B.vectors, B.pole_orders))
+        return "mul" in vars(curve.field), points, bases
+
+    tabled, *expect = answers()
+    monkeypatch.setattr(curvext.fields, "_TABLE_MAX_ORDER", 0)
+    polynomial, *got = answers()
+    assert tabled and not polynomial
+    assert got == expect
 
 
 def test_enumeration_over_larger_primes():

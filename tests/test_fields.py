@@ -6,12 +6,14 @@ import pytest
 from curvext import (ExtensionField, FieldDescriptor, FieldElement,
                      InputError, Poly, PrimeField, Rationals, field_from_json,
                      field_to_json)
+from curvext.fields import _TABLE_MAX_ORDER
 from helpers import TinyExt
 
 F9 = ExtensionField(3, [1, 0, 1])       # t^2 + 1, irreducible mod 3
 F25 = ExtensionField(5, [2, 0, 1])      # t^2 + 2
 F27 = ExtensionField(3, [1, 2, 0, 1])   # t^3 + 2t + 1
-FIELDS = [Rationals(), PrimeField(5), PrimeField(3), F9, F25]
+F121 = ExtensionField(11, [1, 0, 1])    # t^2 + 1, above the table bound
+FIELDS = [Rationals(), PrimeField(5), PrimeField(3), F9, F25, F121]
 
 
 def sample_payloads(F, rng, count=12):
@@ -82,19 +84,36 @@ def test_f9_against_hand_rolled_tables():
         assert acc == F9.pone
 
 
-@pytest.mark.parametrize("p,minpoly", [(3, [1, 2, 0, 1]),       # F_27
+@pytest.mark.parametrize("p,minpoly", [(2, [1, 1, 1]),          # F_4
+                                       (2, [1, 1, 0, 1]),       # F_8
+                                       (3, [1, 0, 1]),          # F_9
+                                       (5, [2, 0, 1]),          # F_25
+                                       (3, [1, 2, 0, 1]),       # F_27
                                        (3, [2, 1, 0, 0, 1])],   # F_81
-                         ids=["F27", "F81"])
+                         ids=["F4", "F8", "F9", "F25", "F27", "F81"])
 def test_extension_kernels_match_tiny_oracle(p, minpoly):
+    """Fields up to order 32 do their arithmetic on tables, larger ones
+    on polynomials (F81 here); both agree with the tuple oracle on every
+    pair and every element, and refuse the inverse of 0 alike."""
     F = ExtensionField(p, minpoly)
     K = TinyExt(p, minpoly)
+    assert ("mul" in vars(F)) == (F.order() <= _TABLE_MAX_ORDER)
     elems = K.elements()
     for a in elems:
         for b in elems:
             assert F.mul(a, b) == K.mul(a, b)
-    rng = random.Random(5)
-    for a in rng.sample(elems[1:], 20):
+            assert F.add(a, b) == K.add(a, b)
+            assert F.sub(a, b) == K.sub(a, b)
+        assert F.neg(a) == K.sub(K.embed(0), a)
+    for a in elems[1:]:
         assert F.inv(a) == K.inv(a)
+    messages = set()
+    for inv in (F.inv, lambda a: ExtensionField.inv(F, a)):
+        with pytest.raises(ZeroDivisionError) as err:
+            inv(F.pzero)
+        messages.add(str(err.value))
+    assert messages == {f"inverse of 0 in {F!r}"}
+    rng = random.Random(5)
     # an over-long coefficient list is the polynomial evaluated at t
     t = (0, 1) + (0,) * (F.k - 2)
     for _ in range(20):
