@@ -289,6 +289,68 @@ def _build_parser() -> _Parser:
     return p
 
 
+_INF = float("inf")
+_encode_str = json.encoder.encode_basestring_ascii
+# json.dumps's text for each exact scalar type; floats, which reports only
+# echo from inline JSON, take the isinstance branch with its specials
+_SCALAR = {str: _encode_str, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
+def _write_json(o, out: list, indent: str) -> list:
+    """Append json.dumps(o, sort_keys=True, separators=(",", ": "),
+    indent=1) to out, byte for byte, and return out; raise its TypeError
+    on what JSON cannot hold.  indent is the newline and spaces before
+    o's closing bracket.  No type can subclass two of str, int, float,
+    list, tuple and dict, so testing containers first changes nothing."""
+    scalar = _SCALAR.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
+    elif isinstance(o, (list, tuple)):
+        inner = indent + " "
+        kinds = set(map(type, o))
+        if o and kinds <= _SCALAR.keys():    # a list of scalars: one join
+            texts = (map(_SCALAR[kinds.pop()], o) if len(kinds) == 1
+                     else [_SCALAR[type(v)](v) for v in o])
+            out.append("[" + inner + ("," + inner).join(texts) + indent + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                sep = "," + inner
+                _write_json(v, out, inner)
+            out.append(indent + "]" if o else "[]")
+    elif isinstance(o, dict):
+        inner = indent + " "
+        sep = "{" + inner
+        for key, v in sorted(o.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                key = _write_json(key, [], "")[0]
+            # a scalar value joins its key's piece: no call per value
+            scalar = _SCALAR.get(type(v))
+            out.append(sep + _encode_str(key) + ": "
+                       + ("" if scalar is None else scalar(v)))
+            if scalar is None:
+                _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(indent + "}" if o else "{}")
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append("NaN" if o != o else "Infinity" if o == _INF else
+                   "-Infinity" if o == -_INF else float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+    return out
+
+
 def _human_table(report: dict, wall: float, stream) -> None:
     rows = [("command", report["command"])]
     for key in sorted(report["result"]):
@@ -328,8 +390,7 @@ def main(argv=None) -> int:
         witnesses, timings, code = [], {}, 1
     report = {"command": name, "inputs": inputs, "result": result,
               "witnesses": witnesses, "timings": timings}
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ": "),
-                                indent=1) + "\n")
+    sys.stdout.write("".join(_write_json(report, [], "\n")) + "\n")
     _human_table(report, time.perf_counter() - start, sys.stderr)
     return code
 

@@ -7,10 +7,11 @@ annihilates H^0(C, N+K-D) for such a D.  Membership at index
 d = n/2 - 1 is the obstruction to semi-stability of the extension.
 
 The experiment samples random subspaces V of class space and records
-whether V escapes Sigma_d, cross-checking the determinant test on every
-member of Sigma_d it touches.  Trials run one after another on one
-generator, re-seeded per trial from SHA-256 of "seed:trial", so each
-trial's draws depend on nothing but the seed and its index.
+whether V escapes Sigma_d, cross-checking the determinant test on each
+distinct member of Sigma_d it touches, once per experiment.  Trials run
+one after another on one generator, re-seeded per trial from SHA-256 of
+"seed:trial", so each trial's draws depend on nothing but the seed and
+its index.
 
 The draw stream is curvext's own: every entry is drawn by rejection on
 getrandbits(n.bit_length()) below n (one digit below p per coefficient
@@ -191,9 +192,10 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
 
     Each trial draws a uniform full-rank s-frame over the field, then
     scans V in coefficient-lexicographic order for a class outside
-    Sigma_d, d = n/2 - 1.  Every scanned class on Sigma_d is also
-    determinant tested; a certified one would be a soundness violation
-    and is counted (the count must stay 0).
+    Sigma_d, d = n/2 - 1.  Each distinct member of Sigma_d scanned is
+    determinant tested once per experiment; a certified member would be
+    a soundness violation, counted at every scan (the count must stay
+    0).
 
     With s below n - m + g the existence hypothesis is not met and
     failed trials are legitimate; the report records the gate rather
@@ -219,6 +221,7 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
     width = datum.class_dim
     outcomes = []
     violations = 0
+    det_nonzero = {}     # member coords -> det is nonzero, for this call only
     rng = random.Random()
     for trial in range(trials):
         rng.seed(_trial_seed(seed, trial))     # same state as Random(x)
@@ -229,9 +232,11 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
             if coords not in table:
                 witness = coords
                 break
-            # a violation needs membership: only members are det tested
-            if not F.is_zero(datum.det_payload(coords)):
-                violations += 1
+            # a violation needs membership: only members are det tested,
+            # each once per experiment
+            if coords not in det_nonzero:
+                det_nonzero[coords] = not F.is_zero(datum.det_payload(coords))
+            violations += det_nonzero[coords]
         outcomes.append(TrialOutcome(trial, witness is not None, examined,
                                      witness))
     successes = sum(1 for out in outcomes if out.success)

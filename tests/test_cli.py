@@ -8,6 +8,7 @@ run only where it is on PATH.  Everything else stays in process because
 subprocess startup would dominate the suite.
 """
 
+import enum
 import importlib
 import json
 import os
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import curvext.__main__
 import curvext.secant
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
-from curvext.cli import _build_parser, main
+from curvext.cli import _build_parser, _write_json, main
 from helpers import (curve_g1_f5, datum_on_infinity, evaluation_class,
                      skew_reverification)
 
@@ -45,6 +47,16 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     return code, json.loads(out), err
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def assert_canonical(out, argv):
+    """stdout is the stdlib's indented serialization of what it parses
+    to, byte for byte, whitespace and `inputs` included."""
+    assert out == stdlib_dumps(json.loads(out)) + "\n", argv
 
 
 def _dead_line(datum):
@@ -110,12 +122,68 @@ def test_report_shape_and_serialization(tree, capsys):
     assert report["result"]["f_degree"] == 3
     assert report["witnesses"] == []
     # stdout is the canonical serialization, nothing more
-    want = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
-    assert out == want + "\n"
+    assert out == stdlib_dumps(report) + "\n"
     # the human table goes to stderr and never pollutes stdout
     assert "curve validate" in err
     assert "wall_seconds" in err
     assert "wall_seconds" not in out
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+# objects the report writer must serialize as the stdlib does, byte for
+# byte: the float specials, big ints, escapes, tuples, empty containers,
+# non-str keys (sorted as given, then converted) and subclasses
+WRITER_CASES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 0.1, 10 ** 30,
+    -10 ** 30, True, False, None, "", 0, [], {}, (),
+    'quote " backslash \\ tab \t nul \x00 \x1f del \x7f',
+    "non-ASCII é ∑ \U0001f600",
+    (1, (2, "x"), [None, True, 1.5]),
+    {"a": {}, "b": [[], {}]},
+    [[[]], [{}], {"k": []}, {"k": {}}],
+    {1: "int", 2: [1, {3: 4}]},
+    {1.5: "f", float("nan"): "nan", -0.0: "neg zero", 1e400: "inf"},
+    {True: 1, False: 0},
+    {None: [None]},
+    {"level": _Level.HIGH, "levels": [_Level.HIGH, 1]},
+    {_Level.HIGH: "key", 3: "three"},
+    {"z": 1, "a": [1, "two", 3.0, None, False], "m": {"y": (), "x": [[1]]}},
+]
+
+
+def test_report_writer_matches_the_stdlib():
+    for obj in WRITER_CASES:
+        assert "".join(_write_json(obj, [], "\n")) == stdlib_dumps(obj), obj
+    for bad in [object(), {"k": {1, 2}}, [1, b"x"], {(1, 2): 0},
+                {"k": [Fraction(1, 2)]}, {1: 0, "a": 1}]:
+        with pytest.raises(TypeError) as want:
+            stdlib_dumps(bad)
+        with pytest.raises(TypeError) as got:
+            _write_json(bad, [], "\n")
+        assert str(got.value) == str(want.value)
+
+
+def test_inline_specials_are_echoed_as_the_stdlib_writes_them(tree, capsys):
+    """Inline JSON reaches `inputs` as parsed, so NaN, 1e400 (infinity),
+    escapes and nested empty containers are written to stdout."""
+    divisor = json.dumps([{"point": "infinity", "mult": float("nan"),
+                           "note": 'é "q" \\ \n', "x": [[], {}],
+                           "y": -float("inf")}], ensure_ascii=False)
+    outs = []
+    for argv in (["rr", "basis", tree["curve"], "--divisor", divisor],
+                 ["bounds", "m", tree["curve"], "--divisor",
+                  '[{"point": "infinity", "mult": 1e400}]'],
+                 ["ext", "prop1", tree["cls"], "--L", '[{"a": [], "b": {}}]'],
+                 ["curve", "validate", tree["curve"], "--no-such-option"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 1, argv
+        assert_canonical(out, argv)
+        outs.append(out)
+    assert "NaN" in outs[0] and "-Infinity" in outs[0]
+    assert "Infinity" in outs[1]
 
 
 def _command_matrix(tree):
@@ -148,6 +216,7 @@ def test_every_command_is_byte_stable(tree, capsys):
         assert first[0] == 0, (argv, first[1])
         assert second[0] == 0
         assert first[1] == second[1], argv
+        assert_canonical(first[1], argv)
         report = json.loads(first[1])
         assert sorted(report) == TOP_KEYS
         assert report["result"]["status"] == "ok"
@@ -315,8 +384,9 @@ def test_experiment_needs_a_thread(tree, capsys):
 
 def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):
     """Every call of the benchmark's cli-mix catalog, run in process,
-    gives its recorded exit code and report digest, so a change to any
-    report byte fails here and not only in the benchmark.  The catalog
+    gives its recorded exit code and report digest, and stdout is the
+    stdlib's serialization of the report, so a change to any report
+    byte fails here and not only in the benchmark.  The catalog
     and its argv and digest helpers are read from perfbench/ without
     writing there (no bytecode cache)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -328,6 +398,7 @@ def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):
     differ = []
     for entry in catalog["entries"]:
         code, out, _ = run(capsys, workloads.cli_argv(entry, str(tmp_path)))
+        assert_canonical(out, entry["argv"])
         got = (code, workloads.report_digest(json.loads(out)))
         if got != (entry["code"], entry["digest"]):
             differ.append(" ".join(entry["argv"]))
@@ -398,8 +469,9 @@ def _mutate_argv(argv, files, work, rng):
 def test_cli_contract_on_seeded_mutants(tmp_path, capsys):
     """Seeded mutants of the benchmark's cli-mix catalog (wrong JSON
     types, missing keys, bad field specs, small negative ints) each give
-    one JSON report on stdout and an exit code in {0, 1, 2, 3}, never a
-    traceback; all of them run within 5 s."""
+    one JSON report on stdout, byte for byte as the stdlib writes it, and
+    an exit code in {0, 1, 2, 3}, never a traceback; all of them run
+    within 5 s."""
     catalog = json.loads((PERFBENCH / "goldens.json").read_text(
         encoding="utf-8"))["cli-mix"]
     files = catalog["files"]
@@ -417,6 +489,7 @@ def test_cli_contract_on_seeded_mutants(tmp_path, capsys):
                 code, out, _ = run(capsys, argv)
             except (Exception, SystemExit) as exc:
                 pytest.fail(f"{argv} escaped: {exc!r}")
+            assert_canonical(out, argv)
             report = json.loads(out)
             assert set(report) == {"command", "inputs", "result",
                                    "witnesses", "timings"}, argv
@@ -586,12 +659,12 @@ def test_inputs_echo_survives_handler_errors(tree, capsys):
     assert report["inputs"]["divisor"] == [{"point": "infinity", "mult": "x"}]
 
 
-def run_child(command, argv, timeout=60):
+def run_child(command, argv, timeout=60, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(command + argv, capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          env=env, timeout=timeout, input=stdin)
 
 
 DELTA0 = ["bounds", "delta0", "--n", "4", "--g", "1", "--m", "2"]
@@ -603,6 +676,62 @@ CAPPED = [sys.executable, "-c",
           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
           "from curvext.cli import main\n"
           "sys.exit(main())\n"]
+
+
+# main() over a JSON list of argv lists read from stdin, in one child under
+# the same cap; prints a JSON list of [exit code, stdout] pairs
+CAPPED_BATCH = [sys.executable, "-c",
+                "import contextlib, io, json, resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from curvext.cli import main\n"
+                "done = []\n"
+                "for argv in json.load(sys.stdin):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        done.append([main(argv), out.getvalue()])\n"
+                "print(json.dumps(done))\n"]
+
+
+def _huge_variants(argv):
+    """argv once per int token, that token set to +10**30 and to -10**30,
+    and once per inline divisor, every mult in it set to 10**30."""
+    for i, tok in enumerate(argv):
+        if tok.lstrip("-").isdigit():
+            values = [str(10 ** 30), str(-10 ** 30)]
+        elif tok[:1] == "[":
+            values = [json.dumps([dict(part, mult=10 ** 30)
+                                  for part in json.loads(tok)])]
+        else:
+            continue
+        for value in values:
+            yield argv[:i] + [value] + argv[i + 1:]
+
+
+def test_cli_contract_on_huge_ints(tmp_path):
+    """Every call of the cli-mix catalog with one int token at +-10**30,
+    or with mult 10**30 in its inline divisor, gives one canonical report
+    and exits 0, 1 or 2: each size is refused before it allocates, or
+    answered.  The calls run in one child under the 1 GiB cap and a
+    timeout, so a size that slips past its refusal fails fast."""
+    catalog = json.loads((PERFBENCH / "goldens.json").read_text(
+        encoding="utf-8"))["cli-mix"]
+    for fname, obj in catalog["files"].items():
+        (tmp_path / fname).write_text(json.dumps(obj), encoding="utf-8")
+    calls = []
+    for entry in catalog["entries"]:
+        for argv in _huge_variants(entry["argv"]):
+            argv = [a.replace("{work}", str(tmp_path)) for a in argv]
+            if argv not in calls:
+                calls.append(argv)
+    proc = run_child(CAPPED_BATCH, [], timeout=30, stdin=json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    done = json.loads(proc.stdout)
+    assert len(done) == len(calls) > 100
+    for argv, (code, out) in zip(calls, done):
+        assert code in (0, 1, 2), argv
+        assert_canonical(out, argv)
+        assert sorted(json.loads(out)) == TOP_KEYS, argv
+    assert {0, 1, 2} == {code for code, _ in done}
 
 
 def test_console_script_round_trip():

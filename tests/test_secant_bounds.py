@@ -512,3 +512,29 @@ def test_violations_count_every_member_examined(monkeypatch, s):
     datum = datum_on_infinity(curve_g1_f5(), 4)
     rpt = offsecant_experiment(datum, s=s, trials=40, seed=2)
     assert rpt.violations == rpt.examined_total - rpt.successes > 0
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_each_member_is_det_tested_once_per_experiment(monkeypatch, s):
+    """An experiment det-tests each secant member it examines once, so at
+    most len(secant_table) times, and a second experiment tests them
+    afresh: nothing is kept between calls."""
+    det = ExtensionDatum.det_payload
+    calls = []
+    monkeypatch.setattr(ExtensionDatum, "det_payload",
+                        lambda self, coords: calls.append(coords) or
+                        det(self, coords))
+    datum = datum_on_infinity(curve_g1_f5(), 4)
+    table = secant_table(datum, datum.n // 2 - 1)
+    for seed in range(4):
+        per_run = []
+        for _ in range(2):
+            calls.clear()
+            rpt = offsecant_experiment(datum, s=s, trials=300, seed=seed)
+            assert rpt.violations == 0
+            assert len(calls) == len(set(calls)) <= len(table)
+            assert set(calls) <= table
+            per_run.append(list(calls))
+        assert per_run[0] == per_run[1] and per_run[0]
+    # the members examined outnumber the det tests, so the memo is used
+    assert rpt.examined_total - rpt.successes > len(calls)
