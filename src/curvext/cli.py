@@ -25,8 +25,7 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .curves import (curve_from_json, divisor_from_json, divisor_to_json,
                      point_from_json)
-from .errors import (CurvextError, ExhaustionError, InputError, InternalError,
-                     NotApplicable)
+from .errors import CurvextError, InputError
 from .extensions import (brute_force_destabilizer, class_from_json,
                          load_json, make_datum, prop1_certificate,
                          search_semistable, subspace_from_json)
@@ -44,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_inline(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an overlong int
         raise InputError(f"bad {what} JSON: {exc}") from exc
 
 
@@ -56,8 +55,18 @@ def _load_class(path: str):
     return class_from_json(load_json(path), base_dir=os.path.dirname(path) or ".")
 
 
+def _too_many_digits() -> InputError:
+    # str(int) refuses an int past sys.get_int_max_str_digits()
+    return InputError("a number in the report has more than "
+                      f"{sys.get_int_max_str_digits()} digits, the "
+                      "interpreter's limit for writing an int")
+
+
 def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x)       # "n/d", or "n" for an integer
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +360,19 @@ def _write_json(o, out: list, indent: str) -> list:
     return out
 
 
+def _cell(val):
+    """A list of more than 8 items as its length, other lists and dicts as JSON."""
+    if isinstance(val, list) and len(val) > 8:
+        return f"[{len(val)} items]"
+    return json.dumps(val, sort_keys=True) if isinstance(val, (dict, list)) else val
+
+
 def _human_table(report: dict, wall: float, stream) -> None:
     rows = [("command", report["command"])]
     for key in sorted(report["result"]):
-        val = report["result"][key]
-        if isinstance(val, (dict, list)):
-            val = json.dumps(val, sort_keys=True)
-        rows.append((key, val))
+        rows.append((key, _cell(report["result"][key])))
     if report["witnesses"]:
-        rows.append(("witnesses", json.dumps(report["witnesses"], sort_keys=True)))
+        rows.append(("witnesses", _cell(report["witnesses"])))
     rows.append(("wall_seconds", f"{wall:.3f}"))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
@@ -376,21 +389,19 @@ def main(argv=None) -> int:
         name = args.name
         result, witnesses, timings = args.handler(args, inputs)
         code = 0
-    except NotApplicable as exc:
-        result = {"status": "not-applicable", "message": str(exc)}
-        witnesses, timings, code = [], {}, 2
-    except ExhaustionError as exc:
-        result = {"status": "exhausted", "message": str(exc)}
-        witnesses, timings, code = [], {}, 2
-    except InternalError as exc:
-        result = {"status": "internal-error", "message": str(exc)}
-        witnesses, timings, code = [], {}, 3
     except CurvextError as exc:
-        result = {"status": "input-error", "message": str(exc)}
-        witnesses, timings, code = [], {}, 1
+        result = {"status": exc.status, "message": str(exc)}
+        witnesses, timings, code = [], {}, exc.exit_code
     report = {"command": name, "inputs": inputs, "result": result,
               "witnesses": witnesses, "timings": timings}
-    sys.stdout.write("".join(_write_json(report, [], "\n")) + "\n")
+    try:
+        text = "".join(_write_json(report, [], "\n"))
+    except ValueError:          # an int too long to write; inputs never hold one
+        exc = _too_many_digits()
+        report.update(result={"status": exc.status, "message": str(exc)},
+                      witnesses=[], timings={})
+        code, text = exc.exit_code, "".join(_write_json(report, [], "\n"))
+    sys.stdout.write(text + "\n")
     _human_table(report, time.perf_counter() - start, sys.stderr)
     return code
 

@@ -1,15 +1,13 @@
 """Exception hierarchy shared by all modules.
 
-``cli.main`` maps these onto a report status and an exit code:
-``NotApplicable`` gives "not-applicable" and ``ExhaustionError`` gives
-"exhausted", both exit 2; ``InternalError`` gives "internal-error", exit
-3; every other ``CurvextError`` gives "input-error", exit 1.  A command
-that succeeds reports "ok" and exits 0.
+Each class carries the report status and exit code that ``cli.main``
+gives it; a command that succeeds reports "ok" and exits 0.
 """
 
 
 class CurvextError(Exception):
     """Base class for all package errors."""
+    status, exit_code = "input-error", 1
 
 
 class InputError(CurvextError, ValueError):
@@ -18,6 +16,7 @@ class InputError(CurvextError, ValueError):
 
 class NotApplicable(CurvextError):
     """A hypothesis gate failed; the requested quantity is not defined here."""
+    status, exit_code = "not-applicable", 2
 
 
 class MembershipError(CurvextError):
@@ -26,7 +25,9 @@ class MembershipError(CurvextError):
 
 class InternalError(CurvextError):
     """A result failed its own re-verification: a bug, not bad input."""
+    status, exit_code = "internal-error", 3
 
 
 class ExhaustionError(CurvextError):
     """A complete search ran out of candidates that theory says must exist."""
+    status, exit_code = "exhausted", 2

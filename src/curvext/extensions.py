@@ -426,7 +426,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, bad UTF-8 or an overlong int
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

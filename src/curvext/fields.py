@@ -68,6 +68,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # ExtensionField of at most this order does its arithmetic on tables
 _TABLE_MAX_ORDER = 32
+# list_payloads refuses larger fields; 2**20 20-tuples take about 240 MB
+MAX_LISTED_ORDER = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -166,6 +168,13 @@ class FieldDescriptor:
         """Every payload of a finite field, once each, in ascending
         ``payload_key`` order; enumeration sorts nothing on top of it."""
         raise InputError(f"{self!r} is not a finite field")
+
+    def list_payloads(self) -> list:
+        """iter_payloads as a list; refused past MAX_LISTED_ORDER elements."""
+        if (self.order() or 0) > MAX_LISTED_ORDER:
+            raise InputError(f"{self!r} has more than {MAX_LISTED_ORDER} "
+                             "elements to list")
+        return list(self.iter_payloads())
 
     # subclasses: coerce, add, sub, mul, neg, inv, characteristic, order,
     # payload_key, payload_to_json, payload_from_json
@@ -417,7 +426,7 @@ class ExtensionField(FieldDescriptor):
         coordinate ranges each rotated by a's coordinate, and
         a - b = a + (-b)."""
         p, n = self.p, self.p ** self.k - 1
-        elems = list(self.iter_payloads())
+        elems = self.list_payloads()
         canon = {a: a for a in elems}
         zero, one = canon[self.pzero], canon[self.pone]
         for g in elems[1:]:

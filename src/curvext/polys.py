@@ -7,8 +7,8 @@ with rational roots over Q (by l-adic lifting) for the curve layer.
 
 Monic irreducibles are enumerated by a sieve, one block of constant
 term at a time, holding one block's flags and the irreducibles of up to
-half the top degree; the Rabin test ``Poly.is_irreducible`` is kept for
-checking single polynomials given from outside.
+half the top degree.  A single polynomial given from outside is checked
+by Ben-Or's test, ``Poly.is_irreducible``.
 
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 the Euler criterion, and square roots by Tonelli-Shanks, which cost a
@@ -180,9 +180,6 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -229,11 +226,8 @@ class Poly:
         return r0.scale(c), s0.scale(c), t0.scale(c)
 
     def is_squarefree(self) -> bool:
-        """gcd with the derivative is constant; valid over Q and perfect F_q."""
-        if self.is_zero():
-            return False
-        if self.degree == 0:
-            return True
+        """gcd with the derivative is constant; valid over Q and perfect F_q.
+        The zero polynomial's gcd is 0, of degree -1."""
         return self.gcd(self.derivative()).degree == 0
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
@@ -247,22 +241,20 @@ class Poly:
         return out
 
     def is_irreducible(self) -> bool:
-        """Rabin test; finite coefficient fields only."""
+        """Ben-Or's test over a finite field: f of degree d is reducible
+        iff gcd(f, x**(q**i) - x) != 1 for some i <= d/2, the early exit
+        of distinct-degree factorization (Modern Computer Algebra, 14.2)."""
         q = self.field.order()
         if q is None:
             raise InputError("irreducibility testing is only provided over finite fields")
         d = self.degree
-        if d <= 0:
-            return False
-        if d == 1:
-            return True
+        if d <= 1:
+            return d == 1
         f = self.monic()
-        x = Poly.x(self.field)
-        if not (f.divides(x.powmod(q ** d, f) - x)):
-            return False
-        for ell in _prime_factors(d):
-            g = f.gcd(x.powmod(q ** (d // ell), f) - x)
-            if g.degree != 0:
+        x = h = Poly.x(self.field)
+        for _ in range(d // 2):
+            h = h.powmod(q, f)
+            if f.gcd(h - x).degree != 0:
                 return False
         return True
 
@@ -352,7 +344,7 @@ def iter_monic(field: FieldDescriptor, degree: int):
         raise InputError("enumeration requires a finite field")
     if degree < 0:
         return
-    for tail in product(field.iter_payloads(), repeat=degree):
+    for tail in product(field.list_payloads(), repeat=degree):
         yield Poly(field, list(tail) + [field.pone])
 
 
@@ -373,7 +365,7 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
     q = F.order()
     if q is None:
         raise InputError("enumeration requires a finite field")
-    payloads = list(F.iter_payloads())
+    payloads = F.list_payloads() if max_degree > 0 else []
     rank = {c: i for i, c in enumerate(payloads)}
     one = F.pone
     small = []  # (coeffs, 1/g(0)) of irreducible g, 2 deg g <= max_degree
@@ -406,20 +398,6 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
                     if 2 * d <= max_degree and not F.is_zero(t):
                         small.append((f.coeffs, F.inv(t)))
                     yield f
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def residue_inverse(a: Poly, modulus: Poly) -> Poly:

@@ -69,12 +69,12 @@ def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
     F = datum.curve.field
     if F.order() is None:
         raise InputError("secant tables need a finite base field")
-    payloads = list(F.iter_payloads())
     width = datum.class_dim
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d):
         span = datum.span_rows(D)
-        for cs in _iproduct(payloads, repeat=len(span)):
+        coeffs = F.list_payloads() if span else []   # D = 0 has no rows
+        for cs in _iproduct(coeffs, repeat=len(span)):
             members.add(tuple(linear_combination(F, cs, span, width)))
     return frozenset(members)
 
@@ -217,7 +217,7 @@ def offsecant_experiment(datum: ExtensionDatum, s: int, trials: int,
             f"{trials} trials is more than the limit of {MAX_TRIALS}")
     d = datum.n // 2 - 1
     table = secant_table(datum, d)
-    payloads = list(F.iter_payloads())
+    payloads = F.list_payloads()
     width = datum.class_dim
     outcomes = []
     violations = 0

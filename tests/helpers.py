@@ -7,6 +7,7 @@ point counts can be checked against brute force.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import random
 
@@ -16,7 +17,7 @@ from curvext import (Divisor, ExtensionClass, ExtensionField,
                      enumerate_effective_divisors, kernel_basis,
                      make_curve, make_datum, rr_basis)
 from curvext.linalg import _echelon, linear_combination
-from curvext.polys import _prime_factors, iter_monic, residue_inverse
+from curvext.polys import iter_monic, residue_inverse
 
 # ---------------------------------------------------------------------------
 # fixture curves (label -> constructor args); all models verified squarefree
@@ -487,14 +488,42 @@ def hensel_sqrt_by_xgcd(f, p, branch, precision):
     return y
 
 
-def rabin_monic_irreducible(field, max_degree):
+def ben_or_monic_irreducible(field, max_degree):
     """Oracle for polys.iter_monic_irreducible: every monic of degree
-    1..max_degree in iter_monic's order, kept when the Rabin test
+    1..max_degree in iter_monic's order, kept when Ben-Or's test
     (Poly.is_irreducible) passes it."""
     for d in range(1, max_degree + 1):
         for f in iter_monic(field, d):
             if d == 1 or f.is_irreducible():
                 yield f
+
+
+@functools.cache
+def _tables(K):
+    """K's elements, and a - b*c keyed by (a, b, c); built once per K."""
+    elems = K.elements()
+    return elems, {(a, b, c): K.sub(a, K.mul(b, c))
+                   for a in elems for b in elems for c in elems}
+
+
+def irreducible_by_trial_division(K, coeffs):
+    """Oracle for Poly.is_irreducible: the monic f with TinyExt element
+    coefficients ``coeffs`` (low degree first) is irreducible iff its
+    degree d is at least 1 and no monic g of degree 1..d/2 leaves
+    remainder 0 in schoolbook long division."""
+    elems, sub_mul = _tables(K)
+    zero = K.embed(0)
+    d = len(coeffs) - 1
+    for e in range(1, d // 2 + 1):
+        for g in itertools.product(elems, repeat=e):     # g + x^e
+            rem = list(coeffs)
+            for top in range(d, e - 1, -1):
+                c = rem[top]
+                for j, gj in enumerate(g):
+                    rem[top - e + j] = sub_mul[rem[top - e + j], c, gj]
+            if all(r == zero for r in rem[:e]):
+                return False
+    return d >= 1
 
 
 def count_monic_irreducible(q, d):
@@ -513,6 +542,18 @@ def _moebius(n):
             return 0
         out = -out
     return out
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, ell = [], 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            out.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1
+    return out + [n] if n > 1 else out
 
 
 def brute_point_count(p, f_coeffs, ext_minpoly=None):

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import curvext.__main__
+import curvext.fields
 import curvext.secant
 from curvext import (ExtensionClass, class_to_json, curve_to_json,
                      datum_to_json, det_test)
@@ -373,6 +374,23 @@ def test_experiment_trial_cap_is_inclusive(tree, capsys, monkeypatch):
     assert "limit of 3" in report["result"]["message"]
 
 
+def test_stderr_table_counts_long_lists(tree, capsys):
+    """A list of more than 8 items is its length in the stderr table, so
+    1 000 outcomes fill stdout but not stderr; 8 are still written out."""
+    base = ["secant", "experiment", tree["curve"], "--n", "4", "--dim", "2",
+            "--trials"]
+    for trials, cell in (("1000", lambda outs: "[1000 items]"),
+                         ("8", lambda outs: json.dumps(outs, sort_keys=True))):
+        code, out, err = run(capsys, base + [trials])
+        assert code == 0
+        outcomes = json.loads(out)["result"]["outcomes"]
+        assert len(outcomes) == int(trials)
+        rows = dict(line.split(None, 1) for line in err.splitlines())
+        assert rows["outcomes"] == cell(outcomes)
+        assert "wall_seconds" in rows
+        assert len(err.encode()) < 2048
+
+
 def test_experiment_needs_a_thread(tree, capsys):
     code, report, _ = run_json(capsys, [
         "secant", "experiment", tree["curve"], "--n", "4", "--dim", "3",
@@ -707,12 +725,57 @@ def _huge_variants(argv):
             yield argv[:i] + [value] + argv[i + 1:]
 
 
+P64 = 2 ** 64 - 59      # a prime; F_P64 has too many elements to list
+
+
+def _past_the_limits(tmp_path):
+    """(argv, exit code, message fragment or None) for inputs past a
+    size limit: ints with more digits than the interpreter reads or
+    writes, when it has such a limit, and a field too large to list,
+    where only the scans that need no place answer."""
+    def dump(name, obj):
+        (tmp_path / name).write_text(obj if isinstance(obj, str)
+                                     else json.dumps(obj), encoding="utf-8")
+        return str(tmp_path / name)
+
+    big = dump("c_p64.json", {"field": {"Fp": P64}, "f": [1, 1, 0, 0, 0, 1]})
+    cls = dump("cls_p64.json", {"datum": {
+        "curve": big, "N": [{"point": "infinity", "mult": 2}],
+        "M": [{"point": "infinity", "mult": 2}]}, "e": [1, 0, 0]})
+    listing = f"more than {curvext.fields.MAX_LISTED_ORDER} elements"
+    cases = [(["secant", "member", cls], 0, None),
+             (["ext", "destab", cls], 0, None),
+             (["secant", "experiment", big, "--n", "2", "--dim", "1",
+               "--trials", "1"], 1, listing),
+             (["secant", "member", cls, "--d", "1"], 1, listing)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return cases
+    long_int = "1" + "0" * limit        # limit + 1 digits
+    cq = dump("c_q.json", {"field": "Q", "f": [1, 0, 0, 1]})
+    return cases + [
+        (["rr", "basis", cq, "--divisor",
+          f'[{{"point": {{"x": {long_int}, "y": null}}, "mult": 1}}]'],
+         1, f"({limit} digits)"),
+        (["curve", "validate",
+          dump("c_long.json", '{"field": "Q", "f": [1, 0, 0, %s]}' % long_int)],
+         1, f"({limit} digits)"),
+        (["rr", "basis", cq, "--divisor", json.dumps(
+            [{"point": {"x": f"1e{limit}", "y": None}, "mult": 1}])],
+         1, f"more than {limit} digits"),
+        (["bounds", "theorem2", "--n", "4", "--g", "2", "--m", "2",
+          "--degF", "1", "--c1sq", f"1e{limit + 1}", "--k", "4"],
+         1, f"more than {limit} digits")]
+
+
 def test_cli_contract_on_huge_ints(tmp_path):
     """Every call of the cli-mix catalog with one int token at +-10**30,
     or with mult 10**30 in its inline divisor, gives one canonical report
     and exits 0, 1 or 2: each size is refused before it allocates, or
-    answered.  The calls run in one child under the 1 GiB cap and a
-    timeout, so a size that slips past its refusal fails fast."""
+    answered.  So do the inputs of _past_the_limits, each with its own
+    exit code and message.  The calls run in one child under the 1 GiB
+    cap and a timeout, so a size that slips past its refusal fails
+    fast."""
     catalog = json.loads((PERFBENCH / "goldens.json").read_text(
         encoding="utf-8"))["cli-mix"]
     for fname, obj in catalog["files"].items():
@@ -723,6 +786,8 @@ def test_cli_contract_on_huge_ints(tmp_path):
             argv = [a.replace("{work}", str(tmp_path)) for a in argv]
             if argv not in calls:
                 calls.append(argv)
+    limits = _past_the_limits(tmp_path)
+    calls += [argv for argv, _, _ in limits]
     proc = run_child(CAPPED_BATCH, [], timeout=30, stdin=json.dumps(calls))
     assert proc.returncode == 0, proc.stderr
     done = json.loads(proc.stdout)
@@ -732,6 +797,12 @@ def test_cli_contract_on_huge_ints(tmp_path):
         assert_canonical(out, argv)
         assert sorted(json.loads(out)) == TOP_KEYS, argv
     assert {0, 1, 2} == {code for code, _ in done}
+    for (argv, code, message), (got, out) in zip(
+            limits, done[len(done) - len(limits):]):
+        result = json.loads(out)["result"]
+        assert got == code, (argv, result)
+        assert result["status"] == ("ok" if code == 0 else "input-error")
+        assert message is None or message in result["message"], argv
 
 
 def test_console_script_round_trip():

@@ -72,7 +72,7 @@ def test_benchmark_point_enum_counts(monkeypatch):
 
 
 def test_point_enum_runs_no_irreducibility_test(monkeypatch):
-    """Enumeration takes its places from the sieve alone: with the Rabin
+    """Enumeration takes its places from the sieve alone: with Ben-Or's
     test made to raise, the benchmark's point-enum curves give the same
     points, compared as the JSON of every point, as an unpatched run.
     Curves are built before the patch (F25 checks its minpoly)."""
@@ -90,7 +90,7 @@ def test_point_enum_runs_no_irreducibility_test(monkeypatch):
     expect = [as_json(a, d) for a, _, d in cases]
 
     def refuse(self):
-        raise AssertionError("Rabin test run during enumeration")
+        raise AssertionError("Ben-Or test run during enumeration")
 
     monkeypatch.setattr(Poly, "is_irreducible", refuse)
     assert [as_json(b, d) for _, b, d in cases] == expect

@@ -272,8 +272,9 @@ def test_reducible_minpoly_is_rejected():
     # t^2 + 2 has the root t = 1 mod 3
     with pytest.raises(InputError):
         ExtensionField(3, [2, 0, 1])
-    # quartics with no root mod 3: (t^2+1)^2 fails the first Rabin step;
-    # (t^2+1)(t^2+t+2) divides t^81 - t and fails only the gcd step
+    # quartics with no root mod 3, so Ben-Or's first gcd, with t^3 - t,
+    # is 1: (t^2+1)^2 is a square, (t^2+1)(t^2+t+2) is squarefree, and
+    # each shares t^2+1 with t^9 - t in the second
     for minpoly in ([1, 0, 2, 0, 1], [2, 1, 0, 1, 1]):
         with pytest.raises(InputError, match="reducible"):
             ExtensionField(3, minpoly)

@@ -11,9 +11,10 @@ from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
 from curvext.polys import (_nonsquare_power, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_sqrt)
-from helpers import (_divisors, brute_residue_sqrts, count_monic_irreducible,
+from helpers import (TinyExt, _divisors, ben_or_monic_irreducible,
+                     brute_residue_sqrts, count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
-                     nonsquare_power_by_scan, rabin_monic_irreducible,
+                     irreducible_by_trial_division, nonsquare_power_by_scan,
                      residue_is_square)
 
 Q = Rationals()
@@ -77,6 +78,10 @@ def test_squarefree_detection():
     F7 = PrimeField(7)
     assert not Poly(F7, [1, 1, 0, 0, 0, 1]).is_squarefree()
     assert Poly(F7, [1, 2, 0, 0, 0, 1]).is_squarefree()
+    # the gcd answers the ends too: 0 is not squarefree, a constant is
+    for F in (F5, Q):
+        assert not Poly(F, []).is_squarefree()
+        assert Poly(F, [3]).is_squarefree()
 
 
 def test_irreducible_enumeration_counts():
@@ -114,12 +119,46 @@ SIEVE_CASES = [(F3, 5), (F5, 4), (PrimeField(7), 3), (F9, 3),
 
 
 @pytest.mark.parametrize("F,max_degree", SIEVE_CASES, ids=repr)
-def test_sieve_matches_rabin_filter(F, max_degree):
-    """The sieve's list, in order, is the Rabin filter's.  From degree 4
+def test_sieve_matches_ben_or_filter(F, max_degree):
+    """The sieve's list, in order, is the Ben-Or filter's.  From degree 4
     some reducibles have no linear factor, so a sieve that strikes only
     multiples of linear polynomials fails over F3 and F5."""
     assert (list(iter_monic_irreducible(F, max_degree))
-            == list(rabin_monic_irreducible(F, max_degree)))
+            == list(ben_or_monic_irreducible(F, max_degree)))
+
+
+# (p, minpoly of F_{p^k} or None for F_p, top degree)
+TRIAL_DIVISION_CASES = [(2, None, 6), (3, None, 6), (5, None, 4),
+                        (2, [1, 1, 1], 4), (3, [1, 0, 1], 4)]
+
+
+@pytest.mark.parametrize("p,minpoly,max_degree", TRIAL_DIVISION_CASES,
+                         ids=["F2", "F3", "F5", "F4", "F9"])
+def test_ben_or_matches_trial_division(p, minpoly, max_degree):
+    """Poly.is_irreducible agrees with trial division by every monic of
+    up to half the degree on every monic of degree <= max_degree over
+    F_p or F_{p^k}; the TinyExt oracle shares no arithmetic with it."""
+    F = PrimeField(p) if minpoly is None else ExtensionField(p, minpoly)
+    K = TinyExt(p, minpoly or [0, 1])
+    as_tiny = (lambda c: (c,)) if minpoly is None else tuple
+    seen = Counter()
+    for d in range(max_degree + 1):
+        for f in iter_monic(F, d):
+            got = f.is_irreducible()
+            assert got == irreducible_by_trial_division(
+                K, [as_tiny(c) for c in f.coeffs]), f
+            seen[got, f.is_squarefree()] += 1
+    # irreducibles, squarefree reducibles and squares all occur
+    assert seen.keys() == {(True, True), (False, True), (False, False)}
+
+
+def test_ben_or_rejects_the_rootless_quartics_mod_3():
+    """The two reducible quartics of test_reducible_minpoly_is_rejected
+    have no root mod 3; both answers say reducible."""
+    K = TinyExt(3, [0, 1])
+    for coeffs in ([1, 0, 2, 0, 1], [2, 1, 0, 1, 1]):
+        assert not Poly(F3, coeffs).is_irreducible()
+        assert not irreducible_by_trial_division(K, [(c,) for c in coeffs])
 
 
 def test_sieve_counts_refusal_and_laziness():

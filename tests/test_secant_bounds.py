@@ -9,7 +9,7 @@ import pytest
 
 from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionDatum,
                      ExtensionField, InputError, InternalError, Matrix,
-                     NotApplicable,
+                     NotApplicable, PrimeField,
                      brute_force_destabilizer, clifford_sandwich, compute_m,
                      det_test, enumerate_closed_points, make_curve,
                      make_datum, offsecant_experiment, rank, sample_subspace,
@@ -292,6 +292,20 @@ def test_secant_tables_match_the_kernel_oracle():
             datum = make(make_curve_(), n)
             d = n // 2 - 1
             assert secant_table(datum, d) == secant_table_by_kernel(datum, d)
+
+
+def test_tables_over_a_field_too_large_to_list():
+    """Over F_p, p = 2**64 - 59, Sigma_0 is the zero class alone and
+    lists no field element; Sigma_1 and the experiment need every
+    element as a coefficient, and are refused before any list is built."""
+    F = PrimeField(2 ** 64 - 59)
+    datum = datum_on_infinity(make_curve(F, [1, 1, 0, 0, 0, 1]), 2)
+    assert secant_table(datum, 0) == {(0,) * datum.class_dim}
+    assert not secant_member(ExtensionClass(datum, [1, 0, 0])).found
+    with pytest.raises(InputError, match="elements to list"):
+        secant_table(datum, 1)
+    with pytest.raises(InputError, match="elements to list"):
+        offsecant_experiment(datum, 1, 1)
 
 
 def test_scans_build_one_basis_per_hit():
