@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import bounds as _bounds
 from .curves import (curve_from_json, divisor_from_json, divisor_to_json,
@@ -29,6 +28,7 @@ from .errors import CurvextError, InputError
 from .extensions import (brute_force_destabilizer, class_from_json,
                          load_json, make_datum, prop1_certificate,
                          search_semistable, subspace_from_json)
+from .fields import rational_text, too_many_digits
 from .riemann_roch import function_to_json, rr_basis
 from .secant import offsecant_experiment, secant_member
 
@@ -40,11 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_inline(text: str, what: str):
+def _inline_divisor(curve, text: str, what: str, inputs: dict, key: str):
+    """The divisor in inline JSON text, echoed to inputs[key] as parsed."""
     try:
-        return json.loads(text)
+        inputs[key] = dv = json.loads(text)
     except ValueError as exc:       # a JSONDecodeError, or an overlong int
         raise InputError(f"bad {what} JSON: {exc}") from exc
+    return divisor_from_json(curve, dv)
 
 
 def _load_curve(path: str):
@@ -53,20 +55,6 @@ def _load_curve(path: str):
 
 def _load_class(path: str):
     return class_from_json(load_json(path), base_dir=os.path.dirname(path) or ".")
-
-
-def _too_many_digits() -> InputError:
-    # str(int) refuses an int past sys.get_int_max_str_digits()
-    return InputError("a number in the report has more than "
-                      f"{sys.get_int_max_str_digits()} digits, the "
-                      "interpreter's limit for writing an int")
-
-
-def _frac_str(x: Fraction) -> str:
-    try:
-        return str(x)       # "n/d", or "n" for an integer
-    except ValueError:
-        raise _too_many_digits() from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +73,7 @@ def _cmd_curve_validate(args, inputs):
 def _cmd_rr_basis(args, inputs):
     inputs["curve"] = args.curve
     curve = _load_curve(args.curve)
-    dv = _parse_inline(args.divisor, "divisor")
-    inputs["divisor"] = dv
-    D = divisor_from_json(curve, dv)
+    D = _inline_divisor(curve, args.divisor, "divisor", inputs, "divisor")
     B = rr_basis(curve, D)
     result = {"status": "ok", "dim": B.dim, "degree": D.degree,
               "pole_orders": list(B.pole_orders),
@@ -115,13 +101,9 @@ def _cmd_ext_prop1(args, inputs):
     curve = e.datum.curve
     Lp = Mp = None
     if args.L is not None:
-        lv = _parse_inline(args.L, "L divisor")
-        inputs["L"] = lv
-        Lp = divisor_from_json(curve, lv)
+        Lp = _inline_divisor(curve, args.L, "L divisor", inputs, "L")
     if args.M is not None:
-        mv = _parse_inline(args.M, "M divisor")
-        inputs["M"] = mv
-        Mp = divisor_from_json(curve, mv)
+        Mp = _inline_divisor(curve, args.M, "M divisor", inputs, "M")
     cert = prop1_certificate(e, Lp, Mp)
     result = {"status": "ok",
               "certificate": {"outcome": cert.status, "rank": cert.rank,
@@ -190,8 +172,10 @@ def _cmd_secant_experiment(args, inputs):
     if args.threads < 1:
         raise InputError("need at least one thread")
     report = offsecant_experiment(datum, args.dim, args.trials, seed=args.seed)
-    result = {"status": "ok"}
-    result.update(report.to_json(curve.field))
+    to_json = curve.field.payload_to_json
+    result = {**vars(report), "status": "ok", "outcomes": [
+        {**vars(t), "witness": t.witness and [to_json(v) for v in t.witness]}
+        for t in report.outcomes]}
     return result, [], {"examined": report.examined_total,
                         "trials": report.trials}
 
@@ -199,9 +183,7 @@ def _cmd_secant_experiment(args, inputs):
 def _cmd_bounds_m(args, inputs):
     inputs["curve"] = args.curve
     curve = _load_curve(args.curve)
-    dv = _parse_inline(args.divisor, "divisor")
-    inputs["divisor"] = dv
-    M = divisor_from_json(curve, dv)
+    M = _inline_divisor(curve, args.divisor, "divisor", inputs, "divisor")
     m = _bounds.compute_m(curve, M)
     result = {"status": "ok", "m": m, "deg_M": M.degree, "genus": curve.genus}
     return result, [], {}
@@ -220,8 +202,8 @@ def _cmd_bounds_theorem2(args, inputs):
                             c1sq=args.c1sq, k=args.k)
     r = _bounds.theorem2_bound(b)
     result = {"status": "ok", "A": r.A, "bound": r.bound, "ulp": r.ulp,
-              "A_rational_part": _frac_str(r.A_rational),
-              "bound_rational_part": _frac_str(r.bound_rational),
+              "A_rational_part": rational_text(r.A_rational),
+              "bound_rational_part": rational_text(r.bound_rational),
               "log_argument": r.log_argument, "gate": b.gate}
     return result, [], {}
 
@@ -298,10 +280,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-_INF = float("inf")
 _encode_str = json.encoder.encode_basestring_ascii
 # json.dumps's text for each exact scalar type; floats, which reports only
-# echo from inline JSON, take the isinstance branch with its specials
+# echo from inline JSON, and str and int subclasses go to json.dumps itself
 _SCALAR = {str: _encode_str, int: int.__repr__,
            bool: {True: "true", False: "false"}.__getitem__,
            type(None): {None: "null"}.__getitem__}
@@ -309,10 +290,11 @@ _SCALAR = {str: _encode_str, int: int.__repr__,
 
 def _write_json(o, out: list, indent: str) -> list:
     """Append json.dumps(o, sort_keys=True, separators=(",", ": "),
-    indent=1) to out, byte for byte, and return out; raise its TypeError
-    on what JSON cannot hold.  indent is the newline and spaces before
-    o's closing bracket.  No type can subclass two of str, int, float,
-    list, tuple and dict, so testing containers first changes nothing."""
+    indent=1) to out, byte for byte, and return out.  indent is the
+    newline and spaces before o's closing bracket.  json.dumps itself
+    writes all but containers and exact scalars, or raises its TypeError.
+    No type can subclass two of str, int, float, list, tuple and dict,
+    so testing containers first changes nothing."""
     scalar = _SCALAR.get(type(o))
     if scalar is not None:
         out.append(scalar(o))
@@ -338,7 +320,7 @@ def _write_json(o, out: list, indent: str) -> list:
                 if key is not None and not isinstance(key, (int, float)):
                     raise TypeError("keys must be str, int, float, bool or "
                                     f"None, not {key.__class__.__name__}")
-                key = _write_json(key, [], "")[0]
+                key = json.dumps(key)
             # a scalar value joins its key's piece: no call per value
             scalar = _SCALAR.get(type(v))
             out.append(sep + _encode_str(key) + ": "
@@ -347,16 +329,8 @@ def _write_json(o, out: list, indent: str) -> list:
                 _write_json(v, out, inner)
             sep = "," + inner
         out.append(indent + "}" if o else "{}")
-    elif isinstance(o, str):
-        out.append(_encode_str(o))
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append("NaN" if o != o else "Infinity" if o == _INF else
-                   "-Infinity" if o == -_INF else float.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        "is not JSON serializable")
+    else:       # floats, str and int subclasses, or what JSON cannot hold
+        out.append(json.dumps(o))
     return out
 
 
@@ -397,7 +371,7 @@ def main(argv=None) -> int:
     try:
         text = "".join(_write_json(report, [], "\n"))
     except ValueError:          # an int too long to write; inputs never hold one
-        exc = _too_many_digits()
+        exc = too_many_digits()
         report.update(result={"status": exc.status, "message": str(exc)},
                       witnesses=[], timings={})
         code, text = exc.exit_code, "".join(_write_json(report, [], "\n"))

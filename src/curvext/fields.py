@@ -31,9 +31,9 @@ overloading.  Five payload kernels carry the hot paths:
   entries of a boundary matrix cost one big-int sum of products and
   one ``struct`` unpack per class, left unreduced for ``det``.
 * ``det``, the determinant of an m x m matrix given as m*m row-major
-  payload entries, on every descriptor.  The base class answers 0x0
-  and 1x1 directly and runs the forward pass of ``linalg`` from 2x2
-  on; ``PrimeField`` takes any int entries, computes up to 4x4 on raw
+  payload entries, on every descriptor.  The base class runs the
+  forward pass of ``linalg``, which gives 1 at 0x0 and the entry at
+  1x1; ``PrimeField`` takes any int entries, computes up to 4x4 on raw
   ints with one ``% p`` per determinant, which is what each
   extension-class decision costs, and reduces the entries first
   otherwise.
@@ -57,7 +57,9 @@ No floating point anywhere; all tests for zero are exact.
 
 from __future__ import annotations
 
+import re
 import struct
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul as _imul
@@ -66,6 +68,8 @@ from .errors import InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Fraction's decimal form with an exponent, which it expands before any check
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
 # ExtensionField of at most this order does its arithmetic on tables
 _TABLE_MAX_ORDER = 32
 # list_payloads refuses larger fields; 2**20 20-tuples take about 240 MB
@@ -153,15 +157,10 @@ class FieldDescriptor:
 
     def det(self, entries, m: int):
         """Determinant of the m x m matrix with the given row-major payload
-        entries; the empty 0x0 determinant is 1.  From 2x2 on by the
-        forward pass."""
-        if m == 0:
-            return self.pone
-        if m == 1:
-            return entries[0]
+        entries, by the forward pass; the empty 0x0 determinant is 1."""
         from .linalg import _forward  # linalg imports this module
-        _, pivots, d = _forward(self, [entries[k:k + m]
-                                       for k in range(0, m * m, m)])
+        _, pivots, d = _forward(self, [entries[k * m:k * m + m]
+                                       for k in range(m)])
         return d if len(pivots) == m else self.pzero
 
     def iter_payloads(self):
@@ -180,6 +179,31 @@ class FieldDescriptor:
     # payload_key, payload_to_json, payload_from_json
 
 
+def too_many_digits(what: str = "a number in the report") -> InputError:
+    """The refusal of a number past the most digits str(int) writes."""
+    return InputError(f"{what} has more than {sys.get_int_max_str_digits()} "
+                      "digits, the interpreter's limit for writing an int")
+
+
+def rational_text(x: Fraction) -> str:
+    """str(x), "n/d" or "n" for an integer; refused past the digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise too_many_digits() from None
+
+
+def _past_digit_limit(whole: str, frac: str, exp: str) -> bool:
+    """Whether whole.frac * 10**exp written out in full passes str(int)'s limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()   # 0: no limit
+    digits = len((whole + frac).replace("_", "").lstrip("0")) or 1
+    try:
+        shift = int(exp) - len(frac.replace("_", ""))
+    except ValueError:          # malformed or past the limit: Fraction refuses it
+        return False
+    return 0 < limit < max(digits + shift, digits, 1 - shift)
+
+
 class Rationals(FieldDescriptor):
     """The field of rational numbers; payloads are reduced Fractions."""
 
@@ -194,6 +218,9 @@ class Rationals(FieldDescriptor):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
+            m = _EXPONENT_FORM.fullmatch(value)
+            if m and _past_digit_limit(*m.groups("")):
+                raise too_many_digits(f"{value!r} written out in full")
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
@@ -229,9 +256,7 @@ class Rationals(FieldDescriptor):
         return (a.numerator, a.denominator)
 
     def payload_to_json(self, a):
-        if a.denominator == 1:
-            return int(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return a.numerator if a.denominator == 1 else rational_text(a)
 
     def payload_from_json(self, v):
         if isinstance(v, (int, str)):

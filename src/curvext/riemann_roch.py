@@ -68,19 +68,16 @@ class RationalFunction:
             raise InputError("zero denominator")
         if a.field != F or b.field != F or c.field != F:
             raise InputError("component over the wrong field")
-        if a.is_zero() and b.is_zero():
-            c = Poly.one(F)
-        else:
-            g = a.gcd(b).gcd(c)
-            if g.degree > 0:
-                a = a // g
-                b = b // g
-                c = c // g
-            if not c.is_monic():
-                inv = F.inv(c.lc())
-                a = a.scale(inv)
-                b = b.scale(inv)
-                c = c.monic()
+        g = a.gcd(b).gcd(c)
+        if g.degree > 0:
+            a = a // g
+            b = b // g
+            c = c // g
+        if not c.is_monic():
+            inv = F.inv(c.lc())
+            a = a.scale(inv)
+            b = b.scale(inv)
+            c = c.monic()
         self.curve = curve
         self.a = a
         self.b = b

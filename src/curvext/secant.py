@@ -108,22 +108,6 @@ class OffsecantReport:
     violations: int              # det_test true yet secant member; expect 0
     outcomes: tuple
 
-    def to_json(self, field):
-        return {
-            "q": self.q, "n": self.n, "g": self.g, "m": self.m,
-            "s": self.s, "d": self.d, "trials": self.trials,
-            "seed": self.seed, "hypothesis_met": self.hypothesis_met,
-            "successes": self.successes, "failures": self.failures,
-            "examined_total": self.examined_total,
-            "violations": self.violations,
-            "outcomes": [
-                {"trial": t.trial, "success": t.success,
-                 "examined": t.examined,
-                 "witness": None if t.witness is None else
-                 [field.payload_to_json(v) for v in t.witness]}
-                for t in self.outcomes],
-        }
-
 
 def _trial_seed(seed: int, trial: int) -> int:
     digest = hashlib.sha256(f"{seed}:{trial}".encode("ascii")).digest()

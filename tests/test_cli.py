@@ -26,8 +26,9 @@ import pytest
 import curvext.__main__
 import curvext.fields
 import curvext.secant
-from curvext import (ExtensionClass, class_to_json, curve_to_json,
-                     datum_to_json, det_test)
+from curvext import (Divisor, ExtensionClass, class_to_json, curve_to_json,
+                     datum_to_json, det_test, divisor_to_json,
+                     prop1_certificate)
 from curvext.cli import _build_parser, _write_json, main
 from helpers import (curve_g1_f5, datum_on_infinity, evaluation_class,
                      skew_reverification)
@@ -267,6 +268,30 @@ def test_ext_det_and_prop1_agree(tree, capsys):
     assert cert["outcome"] in ("certified-semistable", "inconclusive")
     if res["nonzero"]:
         assert cert["outcome"] == "certified-semistable"
+
+
+def test_ext_prop1_reads_a_twist(tree, capsys):
+    """`ext prop1 --L --M` on L' = L - D0 and M' = M - D0 for an effective
+    D0, so M' - L' = M - L ~ N: the certificate is the library's for the
+    same twist, not the untwisted one, and `inputs` echoes both divisors."""
+    curve = curve_g1_f5()
+    datum = datum_on_infinity(curve, 4)
+    e = ExtensionClass(datum, [1, 0, 2, 3])        # the class of tree["cls"]
+    D0 = Divisor(curve, [(curve.point(0, 1), 1)])
+    Lp, Mp = datum.L - D0, datum.M - D0
+    L_text = json.dumps(divisor_to_json(Lp))
+    M_text = json.dumps(divisor_to_json(Mp))
+    code, report, _ = run_json(capsys, ["ext", "prop1", tree["cls"],
+                                        "--L", L_text, "--M", M_text])
+    assert code == 0
+    cert = prop1_certificate(e, Lp, Mp)
+    assert report["result"]["certificate"] == {
+        "outcome": cert.status, "rank": cert.rank, "rows": cert.rows,
+        "cols": cert.cols, "case_a": cert.case_a, "case_b": cert.case_b}
+    default = prop1_certificate(e)
+    assert (cert.rows, cert.cols) != (default.rows, default.cols)
+    assert report["inputs"] == {"file": tree["cls"], "L": json.loads(L_text),
+                                "M": json.loads(M_text)}
 
 
 def test_search_reports_witness(tree, capsys):
@@ -803,6 +828,83 @@ def test_cli_contract_on_huge_ints(tmp_path):
         assert got == code, (argv, result)
         assert result["status"] == ("ok" if code == 0 else "input-error")
         assert message is None or message in result["message"], argv
+
+
+THEOREM2 = ["bounds", "theorem2", "--n", "4", "--g", "2", "--m", "2",
+            "--degF", "1", "--k", "4"]
+
+
+def _point_divisor(x, mult=1):
+    return json.dumps([{"point": {"x": x, "y": None}, "mult": mult}])
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int digit limit")
+def test_decimal_strings_past_the_digit_limit_are_refused_at_once(tmp_path,
+                                                                  capsys):
+    """A decimal string whose value, written out in full, takes more
+    digits than the interpreter writes is refused before Fraction expands
+    its exponent: each call gives one input-error report naming the
+    limit and exits 1, in well under a second.  Before, 1e2000000 ended
+    in a decimal.Overflow traceback, 1e999999 took 18 s and the two
+    1e-2000000 inputs ran for minutes.  A string just inside the limit
+    is read as it always was."""
+    limit = sys.get_int_max_str_digits()
+    cq = tmp_path / "c_q.json"
+    cq.write_text(json.dumps({"field": "Q", "f": [1, 0, 0, 1]}),
+                  encoding="utf-8")
+    refused = [THEOREM2 + ["--c1sq", "1e2000000"],
+               THEOREM2 + ["--c1sq", "1e999999"],
+               THEOREM2 + ["--c1sq", "1e-2000000"],
+               ["rr", "basis", str(cq), "--divisor",
+                _point_divisor("1e-2000000")]]
+    # one capped child with a timeout first, so a regression fails fast
+    proc = run_child(CAPPED_BATCH, [], timeout=20, stdin=json.dumps(refused))
+    assert proc.returncode == 0, proc.stderr
+    assert [code for code, _ in json.loads(proc.stdout)] == [1] * 4
+    for argv in refused:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 1, argv
+        assert_canonical(out, argv)
+        result = json.loads(out)["result"]
+        assert result["status"] == "input-error"
+        assert f"more than {limit} digits" in result["message"], argv
+
+    inside = f"1e{limit - 1}"           # limit digits written out in full
+    code, report, _ = run_json(capsys, THEOREM2 + ["--c1sq", inside])
+    assert code == 0
+    assert report["result"]["bound_rational_part"] == str(
+        Fraction(10 ** (limit - 1), 8) - Fraction(1, 4))
+    code, report, _ = run_json(capsys, ["rr", "basis", str(cq), "--divisor",
+                                        _point_divisor(f"1e-{limit - 1}")])
+    assert code == 0
+    assert report["result"]["denominator"] == [f"-1/{10 ** (limit - 1)}", 1]
+
+
+def test_rational_past_the_digit_limit_in_a_report_is_refused(tmp_path,
+                                                              capsys):
+    """A point x = 1e-2200 at multiplicity 2 is read, but its basis holds
+    a coefficient with a 4 401-digit denominator.  Every rational becomes
+    text through one guarded route, so the report is one input-error
+    naming the digit limit, not a traceback with empty stdout."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 4401:
+        pytest.skip("the interpreter writes a 4 401-digit int")
+    cq = tmp_path / "c_q.json"
+    cq.write_text(json.dumps({"field": "Q", "f": [1, 0, 0, 1]}),
+                  encoding="utf-8")
+    argv = ["rr", "basis", str(cq), "--divisor", _point_divisor("1e-2200", 2)]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert_canonical(out, argv)
+    report = json.loads(out)
+    assert report["result"] == {
+        "status": "input-error",
+        "message": f"a number in the report has more than {limit} digits, "
+                   "the interpreter's limit for writing an int"}
+    assert report["inputs"]["divisor"] == json.loads(argv[-1])
 
 
 def test_console_script_round_trip():

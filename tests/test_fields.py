@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from curvext import (ExtensionField, FieldDescriptor, FieldElement,
                      InputError, Poly, PrimeField, Rationals, field_from_json,
                      field_to_json)
-from curvext.fields import _TABLE_MAX_ORDER
+from curvext.fields import _TABLE_MAX_ORDER, rational_text
 from helpers import TinyExt
 
 F9 = ExtensionField(3, [1, 0, 1])       # t^2 + 1, irreducible mod 3
@@ -226,6 +227,43 @@ def test_rationals_exactness():
         with pytest.raises(InputError):
             Q.coerce(text)
     assert Q.order() is None and Q.characteristic() == 0
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="no int digit limit")
+
+
+@needs_limit
+def test_decimal_strings_past_the_digit_limit_are_refused():
+    """A decimal string is refused when its value written out in full,
+    units digit included, takes more digits than the interpreter
+    writes, before Fraction expands the exponent (1e99999999999999999999
+    would never finish); a string at the limit is read exactly."""
+    Q = Rationals()
+    inside = {f"1e{LIMIT - 1}": Fraction(10 ** (LIMIT - 1)),
+              f"1e-{LIMIT - 1}": Fraction(1, 10 ** (LIMIT - 1)),
+              f" -1_5.0e{LIMIT - 2} ": Fraction(-15 * 10 ** (LIMIT - 2)),
+              f"0.5e{LIMIT}": Fraction(5 * 10 ** (LIMIT - 1)),
+              f"0e{LIMIT - 1}": Fraction(0)}
+    for text, value in inside.items():
+        assert Q.coerce(text) == value, text
+    for text in (f"1e{LIMIT}", f"1e-{LIMIT}", f".5e-{LIMIT - 1}",
+                 f"0e{LIMIT}", "1e99999999999999999999", "1e-2000000"):
+        with pytest.raises(InputError, match=f"more than {LIMIT} digits"):
+            Q.coerce(text)
+
+
+@needs_limit
+def test_rationals_become_text_on_one_guarded_route():
+    """payload_to_json and the report's rational parts both go through
+    rational_text, which refuses what str(int) cannot write."""
+    Q = Rationals()
+    assert rational_text(Fraction(-3, 6)) == "-1/2"
+    assert rational_text(Fraction(4, 2)) == "2"
+    tiny = Fraction(1, 10 ** LIMIT)          # a denominator past the limit
+    for write in (Q.payload_to_json, rational_text):
+        with pytest.raises(InputError, match=f"more than {LIMIT} digits"):
+            write(tiny)
 
 
 def test_rational_inverse_is_exact_on_int_payloads():

@@ -396,6 +396,30 @@ def test_basis_transition_embeds_and_twists():
         assert back == fn * RationalFunction.x(curve)
 
 
+def test_rational_function_normal_form():
+    """(a + b*y)/c comes back in lowest terms with a monic c and is the
+    same function; the zero function comes back as (0, 0, 1) whatever
+    its denominator, since gcd(0, c) is c made monic."""
+    for curve in (curve_g1_f5(), curve_g1_q()):
+        F = curve.field
+
+        def P(*cs):
+            return Poly.from_values(F, cs)
+
+        # c = 3(x + 1) shares nothing with a, b; c = 4(x + 1)(x + 2)
+        # shares x + 1 with a = 2x(x + 1) and b = 3(x + 1)
+        for a, b, c in [(P(1, 1), P(2), P(3, 3)),
+                        (P(0, 2, 2), P(3, 3), P(8, 12, 4))]:
+            fn = RationalFunction(curve, a, b, c)
+            assert fn.c.is_monic() and fn.c.degree == 1
+            assert fn.a.gcd(fn.b).gcd(fn.c).degree == 0
+            assert fn.a * c == a * fn.c and fn.b * c == b * fn.c
+        zero = Poly.zero(F)
+        for c in (P(3), P(1, 1), P(2, 4, 2)):      # constant, monic, non-monic
+            fn = RationalFunction(curve, zero, zero, c)
+            assert (fn.a, fn.b, fn.c) == (zero, zero, Poly.one(F)), c
+
+
 def test_function_json_lists_coefficients():
     curve = curve_g2_f7()
     fn = from_parts(curve, [1, 2], [3], [0, 1])
