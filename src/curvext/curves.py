@@ -28,7 +28,8 @@ from bisect import bisect_right
 
 from .errors import InputError
 from .fields import FieldDescriptor, field_from_json, field_to_json
-from .polys import Poly, hensel_sqrt, iter_monic_irreducible, residue_sqrt
+from .polys import (Poly, hensel_sqrt, iter_monic_irreducible,
+                    residue_is_square, residue_sqrt)
 
 _KIND_RANK = {"infinity": 0, "ramified": 1, "split": 2, "nonsplit": 3}
 
@@ -150,7 +151,7 @@ def _check_irreducible(p: Poly):
 def _check_nonsquare(fbar: Poly, p: Poly):
     F = fbar.field
     if F.order() is not None:
-        if residue_sqrt(fbar, p) is not None:
+        if residue_is_square(fbar, p):
             raise InputError("f is a square at this place; it splits")
         return
     # in degree 1, f(x0) is a rational square iff x^2 - f(x0) has a root

@@ -11,17 +11,18 @@ half the top degree.  A single polynomial given from outside is checked
 by Ben-Or's test, ``Poly.is_irreducible``.
 
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
-the Euler criterion, and square roots by Tonelli-Shanks, which cost a
-few ``powmod`` calls whatever the field's size.  A square root is
-normalized to the first root in key order, so point enumeration stays
-deterministic.
+norms (a resultant with p), squareness by Euler's criterion on the norm
+in F_q, and square roots of squares by Tonelli-Shanks, which cost a few
+``powmod`` calls whatever the field's size; a nonsquare costs none.  A
+square root is normalized to the first root in key order, so point
+enumeration stays deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .errors import InputError
 from .fields import FieldDescriptor, PrimeField, is_prime
@@ -407,16 +408,49 @@ def residue_inverse(a: Poly, modulus: Poly) -> Poly:
     return s % modulus
 
 
+def residue_norm(a: Poly, modulus: Poly):
+    """The norm N(a) = Res(modulus, a) of a mod a monic modulus, by the
+    Euclidean remainder sequence (Modern Computer Algebra, 6.3):
+    Res(A, B) = (-1)**(deg A deg B) lc(B)**(deg A - deg R) Res(B, R) for
+    R = A mod B, Res(A, c) = c**deg A for a constant c, and 0 once a
+    remainder vanishes.  O(d**2) field operations for d = deg modulus."""
+    F = a.field
+    A, B, acc = modulus, a, F.pone
+    while B.degree > 0:
+        R = A % B
+        if A.degree * B.degree % 2:
+            acc = F.neg(acc)
+        acc = F.mul(acc, F.power(B.lc(), A.degree - R.degree))
+        A, B = B, R
+    return F.mul(acc, F.power(B.coeffs[0], A.degree)) if B else F.pzero
+
+
+def residue_is_square(a: Poly, modulus: Poly) -> bool:
+    """Whether a is a square in F_q[x]/(modulus), modulus monic irreducible
+    of degree d: zero is, and so is everything in characteristic 2.  The
+    norm is N(a) = a**((q**d-1)/(q-1)), so N(a)**((q-1)/2) =
+    a**((q**d-1)/2): Euler's criterion on N(a) in F_q is Euler's on a."""
+    F = a.field
+    q = F.order()
+    if q is None:
+        raise InputError("residue_is_square requires a finite field")
+    if q % 2 == 0:
+        return True
+    n = residue_norm(a, modulus)
+    return F.is_zero(n) or F.power(n, (q - 1) // 2) == F.pone
+
+
 def residue_sqrt(a: Poly, modulus: Poly):
     """A square root of a in F_q[x]/(modulus), or None if a is a nonsquare.
 
-    Tonelli-Shanks (Shanks 1973) for irreducible ``modulus`` of degree d:
-    the residue field has order Q = q**d, and Q - 1 = 2**s * t with t odd.
-    The first guess is a**((t+1)/2), off from a root by the factor
-    b = a**t, whose order is a power of two; a is a square iff that
-    order divides 2**(s-1), so squareness is decided on the way.  Each
-    round shrinks the order of b with a power of z = n**t for a
-    nonsquare n, which is found only when some round needs it.
+    Squareness is decided first, by the norm (``residue_is_square``), so
+    a nonsquare costs no exponentiation.  A square gets Tonelli-Shanks
+    (Shanks 1973) for irreducible ``modulus`` of degree d: the residue
+    field has order Q = q**d, and Q - 1 = 2**s * t with t odd.  The
+    first guess is a**((t+1)/2), off from a root by the factor b = a**t,
+    whose order is a power of two dividing 2**(s-1).  Each round shrinks
+    the order of b with a power of z = n**t for a nonsquare n, which is
+    found only when some round needs it.
 
     Of the two roots r and -r, returns the one whose padded payload-key
     tuple (c_0 first) is smaller: the first root in key order of the
@@ -429,6 +463,8 @@ def residue_sqrt(a: Poly, modulus: Poly):
     r = a % modulus
     if r.is_zero():
         return r
+    if not residue_is_square(r, modulus):
+        return None
     d = modulus.degree
     s, t = 0, q ** d - 1
     while t % 2 == 0:
@@ -438,15 +474,14 @@ def residue_sqrt(a: Poly, modulus: Poly):
     b = (h * root) % modulus
     m, z = s, None
     while not b.is_one():
-        # least i with b**(2**i) = 1; none below m only in the first
-        # round, where it says a is a nonsquare
+        # least i with b**(2**i) = 1; below m unless modulus is reducible
         i, c = 0, b
         while i < m and not c.is_one():
             c, i = (c * c) % modulus, i + 1
         if i == m:
-            return None
+            raise InputError(f"{modulus!r} is not irreducible")
         if z is None:
-            z = _nonsquare_power(modulus, t, s)
+            z = _nonsquare_power(modulus, t)
         w = z
         for _ in range(m - i - 1):
             w = (w * w) % modulus
@@ -458,39 +493,24 @@ def residue_sqrt(a: Poly, modulus: Poly):
                key=lambda y: tuple(F.payload_key(y.coeff(j)) for j in range(d)))
 
 
-def _nonsquare_power(modulus: Poly, t: int, s: int) -> Poly:
-    """z = n**t for the first nonsquare n of F_q[x]/(modulus) in a fixed
-    order of nonzero residues; z has order exactly 2**s.
+def _nonsquare_power(modulus: Poly, t: int) -> Poly:
+    """z = n**t, of order exactly 2**s for q**d - 1 = 2**s * t, for the
+    first nonsquare n of F_q[x]/(modulus) in a fixed order of residues.
 
-    n is a nonsquare iff its norm to F_q is one, since the norm is
-    n**((q**d-1)/(q-1)) for d = deg modulus, so the first candidates are
-    decided by Euler's criterion in F_q, on payloads.  For odd d they
-    are the constants c: the norm c**d is a nonsquare iff c is, F_q has
-    one, and z = c**t is a constant too.  For even d every constant is a
-    square; x + c comes first instead, whose norm is modulus(-c), and
-    the Weil bound guarantees a nonsquare among those once
-    q > (d-1)**2; only the one found is raised to the t.  Smaller cases
-    go on through all residues, each raised to the t and squared s - 1
-    times.
+    Each candidate is decided by ``residue_is_square``, and only the
+    nonsquare found is raised to the t.  For odd d = deg modulus the
+    candidates are the constants c: the norm c**d is a nonsquare iff c
+    is, and F_q has one.  For even d every constant is a square; x + c
+    comes first instead, whose norm is modulus(-c), and the Weil bound
+    guarantees a nonsquare among those once q > (d-1)**2.  Smaller
+    cases go on through all residues.
     """
     F, d = modulus.field, modulus.degree
-    half = (F.order() - 1) // 2
-    for c in F.iter_payloads():
-        norm = c if d % 2 else modulus.evaluate(F.neg(c))
-        if not F.is_zero(norm) and F.power(norm, half) != F.pone:
-            if d % 2:
-                return Poly(F, [F.power(c, t)])
-            return Poly(F, [c, F.pone]).powmod(t, modulus)
-    for tup in product(F.iter_payloads(), repeat=d):
-        n = Poly(F, tup)
-        if not n:
-            continue
-        z = n.powmod(t, modulus)
-        c = z
-        for _ in range(s - 1):
-            c = (c * c) % modulus
-        if not c.is_one():
-            return z
+    family = (Poly(F, [c] if d % 2 else [c, F.pone]) for c in F.iter_payloads())
+    rest = (Poly(F, tup) for tup in product(F.iter_payloads(), repeat=d))
+    for n in chain(family, rest):
+        if n and not residue_is_square(n, modulus):
+            return n.powmod(t, modulus)
     raise InputError(f"no nonsquare modulo {modulus!r}; it is not irreducible")
 
 

@@ -7,10 +7,10 @@ from itertools import product
 import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
-                     hensel_sqrt)
+                     hensel_sqrt, polys)
 from curvext.polys import (_nonsquare_power, iter_monic,
                            iter_monic_irreducible, residue_inverse,
-                           residue_sqrt)
+                           residue_norm, residue_sqrt)
 from helpers import (TinyExt, _divisors, ben_or_monic_irreducible,
                      brute_residue_sqrts, count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
@@ -257,7 +257,7 @@ def test_nonsquare_power_decides_candidates_by_their_norm(F, d, sample):
     while t % 2 == 0:
         s, t = s + 1, t // 2
     for p in moduli:
-        z = _nonsquare_power(p, t, s)
+        z = _nonsquare_power(p, t)
         assert z == nonsquare_power_by_scan(p, t, s), p
         c = z
         for _ in range(s - 1):
@@ -275,7 +275,94 @@ def test_nonsquare_power_past_the_norm_family():
     moduli = [p for p in iter_monic_irreducible(F3, 6) if p.degree == 6
               and all(residue_is_square(x + Poly(F3, [c]), p) for c in range(3))]
     for p in moduli[:3]:
-        assert _nonsquare_power(p, t, s) == nonsquare_power_by_scan(p, t, s)
+        assert _nonsquare_power(p, t) == nonsquare_power_by_scan(p, t, s)
+
+
+F2 = PrimeField(2)
+F4 = ExtensionField(2, [1, 1, 1])
+F25 = ExtensionField(5, [2, 0, 1])
+
+
+def _moduli(F, d, sample=None, seed=9):
+    moduli = [p for p in iter_monic_irreducible(F, d) if p.degree == d]
+    return moduli if sample is None else random.Random(seed).sample(moduli, sample)
+
+
+@pytest.mark.parametrize("F", [F2, F4], ids=repr)
+def test_residue_sqrt_in_characteristic_2(F):
+    """Every residue is a square in characteristic 2, with one root; a
+    norm test without that rule would call some of them nonsquares."""
+    for d in (1, 2, 3):
+        for p in _moduli(F, d):
+            roots = brute_residue_sqrts(p)
+            assert len(roots) == F.order() ** d
+            for tup in product(F.list_payloads(), repeat=d):
+                a = Poly(F, tup)
+                assert polys.residue_is_square(a, p)
+                assert residue_sqrt(a, p) == roots[a.coeffs], (p, a)
+
+
+# (field, modulus degree, moduli checked: None for all of them)
+NORM_CASES = [(F, d, None) for F in (F3, F5, PrimeField(7)) for d in (1, 2, 3)]
+NORM_CASES += [(F9, 1, None), (F9, 2, None), (F9, 3, 24), (F25, 2, 12)]
+
+
+@pytest.mark.parametrize("F,d,sample", NORM_CASES, ids=repr)
+def test_residue_norm_matches_the_powmod_norm(F, d, sample):
+    """Res(p, a) by remainder sequence against the independent route
+    a**((q**d - 1)/(q - 1)) mod p, on every residue.  F9 in degree 3
+    checks 24 seeded moduli of its 240, which keeps the test to seconds."""
+    e = (F.order() ** d - 1) // (F.order() - 1)
+    for p in _moduli(F, d, sample):
+        for tup in product(F.list_payloads(), repeat=d):
+            a = Poly(F, tup)
+            assert residue_norm(a, p) == a.powmod(e, p).coeff(0), (p, a)
+
+
+def test_residue_norm_is_multiplicative():
+    """N(0) = 0 and N(ab) = N(a) N(b), with ab left unreduced mod p."""
+    rng = random.Random(10)
+    for F, d in ((F3, 4), (F5, 3), (PrimeField(7), 2), (F9, 3), (F25, 2)):
+        for p in _moduli(F, d, 4, seed=11):
+            assert residue_norm(Poly(F, []), p) == F.pzero
+            for _ in range(40):
+                a, b = (Poly(F, [rng.choice(F.list_payloads()) for _ in range(d)])
+                        for _ in range(2))
+                assert residue_norm(a * b, p) == F.mul(residue_norm(a, p),
+                                                       residue_norm(b, p))
+
+
+@pytest.mark.parametrize("F,d,sample", [(F3, 2, None), (F3, 4, 12), (F5, 3, 12),
+                                        (PrimeField(7), 2, None), (F9, 2, None)],
+                         ids=repr)
+def test_residue_is_square_matches_euler_in_the_residue_field(F, d, sample):
+    """The library's norm test against the powmod Euler oracle."""
+    for p in _moduli(F, d, sample):
+        for tup in product(F.list_payloads(), repeat=d):
+            a = Poly(F, tup)
+            assert polys.residue_is_square(a, p) == residue_is_square(a, p)
+
+
+def test_nonsquares_take_no_powmod(monkeypatch):
+    """residue_sqrt decides a nonsquare by its norm alone: every nonsquare
+    residue of the F7 cubics and of 8 seeded F37 quadratics makes no
+    ``Poly.powmod`` call, while a square makes some."""
+    F7, F37 = PrimeField(7), PrimeField(37)
+    cases = [(p, brute_residue_sqrts(p)) for p in _moduli(F7, 3)]
+    cases += [(p, brute_residue_sqrts(p)) for p in _moduli(F37, 2, 8)]
+    calls = []
+    powmod = Poly.powmod
+    monkeypatch.setattr(Poly, "powmod",
+                        lambda self, e, m: calls.append(e) or powmod(self, e, m))
+    nonsquares = 0
+    for p, roots in cases:
+        for tup in product(p.field.list_payloads(), repeat=p.degree):
+            a = Poly(p.field, tup)
+            if a.coeffs not in roots:
+                assert residue_sqrt(a, p) is None
+                nonsquares += 1
+    assert calls == [] and nonsquares == 112 * 171 + 8 * 684
+    assert residue_sqrt(Poly(F37, [2]), cases[-1][0]) is not None and calls
 
 
 def test_hensel_sqrt_lifts():
@@ -406,3 +493,7 @@ def test_poly_guards():
         Poly(F5, [1]).divmod(Poly(F5, []))
     with pytest.raises(InputError):
         Poly(F5, [1]) + Poly(F3, [1])
+    # x mod x^2 has norm 0, so it passes the square test; Tonelli-Shanks
+    # then refuses the reducible modulus instead of looping
+    with pytest.raises(InputError, match="not irreducible"):
+        residue_sqrt(Poly(F5, [0, 1]), Poly(F5, [0, 0, 1]))
