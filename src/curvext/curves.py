@@ -540,10 +540,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj) -> Divisor:
     for entry in obj:
         if not isinstance(entry, dict) or "point" not in entry or "mult" not in entry:
             raise InputError(f"bad divisor entry: {entry!r}")
-        m = entry["mult"]
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise InputError("divisor multiplicity must be an integer")
-        items.append((point_from_json(curve, entry["point"]), m))
+        items.append((point_from_json(curve, entry["point"]), entry["mult"]))
     return Divisor(curve, items)
 
 

@@ -17,7 +17,9 @@ A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
 wrapper overhead.  Library functions return payloads; ``F.element(v)``
 wraps one in a ``FieldElement``, the caller's wrapper with operator
-overloading.  Five payload kernels carry the hot paths:
+overloading.  ``F.coerce`` is the one way in for a caller's value: it
+unwraps an element of F and refuses a bool or an element of another
+field.  Five payload kernels carry the hot paths:
 
 * ``dot``, the inner product of two payload sequences, on every
   descriptor.  The base class folds ``add`` and ``mul`` (Q and F_{p^k}
@@ -112,6 +114,17 @@ class FieldDescriptor:
     hashable Python values (Fraction, int, tuple of int).
     """
 
+    def coerce(self, value):
+        """A caller's value as a payload: an element of this field unwraps,
+        one of another field or a bool is refused; ``_coerce`` takes the rest."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise InputError(f"mixed fields: {self!r} vs {value.field!r}")
+            return value.payload
+        if isinstance(value, bool):
+            raise InputError("booleans are not field values")
+        return self._coerce(value)
+
     def element(self, value) -> "FieldElement":
         return FieldElement(self, self.coerce(value))
 
@@ -175,7 +188,7 @@ class FieldDescriptor:
                              "elements to list")
         return list(self.iter_payloads())
 
-    # subclasses: coerce, add, sub, mul, neg, inv, characteristic, order,
+    # subclasses: _coerce, add, sub, mul, neg, inv, characteristic, order,
     # payload_key, payload_to_json, payload_from_json
 
 
@@ -210,11 +223,9 @@ class Rationals(FieldDescriptor):
     pzero = Fraction(0)
     pone = Fraction(1)
 
-    def coerce(self, value):
+    def _coerce(self, value):
         if isinstance(value, float):
             raise InputError("floating-point values are not exact; pass int, Fraction or 'a/b'")
-        if isinstance(value, bool):
-            raise InputError("booleans are not field values")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
@@ -225,8 +236,6 @@ class Rationals(FieldDescriptor):
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"cannot parse {value!r} as a rational") from exc
-        if isinstance(value, FieldElement) and value.field == self:
-            return value.payload
         raise InputError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
@@ -287,13 +296,9 @@ class PrimeField(FieldDescriptor):
         self.pzero = 0
         self.pone = 1 % p
 
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise InputError("booleans are not field values")
+    def _coerce(self, value):
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, FieldElement) and value.field == self:
-            return value.payload
         raise InputError(f"cannot coerce {value!r} into F_{self.p}")
 
     def add(self, a, b):
@@ -388,8 +393,8 @@ class PrimeField(FieldDescriptor):
         return a
 
     def payload_from_json(self, v):
-        if isinstance(v, int) and not isinstance(v, bool):
-            return v % self.p
+        if isinstance(v, int):
+            return self.coerce(v)
         raise InputError(f"bad F_{self.p} value in JSON: {v!r}")
 
     def __eq__(self, other):
@@ -495,13 +500,9 @@ class ExtensionField(FieldDescriptor):
     def _wrap(self, lst):
         return tuple(lst) + (0,) * (self.k - len(lst))
 
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise InputError("booleans are not field values")
+    def _coerce(self, value):
         if isinstance(value, int):
             return self._wrap([value % self.p])
-        if isinstance(value, FieldElement) and value.field == self:
-            return value.payload
         if isinstance(value, (list, tuple)):
             lst = [self.base.coerce(c) for c in value]
             if len(lst) > self.k:
@@ -560,7 +561,7 @@ class ExtensionField(FieldDescriptor):
         return list(a)
 
     def payload_from_json(self, v):
-        if isinstance(v, int) and not isinstance(v, bool):
+        if isinstance(v, int):
             return self.coerce(v)
         if isinstance(v, list):
             if len(v) > self.k:
@@ -588,41 +589,38 @@ class FieldElement:
         self.field = field
         self.payload = payload
 
-    def _p(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise InputError(f"mixed fields: {self.field!r} vs {other.field!r}")
-            return other.payload
-        return self.field.coerce(other)
-
     def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.payload, self._p(other)))
+        F = self.field
+        return FieldElement(F, F.add(self.payload, F.coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.payload, self._p(other)))
+        F = self.field
+        return FieldElement(F, F.sub(self.payload, F.coerce(other)))
 
     def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._p(other), self.payload))
+        F = self.field
+        return FieldElement(F, F.sub(F.coerce(other), self.payload))
 
     def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.payload, self._p(other)))
+        F = self.field
+        return FieldElement(F, F.mul(self.payload, F.coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.payload, self._p(other)))
+        F = self.field
+        return FieldElement(F, F.div(self.payload, F.coerce(other)))
 
     def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._p(other), self.payload))
+        F = self.field
+        return FieldElement(F, F.div(F.coerce(other), self.payload))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.payload))
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.payload == other.payload
         try:
             return self.payload == self.field.coerce(other)
         except InputError:

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .fields import FieldDescriptor, FieldElement, Rationals
+from .fields import FieldDescriptor, Rationals
 
 
 class Matrix:
@@ -34,14 +34,7 @@ class Matrix:
         data = []
         width = ncols
         for row in rows:
-            r = []
-            for v in row:
-                if isinstance(v, FieldElement):
-                    if v.field != field:
-                        raise InputError("matrix entry from a different field")
-                    r.append(v.payload)
-                else:
-                    r.append(field.coerce(v))
+            r = [field.coerce(v) for v in row]
             if width is None:
                 width = len(r)
             elif len(r) != width:

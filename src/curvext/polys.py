@@ -123,19 +123,17 @@ class Poly:
         return Poly(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
+        self._check_field(other)
         F = self.field
-        if isinstance(other, Poly):
-            self._check_field(other)
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly(F, [])
-            out = [F.pzero] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not F.is_zero(ca):
-                    for j, cb in enumerate(b):
-                        out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-            return Poly(F, out)
-        return self.scale(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly(F, [])
+        out = [F.pzero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not F.is_zero(ca):
+                for j, cb in enumerate(b):
+                    out[i + j] = F.add(out[i + j], F.mul(ca, cb))
+        return Poly(F, out)
 
     def scale(self, value):
         F = self.field

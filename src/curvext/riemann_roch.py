@@ -96,11 +96,6 @@ class RationalFunction:
         return cls(curve, Poly.one(F), Poly.zero(F))
 
     @classmethod
-    def constant(cls, curve, value):
-        F = curve.field
-        return cls(curve, Poly.constant(F, value), Poly.zero(F))
-
-    @classmethod
     def x(cls, curve):
         F = curve.field
         return cls(curve, Poly.x(F), Poly.zero(F))
@@ -151,11 +146,10 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.curve != self.curve:
-                raise InputError("functions on different curves")
-            return other
-        return RationalFunction.constant(self.curve, other)
+        if not (isinstance(other, RationalFunction) and other.curve == self.curve):
+            raise InputError("only a function on the same curve adds to or "
+                             "subtracts from a function")
+        return other
 
     def __repr__(self):
         num = f"{self.a!r}"

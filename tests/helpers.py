@@ -38,11 +38,6 @@ def curve_g1_f5():
     return make_curve(F5, [1, 0, 0, 1], label="g1/F5: y^2 = x^3+1")
 
 
-def curve_g1w_f5():
-    # full rational 2-torsion; W = (0,0) is the workhorse Weierstrass point
-    return make_curve(F5, [0, 1, 0, 1], label="g1/F5: y^2 = x^3+x")
-
-
 def curve_g1w_f3():
     return make_curve(F3, [0, 1, 0, 1], label="g1/F3: y^2 = x^3+x")
 

@@ -651,6 +651,11 @@ def test_input_errors_exit_one(tree, capsys):
         assert code == 1, argv
         assert report["result"]["status"] == "input-error"
         assert report["result"]["message"]
+    # a --points file that holds one point, not a list of them
+    code, report, _ = run_json(capsys, ["ext", "destab", tree["cls"], "--points",
+                                        dump("one_point.json", {"point": "infinity"})])
+    assert code == 1
+    assert report["result"]["message"] == "points file must hold a JSON list of points"
 
 
 def test_usage_errors_exit_one_with_a_report(tree, capsys):
@@ -888,23 +893,27 @@ def test_rational_past_the_digit_limit_in_a_report_is_refused(tmp_path,
     """A point x = 1e-2200 at multiplicity 2 is read, but its basis holds
     a coefficient with a 4 401-digit denominator.  Every rational becomes
     text through one guarded route, so the report is one input-error
-    naming the digit limit, not a traceback with empty stdout."""
+    naming the digit limit, not a traceback with empty stdout.  At
+    x = 1e2000 and multiplicity 3 the basis denominator (x - 10^2000)^3
+    has an int constant of 6 001 digits, which the handler returns as it
+    is; main's writer refuses it with the same report."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not 0 < limit < 4401:
         pytest.skip("the interpreter writes a 4 401-digit int")
     cq = tmp_path / "c_q.json"
     cq.write_text(json.dumps({"field": "Q", "f": [1, 0, 0, 1]}),
                   encoding="utf-8")
-    argv = ["rr", "basis", str(cq), "--divisor", _point_divisor("1e-2200", 2)]
-    code, out, _ = run(capsys, argv)
-    assert code == 1
-    assert_canonical(out, argv)
-    report = json.loads(out)
-    assert report["result"] == {
-        "status": "input-error",
-        "message": f"a number in the report has more than {limit} digits, "
-                   "the interpreter's limit for writing an int"}
-    assert report["inputs"]["divisor"] == json.loads(argv[-1])
+    for x, mult in (("1e-2200", 2), ("1e2000", 3)):
+        argv = ["rr", "basis", str(cq), "--divisor", _point_divisor(x, mult)]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert_canonical(out, argv)
+        report = json.loads(out)
+        assert report["result"] == {
+            "status": "input-error",
+            "message": f"a number in the report has more than {limit} digits, "
+                       "the interpreter's limit for writing an int"}
+        assert report["inputs"]["divisor"] == json.loads(argv[-1])
 
 
 def test_console_script_round_trip():

@@ -506,6 +506,16 @@ def test_closed_point_guards():
     g1q = curve_g1_q()
     far = point_from_json(g1q, {"xminpoly": [-1000000007, 0, 1], "ybranch": None})
     assert far.kind == "nonsplit" and far.degree == 4
+    # each refusal of a malformed place names what is wrong with it
+    with pytest.raises(InputError, match="has a rational root"):
+        g1q.closed_point(Poly(Q, [-1, 0, 1]), None)          # x^2 - 1
+    with pytest.raises(InputError, match="is not squarefree"):
+        g1q.closed_point(Poly(Q, [1, 0, 2, 0, 1]), None)     # (x^2 + 1)^2
+    with pytest.raises(InputError, match="zero ybranch over a place where "
+                                         "f does not vanish"):
+        curve.closed_point(Poly(F, [0, 1]), Poly(F, [0]))    # f(0) = 1
+    with pytest.raises(InputError, match="xminpoly is over the wrong field"):
+        curve.closed_point(Poly(PrimeField(7), [0, 1]), None)
 
 
 @pytest.mark.parametrize("make", [curve_g1_f5, curve_g2_f9])
@@ -560,7 +570,11 @@ def test_json_round_trips():
             == point_from_json(curve, {"xminpoly": [0, 1], "ybranch": [1]}))
     with pytest.raises(InputError):
         point_from_json(curve, {"y": 1})
-    with pytest.raises(InputError):
-        divisor_from_json(curve, [{"point": "infinity", "mult": 1.5}])
+    # Divisor checks each multiplicity, after its point is read
+    for mult in (1.5, True, "2"):
+        with pytest.raises(InputError, match="multiplicities must be integers"):
+            divisor_from_json(curve, [{"point": "infinity", "mult": mult}])
+    with pytest.raises(InputError, match="bad point literal"):
+        divisor_from_json(curve, [{"point": {"y": 1}, "mult": 1.5}])
     with pytest.raises(InputError):
         curve_from_json({"f": [1, 0, 1]})

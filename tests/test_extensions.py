@@ -202,22 +202,44 @@ def test_extension_class_contract():
 
 
 def test_values_from_another_field_are_refused():
-    """An F7 element passed where F5 values go is an input error at every
-    entry point that takes caller values, not a value reduced mod 5."""
+    """An F7 element or a bool passed where field values go is refused
+    with one message at every entry point that takes caller values, never
+    reduced into the field: each goes through the descriptor's coerce.
+    A JSON true is refused by every descriptor's JSON reader as well."""
     curve = curve_g1_f5()
     F5 = curve.field
+    F9 = curve_g2_f9().field
     seven = FieldElement(PrimeField(7), 6)
-    with pytest.raises(InputError):
-        ExtensionClass(datum_on_infinity(curve, 4), [seven, 0, 0, 0])
-    with pytest.raises(InputError):
-        Matrix(F5, [[1, 0], [seven, 1]])
-    with pytest.raises(InputError):
-        Poly(F5, [1, 1]).evaluate(seven)
-    with pytest.raises(InputError):
-        RationalFunction.x(curve) * seven
+    datum = datum_on_infinity(curve, 4)
+    doors = [F5.coerce,
+             lambda v: Matrix(F5, [[1, 0], [v, 1]]),
+             lambda v: F5.element(2) + v,
+             lambda v: F5.element(2) - v,
+             lambda v: F5.element(2) * v,
+             lambda v: F5.element(2) / v,
+             lambda v: ExtensionClass(datum, [v, 0, 0, 0]),
+             lambda v: Poly(F5, [1, 1]).evaluate(v),
+             lambda v: RationalFunction.x(curve) * v]
+    for value, message in ((seven, "mixed fields: F_5 vs F_7"),
+                           (True, "booleans are not field values")):
+        for door in doors:
+            with pytest.raises(InputError) as info:
+                door(value)
+            assert str(info.value) == message
+    for F in (curve_g1_q().field, F5, F9):
+        with pytest.raises(InputError) as info:
+            F.coerce(seven)
+        assert str(info.value) == f"mixed fields: {F!r} vs F_7"
+        for read in (F.coerce, F.payload_from_json):
+            with pytest.raises(InputError) as info:
+                read(True)
+            assert str(info.value) == "booleans are not field values"
+    with pytest.raises(InputError, match="booleans are not field values"):
+        F9.payload_from_json([True, 0])
     # an element of the same field passes as its payload
     assert Poly(F5, [1, 1]).evaluate(F5.element(3)) == 4
     assert Matrix(F5, [[F5.element(4)]]).rows == ((4,),)
+    assert F5.element(2) == F5.element(7) and F5.element(2) != seven
 
 
 def test_exhaustive_equivalences_small():

@@ -420,6 +420,21 @@ def test_rational_function_normal_form():
             assert (fn.a, fn.b, fn.c) == (zero, zero, Poly.one(F)), c
 
 
+def test_functions_add_only_functions_on_their_curve():
+    """A function adds to and subtracts from a function on its own curve
+    and nothing else; a scalar still multiplies it."""
+    curve = curve_g1_f5()
+    x = RationalFunction.x(curve)
+    message = "only a function on the same curve adds to or subtracts from"
+    for other in (1, curve.field.element(1), RationalFunction.x(curve_g1w_f3())):
+        for op in (lambda: x + other, lambda: x - other):
+            with pytest.raises(InputError, match=message):
+                op()
+    with pytest.raises(InputError, match=message):
+        1 + x
+    assert (x + x) - x == x and 2 * x == x + x == x * 2
+
+
 def test_function_json_lists_coefficients():
     curve = curve_g2_f7()
     fn = from_parts(curve, [1, 2], [3], [0, 1])
