@@ -12,10 +12,10 @@ by Ben-Or's test, ``Poly.is_irreducible``.
 
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 norms (a resultant with p), squareness by Euler's criterion on the norm
-in F_q, and square roots of squares by Tonelli-Shanks, which cost a few
-``powmod`` calls whatever the field's size; a nonsquare costs none.  A
-square root is normalized to the first root in key order, so point
-enumeration stays deterministic.
+in F_q, and square roots of squares by Tonelli-Shanks; a nonsquare costs
+no ``powmod``.  Norms, powers and Tonelli-Shanks rounds reduce mod p on
+payload lists (``_rem``, ``_mulmod``), with no Poly per step.  A root is
+the first of the two in key order, so point enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -97,16 +97,20 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_field(self, other: "Poly"):
-        # payloads carry no field tag, so silent cross-field arithmetic
-        # would produce garbage instead of an error
-        if other.field is not self.field and other.field != self.field:
+    def _operand(self, other: "Poly"):
+        # other's coefficients, once it is a Poly over this field: payloads
+        # carry no field tag, so cross-field arithmetic would be garbage
+        try:
+            field, coeffs = other.field, other.coeffs
+        except AttributeError:
+            raise InputError(f"not a polynomial: {other!r}") from None
+        if field is not self.field and field != self.field:
             raise InputError("polynomials over different fields")
+        return coeffs
 
     def __add__(self, other):
-        self._check_field(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self._operand(other)
         n = max(len(a), len(b))
         out = [F.pzero] * n
         for i, c in enumerate(a):
@@ -116,6 +120,7 @@ class Poly:
         return Poly(F, out)
 
     def __sub__(self, other):
+        self._operand(other)
         return self + (-other)
 
     def __neg__(self):
@@ -123,9 +128,8 @@ class Poly:
         return Poly(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        self._check_field(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self._operand(other)
         if not a or not b:
             return Poly(F, [])
         out = [F.pzero] * (len(a) + len(b) - 1)
@@ -153,7 +157,7 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly"):
-        self._check_field(other)
+        self._operand(other)
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -230,14 +234,15 @@ class Poly:
         return self.gcd(self.derivative()).degree == 0
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
-        out = Poly.one(self.field)
-        base = self % modulus
+        F, base = self.field, (self % modulus).coeffs
+        m, out = modulus.coeffs, [F.pone]
         while e:
             if e & 1:
-                out = (out * base) % modulus
-            base = (base * base) % modulus
+                out = _mulmod(F, out, base, m)
             e >>= 1
-        return out
+            if e:
+                base = _mulmod(F, base, base, m)
+        return Poly(F, out)
 
     def is_irreducible(self) -> bool:
         """Ben-Or's test over a finite field: f of degree d is reducible
@@ -324,6 +329,34 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
+def _rem(F, r: list, m) -> list:
+    """r mod m (= r mod m/lc m) on payload lists, in place, zeros trimmed."""
+    sub, mul, zero = F.sub, F.mul, F.pzero
+    if m[-1] != F.pone:
+        inv = F.inv(m[-1])
+        m = [mul(c, inv) for c in m]
+    dm = len(m) - 1
+    while len(r) > dm:
+        c = r.pop()
+        if c != zero:
+            for i in range(dm):
+                r[i - dm] = sub(r[i - dm], mul(c, m[i]))
+    while r and r[-1] == zero:
+        r.pop()
+    return r
+
+
+def _mulmod(F, a, b, m) -> list:
+    """a * b mod m on payload sequences: schoolbook product, then ``_rem``."""
+    add, mul, zero = F.add, F.mul, F.pzero
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return _rem(F, out, m)
+
+
 def _eval_int(coeffs, v: int) -> int:
     """Horner evaluation of an integer coefficient list, low degree first."""
     acc = 0
@@ -408,19 +441,19 @@ def residue_inverse(a: Poly, modulus: Poly) -> Poly:
 
 def residue_norm(a: Poly, modulus: Poly):
     """The norm N(a) = Res(modulus, a) of a mod a monic modulus, by the
-    Euclidean remainder sequence (Modern Computer Algebra, 6.3):
-    Res(A, B) = (-1)**(deg A deg B) lc(B)**(deg A - deg R) Res(B, R) for
-    R = A mod B, Res(A, c) = c**deg A for a constant c, and 0 once a
-    remainder vanishes.  O(d**2) field operations for d = deg modulus."""
+    Euclidean remainder sequence (Modern Computer Algebra, 6.3), each
+    R = A mod B a ``_rem`` on payload lists: Res(A, B) = (-1)**(deg A deg B)
+    lc(B)**(deg A - deg R) Res(B, R), Res(A, c) = c**deg A for a constant c,
+    and 0 once a remainder vanishes.  O(d**2) field ops, d = deg modulus."""
     F = a.field
-    A, B, acc = modulus, a, F.pone
-    while B.degree > 0:
-        R = A % B
-        if A.degree * B.degree % 2:
+    A, B, acc = modulus.coeffs, a.coeffs, F.pone
+    while len(B) > 1:
+        R = _rem(F, list(A), B)
+        if (len(A) - 1) * (len(B) - 1) % 2:
             acc = F.neg(acc)
-        acc = F.mul(acc, F.power(B.lc(), A.degree - R.degree))
+        acc = F.mul(acc, F.power(B[-1], len(A) - len(R)))
         A, B = B, R
-    return F.mul(acc, F.power(B.coeffs[0], A.degree)) if B else F.pzero
+    return F.mul(acc, F.power(B[0], len(A) - 1)) if B else F.pzero
 
 
 def residue_is_square(a: Poly, modulus: Poly) -> bool:
@@ -444,11 +477,11 @@ def residue_sqrt(a: Poly, modulus: Poly):
     Squareness is decided first, by the norm (``residue_is_square``), so
     a nonsquare costs no exponentiation.  A square gets Tonelli-Shanks
     (Shanks 1973) for irreducible ``modulus`` of degree d: the residue
-    field has order Q = q**d, and Q - 1 = 2**s * t with t odd.  The
-    first guess is a**((t+1)/2), off from a root by the factor b = a**t,
-    whose order is a power of two dividing 2**(s-1).  Each round shrinks
-    the order of b with a power of z = n**t for a nonsquare n, which is
-    found only when some round needs it.
+    field has order Q = q**d, and Q - 1 = 2**s * t with t odd.  ``powmod``
+    gives the first guess a**((t+1)/2), off from a root by b = a**t, of
+    order a power of two dividing 2**(s-1).  Each round shrinks the order
+    of b by a power of z = n**t for a nonsquare n, found only when some
+    round needs it; the rounds multiply payload lists with ``_mulmod``.
 
     Of the two roots r and -r, returns the one whose padded payload-key
     tuple (c_0 first) is smaller: the first root in key order of the
@@ -467,27 +500,28 @@ def residue_sqrt(a: Poly, modulus: Poly):
     s, t = 0, q ** d - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
-    h = r.powmod((t - 1) // 2, modulus)
-    root = (h * r) % modulus
-    b = (h * root) % modulus
+    mc, one = modulus.coeffs, [F.pone]
+    h = r.powmod((t - 1) // 2, modulus).coeffs
+    root = _mulmod(F, h, r.coeffs, mc)
+    b = _mulmod(F, h, root, mc)
     m, z = s, None
-    while not b.is_one():
+    while b != one:
         # least i with b**(2**i) = 1; below m unless modulus is reducible
         i, c = 0, b
-        while i < m and not c.is_one():
-            c, i = (c * c) % modulus, i + 1
+        while i < m and c != one:
+            c, i = _mulmod(F, c, c, mc), i + 1
         if i == m:
             raise InputError(f"{modulus!r} is not irreducible")
         if z is None:
-            z = _nonsquare_power(modulus, t)
+            z = _nonsquare_power(modulus, t).coeffs
         w = z
         for _ in range(m - i - 1):
-            w = (w * w) % modulus
-        z = (w * w) % modulus
-        root = (root * w) % modulus
-        b = (b * z) % modulus
+            w = _mulmod(F, w, w, mc)
+        z = _mulmod(F, w, w, mc)
+        root = _mulmod(F, root, w, mc)
+        b = _mulmod(F, b, z, mc)
         m = i
-    return min(root, (-root) % modulus,
+    return min(Poly(F, root), -Poly(F, root),
                key=lambda y: tuple(F.payload_key(y.coeff(j)) for j in range(d)))
 
 

@@ -302,6 +302,27 @@ def test_residue_sqrt_in_characteristic_2(F):
                 assert residue_sqrt(a, p) == roots[a.coeffs], (p, a)
 
 
+@pytest.mark.parametrize("F", [F5, PrimeField(37), F25, F9, Q], ids=repr)
+def test_powmod_matches_repeated_multiplication(F):
+    """powmod against e-fold (acc * a) % m, built from ``Poly.__mul__`` and
+    ``Poly.divmod``, which powmod's payload-list kernels do not call:
+    seeded bases (most of degree >= deg m, so unreduced) and moduli, e = 0
+    and 1 among them, non-monic moduli (the same powers as their monic
+    form) and degree-0 moduli (every power from e = 1 on is 0)."""
+    rng = random.Random(12)
+    moduli = [m for m in (rand_poly(F, rng, 4) for _ in range(30)) if m]
+    moduli += [Poly(F, [F.pone]), Poly(F, [F.neg(F.pone)])]
+    assert any(m.degree > 0 and not m.is_monic() for m in moduli)
+    for m in moduli:
+        a = rand_poly(F, rng, 7)
+        acc = Poly.one(F)
+        for e in range(12):
+            got = a.powmod(e, m)
+            assert got == acc == a.powmod(e, m.monic()), (a, e, m)
+            assert e == 0 or got.degree < m.degree
+            acc = (acc * a) % m
+
+
 # (field, modulus degree, moduli checked: None for all of them)
 NORM_CASES = [(F, d, None) for F in (F3, F5, PrimeField(7)) for d in (1, 2, 3)]
 NORM_CASES += [(F9, 1, None), (F9, 2, None), (F9, 3, 24), (F25, 2, 12)]
@@ -493,6 +514,15 @@ def test_poly_guards():
         Poly(F5, [1]).divmod(Poly(F5, []))
     with pytest.raises(InputError):
         Poly(F5, [1]) + Poly(F3, [1])
+    # an operand that is not a polynomial is named, not an AttributeError
+    p, two = Poly(F5, [1]), F5.element(2)
+    for op, other in [(lambda: p + 2, 2), (lambda: p - 2, 2),
+                      (lambda: p * 2, 2), (lambda: p.divmod(3), 3),
+                      (lambda: p % 3, 3), (lambda: p.powmod(2, 3), 3),
+                      (lambda: p + two, two), (lambda: p - "x", "x")]:
+        with pytest.raises(InputError) as err:
+            op()
+        assert str(err.value) == f"not a polynomial: {other!r}"
     # x mod x^2 has norm 0, so it passes the square test; Tonelli-Shanks
     # then refuses the reducible modulus instead of looping
     with pytest.raises(InputError, match="not irreducible"):
