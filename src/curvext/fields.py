@@ -581,7 +581,9 @@ class ExtensionField(FieldDescriptor):
 
 
 class FieldElement:
-    """One field value: a descriptor plus a canonical payload."""
+    """One field value: a descriptor plus a canonical payload.  An operand
+    that is no field value at all (not one of ``_OPERANDS``, say a function
+    on a curve) gets NotImplemented, so Python tries its reflected method."""
 
     __slots__ = ("field", "payload")
 
@@ -590,12 +592,16 @@ class FieldElement:
         self.payload = payload
 
     def __add__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         F = self.field
         return FieldElement(F, F.add(self.payload, F.coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         F = self.field
         return FieldElement(F, F.sub(self.payload, F.coerce(other)))
 
@@ -604,12 +610,16 @@ class FieldElement:
         return FieldElement(F, F.sub(F.coerce(other), self.payload))
 
     def __mul__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         F = self.field
         return FieldElement(F, F.mul(self.payload, F.coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         F = self.field
         return FieldElement(F, F.div(self.payload, F.coerce(other)))
 
@@ -637,6 +647,10 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.payload!r} in {self.field!r}"
+
+
+# what some descriptor's coerce takes, or refuses with its own message
+_OPERANDS = (FieldElement, int, Fraction, float, str, list, tuple)
 
 
 def field_from_json(obj) -> FieldDescriptor:

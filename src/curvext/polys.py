@@ -12,8 +12,9 @@ by Ben-Or's test, ``Poly.is_irreducible``.
 
 Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 norms (a resultant with p), squareness by Euler's criterion on the norm
-in F_q, and square roots of squares by Tonelli-Shanks; a nonsquare costs
-no ``powmod``.  Norms, powers and Tonelli-Shanks rounds reduce mod p on
+in F_q, and square roots of squares: for deg p <= 2 and q odd by descent
+to square roots in F_q, else by Tonelli-Shanks; a nonsquare costs no
+``powmod``.  Norms, powers and Tonelli-Shanks rounds reduce mod p on
 payload lists (``_rem``, ``_mulmod``), with no Poly per step.  A root is
 the first of the two in key order, so point enumeration is deterministic.
 """
@@ -184,7 +185,7 @@ class Poly:
         return self.divmod(other)[0]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.field.inv(self.lc()))
 
@@ -234,6 +235,8 @@ class Poly:
         return self.gcd(self.derivative()).degree == 0
 
     def powmod(self, e: int, modulus: "Poly") -> "Poly":
+        if e < 0:
+            raise InputError("negative polynomial power")
         F, base = self.field, (self % modulus).coeffs
         m, out = modulus.coeffs, [F.pone]
         while e:
@@ -474,55 +477,97 @@ def residue_is_square(a: Poly, modulus: Poly) -> bool:
 def residue_sqrt(a: Poly, modulus: Poly):
     """A square root of a in F_q[x]/(modulus), or None if a is a nonsquare.
 
-    Squareness is decided first, by the norm (``residue_is_square``), so
-    a nonsquare costs no exponentiation.  A square gets Tonelli-Shanks
-    (Shanks 1973) for irreducible ``modulus`` of degree d: the residue
-    field has order Q = q**d, and Q - 1 = 2**s * t with t odd.  ``powmod``
-    gives the first guess a**((t+1)/2), off from a root by b = a**t, of
-    order a power of two dividing 2**(s-1).  Each round shrinks the order
-    of b by a power of z = n**t for a nonsquare n, found only when some
-    round needs it; the rounds multiply payload lists with ``_mulmod``.
-
-    Of the two roots r and -r, returns the one whose padded payload-key
-    tuple (c_0 first) is smaller: the first root in key order of the
-    residue field.
-    """
+    Squareness is decided by the norm first, so a nonsquare costs no power
+    mod p.  For q odd and d <= 2 a root comes from roots in F_q (d = 1:
+    the norm's; d = 2: ``_quadratic_sqrt``), else from ``_shanks`` on payload
+    lists.  Of r and -r, returns the one of smaller padded payload-key tuple."""
     F = a.field
     q = F.order()
     if q is None:
         raise InputError("residue_sqrt requires a finite field")
+    modulus = modulus.monic()
     r = a % modulus
     if r.is_zero():
         return r
-    if not residue_is_square(r, modulus):
+    d, mc = modulus.degree, modulus.coeffs
+    if d <= 2 and q % 2:
+        n = residue_norm(r, modulus)
+        nu = _fq_sqrt(F, n)
+        if nu is None and n != F.pzero:
+            return None
+        root = [nu] if d == 1 else _quadratic_sqrt(F, r.coeff(0), r.coeff(1), mc, nu)
+    elif not residue_is_square(r, modulus):
         return None
-    d = modulus.degree
-    s, t = 0, q ** d - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    mc, one = modulus.coeffs, [F.pone]
-    h = r.powmod((t - 1) // 2, modulus).coeffs
-    root = _mulmod(F, h, r.coeffs, mc)
-    b = _mulmod(F, h, root, mc)
-    m, z = s, None
-    while b != one:
-        # least i with b**(2**i) = 1; below m unless modulus is reducible
-        i, c = 0, b
-        while i < m and c != one:
-            c, i = _mulmod(F, c, c, mc), i + 1
-        if i == m:
+    else:
+        root = _shanks(lambda u, v: _mulmod(F, u, v, mc),
+                       lambda u, e: r.powmod(e, modulus).coeffs, [F.pone],
+                       r.coeffs, q ** d - 1,
+                       lambda t: _nonsquare_power(modulus, t).coeffs)
+        if root is None:
             raise InputError(f"{modulus!r} is not irreducible")
-        if z is None:
-            z = _nonsquare_power(modulus, t).coeffs
-        w = z
-        for _ in range(m - i - 1):
-            w = _mulmod(F, w, w, mc)
-        z = _mulmod(F, w, w, mc)
-        root = _mulmod(F, root, w, mc)
-        b = _mulmod(F, b, z, mc)
-        m = i
     return min(Poly(F, root), -Poly(F, root),
                key=lambda y: tuple(F.payload_key(y.coeff(j)) for j in range(d)))
+
+
+def _shanks(mul, power, one, a, order, nonsquare_power):
+    """Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) under ``mul`` for units
+    of even order 2**s * t, t odd: a root of a, or None for a nonsquare.
+    The guess a**((t+1)/2) is off by b = a**t; each round shrinks b's order
+    by a power of z = nonsquare_power(t), asked for when one needs it."""
+    s, t = 0, order
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    h = power(a, (t - 1) // 2)
+    root = mul(h, a)
+    b = mul(h, root)
+    m, z = s, None
+    while b != one:
+        # least i with b**(2**i) = 1; below m unless a is a nonsquare
+        i, c = 0, b
+        while i < m and c != one:
+            c, i = mul(c, c), i + 1
+        if i == m:
+            return None
+        if z is None:
+            z = nonsquare_power(t)
+        w = z
+        for _ in range(m - i - 1):
+            w = mul(w, w)
+        z = mul(w, w)
+        root = mul(root, w)
+        b = mul(b, z)
+        m = i
+    return root
+
+
+def _fq_sqrt(F, a):
+    """A square root of the payload a in F_q, q odd, or None if a is 0 or
+    a nonsquare; the rounds' nonsquare is the first that Euler refuses."""
+    q, minus_one = F.order(), F.neg(F.pone)
+    return _shanks(F.mul, F.power, F.pone, a, q - 1, lambda t: F.power(next(
+        c for c in F.iter_payloads() if F.power(c, q // 2) == minus_one), t))
+
+
+def _quadratic_sqrt(F, a0, a1, m, nu):
+    """A root of a square alpha = a0 + a1*x mod m = x**2 + b*x + c, q odd,
+    nu**2 = N(alpha), by the complex method (Adj & Rodriguez-Henriquez,
+    IEEE Trans. Computers 63(11), 2014): a root beta has norm +-nu and
+    trace T, T**2 = Tr(alpha) + 2 N(beta), so beta = (alpha + N(beta))/T.
+    T = 0 only for beta = v*(2x + b), v**2 = a0/(b**2 - 4c), alpha = a0 a
+    nonsquare of F_q.  A square or zero discriminant is refused."""
+    c, b = m[0], m[1]
+    two = F.add(F.pone, F.pone)
+    disc = F.sub(F.mul(b, b), F.mul(F.mul(two, two), c))
+    if F.power(disc, F.order() // 2) != F.neg(F.pone):
+        raise InputError(f"{Poly(F, m)!r} is not irreducible")
+    trace = F.sub(F.mul(two, a0), F.mul(a1, b))
+    for norm in (nu, F.neg(nu)):
+        T = _fq_sqrt(F, F.add(trace, F.mul(two, norm)))
+        if T is not None:
+            inv = F.inv(T)
+            return [F.mul(F.add(a0, norm), inv), F.mul(a1, inv)]
+    v = _fq_sqrt(F, F.div(a0, disc))
+    return [F.mul(v, b), F.mul(v, two)]
 
 
 def _nonsquare_power(modulus: Poly, t: int) -> Poly:

@@ -140,15 +140,21 @@ def test_table_and_polynomial_arithmetic_agree(monkeypatch):
 
 def test_enumeration_over_larger_primes():
     """F101 to degree 2, which took the brute-force square root tens of
-    seconds, and square roots in F_{257^2}, which it refused outright."""
+    seconds, and square roots in F_{257^2}, which it refused outright.
+    Over F37 and F101 the places of degree 1 and 2 count the points over
+    F_{p^2}: A_1 + 2 A_2 = #C(F_{p^2}), by brute force in F_p[t]/(t^2 + 2)."""
     fc = [1, 1, 0, 0, 0, 1]
-    curve = make_curve(PrimeField(101), fc)
-    pts = enumerate_closed_points(curve, 2)
-    assert sum(1 for pt in pts if pt.degree == 1) == brute_point_count(101, fc)
-    assert len(set(pts)) == len(pts)
-    for pt in pts:
-        if pt.kind == "split":
-            assert ((pt.ybranch * pt.ybranch - curve.f) % pt.xminpoly).is_zero()
+    for p in (37, 101):
+        curve = make_curve(PrimeField(p), fc)
+        pts = enumerate_closed_points(curve, 2)
+        ones = sum(1 for pt in pts if pt.degree == 1)
+        assert ones == brute_point_count(p, fc)
+        assert ones + 2 * sum(1 for pt in pts if pt.degree == 2) == \
+            brute_point_count(p, fc, [2, 0, 1])
+        assert len(set(pts)) == len(pts)
+        for pt in pts:
+            if pt.kind == "split":
+                assert ((pt.ybranch * pt.ybranch - curve.f) % pt.xminpoly).is_zero()
 
     F = PrimeField(257)
     p = Poly(F, [3, 0, 1])                      # -3 is a nonsquare mod 257

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from curvext import (ExtensionField, FieldDescriptor, FieldElement,
-                     InputError, Poly, PrimeField, Rationals, field_from_json,
-                     field_to_json)
+                     InputError, Poly, PrimeField, RationalFunction, Rationals,
+                     field_from_json, field_to_json, make_curve)
 from curvext.fields import _TABLE_MAX_ORDER, rational_text
 from helpers import TinyExt
 
@@ -330,6 +330,21 @@ def test_element_operators():
     assert a != FieldElement(PrimeField(7), 3)
     with pytest.raises(InputError):
         a + FieldElement(PrimeField(7), 1)
+    # an element on the left leaves a function on a curve to its own
+    # reflected method, as an int on the left does
+    curve = make_curve(F, [1, 0, 0, 1])
+    x = RationalFunction.x(curve)
+    for two in (F.element(2), 2):
+        assert two * x == x * two == x + x
+        with pytest.raises(InputError, match="only a function"):
+            two + x
+        for op in (lambda: two - x, lambda: two / x):
+            with pytest.raises(TypeError):
+                op()
+    # a value the field refuses still gets its InputError
+    for bad in ("abc", 1.5, True):
+        with pytest.raises(InputError):
+            a * bad
 
 
 def test_field_json_round_trip():

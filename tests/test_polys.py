@@ -194,6 +194,10 @@ def test_residue_arithmetic():
     assert residue_is_square(sq, p)
     r = residue_sqrt(sq, p)
     assert (r * r) % p == sq
+    # a modulus is taken up to a unit: 2p gives p's root, also in degree 3
+    assert residue_sqrt(sq, p.scale(2)) == r
+    p3, a3 = Poly(F5, [1, 1, 0, 1]), Poly(F5, [1, 2, 3])
+    assert residue_sqrt((a3 * a3) % p3, p3.scale(3)) == residue_sqrt((a3 * a3) % p3, p3)
 
 
 # (field, modulus degree, moduli checked: None for all of them)
@@ -201,7 +205,8 @@ SQRT_CASES = [(F3, 1, None), (F3, 2, None), (F3, 3, None), (F3, 4, None),
               (F5, 1, None), (F5, 2, None), (F5, 3, None),
               (PrimeField(7), 1, None), (PrimeField(7), 2, None),
               (PrimeField(7), 3, None),
-              (F9, 2, None), (ExtensionField(5, [2, 0, 1]), 2, 12)]
+              (F9, 2, None), (ExtensionField(5, [2, 0, 1]), 2, 12),
+              (PrimeField(37), 2, 12)]
 
 
 @pytest.mark.parametrize("F,d,sample", SQRT_CASES, ids=repr)
@@ -210,8 +215,8 @@ def test_residue_sqrt_matches_brute_force(F, d, sample):
     every monic irreducible modulus of degree d: the oracle's root for a
     square (the first in key order), None for a nonsquare, zero for zero.
     Even d over F9 and F25 is the case where every constant is a square.
-    F25 checks 12 seeded moduli of its 300, which keeps the test to
-    seconds."""
+    F25 and F37 check 12 seeded moduli of their 300 and 666, which keeps
+    the test to seconds."""
     moduli = [p for p in iter_monic_irreducible(F, d) if p.degree == d]
     if sample is not None:
         moduli = random.Random(7).sample(moduli, sample)
@@ -367,7 +372,8 @@ def test_residue_is_square_matches_euler_in_the_residue_field(F, d, sample):
 def test_nonsquares_take_no_powmod(monkeypatch):
     """residue_sqrt decides a nonsquare by its norm alone: every nonsquare
     residue of the F7 cubics and of 8 seeded F37 quadratics makes no
-    ``Poly.powmod`` call, while a square makes some."""
+    ``Poly.powmod`` call, while a square modulo a cubic, whose root
+    Tonelli-Shanks takes in the residue field, makes some."""
     F7, F37 = PrimeField(7), PrimeField(37)
     cases = [(p, brute_residue_sqrts(p)) for p in _moduli(F7, 3)]
     cases += [(p, brute_residue_sqrts(p)) for p in _moduli(F37, 2, 8)]
@@ -383,7 +389,48 @@ def test_nonsquares_take_no_powmod(monkeypatch):
                 assert residue_sqrt(a, p) is None
                 nonsquares += 1
     assert calls == [] and nonsquares == 112 * 171 + 8 * 684
-    assert residue_sqrt(Poly(F37, [2]), cases[-1][0]) is not None and calls
+    assert residue_sqrt(Poly(F7, [2]), cases[0][0]) is not None and calls
+
+
+@pytest.mark.parametrize("F", [PrimeField(37), PrimeField(101), F25], ids=repr)
+def test_nonsquare_constants_have_roots_on_the_trace_zero_line(F):
+    """A constant a0 that is a nonsquare of F_q is a square modulo every
+    irreducible quadratic x^2 + bx + c, and its roots v*(2x + b) have
+    trace 0: each comes back as the root of smaller key, and squares back
+    to a0, on 6 seeded moduli per field."""
+    minus_one = F.neg(F.pone)
+    nonsquares = [c for c in F.list_payloads()
+                  if F.power(c, F.order() // 2) == minus_one]
+    assert len(nonsquares) == (F.order() - 1) // 2
+    for p in _moduli(F, 2, 6, seed=13):
+        for c in nonsquares:
+            a = Poly(F, [c])
+            r = residue_sqrt(a, p)
+            # Tr r = 2 r_0 - r_1 b is 0: r is a multiple of 2x + b
+            trace = F.sub(F.add(r.coeff(0), r.coeff(0)), F.mul(r.coeff(1), p.coeff(1)))
+            assert (r * r) % p == a and F.is_zero(trace), (p, c)
+            neg = (-r) % p
+            assert (F.payload_key(r.coeff(0)), F.payload_key(r.coeff(1))) < \
+                (F.payload_key(neg.coeff(0)), F.payload_key(neg.coeff(1)))
+
+
+@pytest.mark.parametrize("F", [F5, PrimeField(7)], ids=repr)
+def test_reducible_quadratic_moduli_are_refused(F):
+    """Every reducible monic quadratic, a square or zero discriminant,
+    is refused for each residue whose norm is zero or a square, since the
+    descent to F_q would read such a residue as a square of a field."""
+    q = F.order()
+    reducible = [p for p in iter_monic(F, 2) if not p.is_irreducible()]
+    assert len(reducible) == q * (q + 1) // 2
+    for p in reducible:
+        refused = 0
+        for tup in product(F.list_payloads(), repeat=2):
+            a, n = Poly(F, tup), residue_norm(Poly(F, tup), p)
+            if a and (F.is_zero(n) or F.power(n, q // 2) == F.pone):
+                with pytest.raises(InputError, match="not irreducible"):
+                    residue_sqrt(a, p)
+                refused += 1
+        assert refused >= q, p
 
 
 def test_hensel_sqrt_lifts():
@@ -523,7 +570,10 @@ def test_poly_guards():
         with pytest.raises(InputError) as err:
             op()
         assert str(err.value) == f"not a polynomial: {other!r}"
-    # x mod x^2 has norm 0, so it passes the square test; Tonelli-Shanks
-    # then refuses the reducible modulus instead of looping
+    # x mod x^2 has norm 0, so it passes the square test; the zero
+    # discriminant then refuses the reducible modulus
     with pytest.raises(InputError, match="not irreducible"):
         residue_sqrt(Poly(F5, [0, 1]), Poly(F5, [0, 0, 1]))
+    # a negative exponent is refused, as by Poly.__pow__, not looped on
+    with pytest.raises(InputError, match="negative polynomial power"):
+        Poly(F5, [2]).powmod(-1, Poly(F5, [1, 0, 1]))
