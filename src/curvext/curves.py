@@ -417,7 +417,7 @@ def _points_by_degree(curve: HyperellipticCurve, max_degree: int):
                 b = residue_sqrt(fbar, p)
                 if b is not None:
                     here.append(CurvePoint(curve, "split", p, b))
-                    here.append(CurvePoint(curve, "split", p, (-b) % p))
+                    here.append(CurvePoint(curve, "split", p, -b))
                 elif 2 * k <= max_degree:
                     found.setdefault(2 * k, []).append(
                         CurvePoint(curve, "nonsplit", p, None))

@@ -506,8 +506,8 @@ class ExtensionField(FieldDescriptor):
         if isinstance(value, (list, tuple)):
             lst = [self.base.coerce(c) for c in value]
             if len(lst) > self.k:
-                from .polys import Poly
-                lst = (Poly(self.base, lst) % self.modulus).coeffs
+                from .polys import _divrem
+                _divrem(self.base, lst, self.minpoly)
             return self._wrap(lst)
         raise InputError(f"cannot coerce {value!r} into F_{self.p}^{self.k}")
 

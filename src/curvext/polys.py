@@ -14,9 +14,10 @@ Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
 norms (a resultant with p), squareness by Euler's criterion on the norm
 in F_q, and square roots of squares: for deg p <= 2 and q odd by descent
 to square roots in F_q, else by Tonelli-Shanks; a nonsquare costs no
-``powmod``.  Norms, powers and Tonelli-Shanks rounds reduce mod p on
-payload lists (``_rem``, ``_mulmod``), with no Poly per step.  A root is
-the first of the two in key order, so point enumeration is deterministic.
+``powmod``.  Every product and every division, of a Poly or on the
+payload lists of norms, powers, gcds and Tonelli-Shanks rounds, runs one
+of two loops: ``_mul`` and ``_divrem``.  A root is the first of the two
+in key order, so point enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -129,16 +130,7 @@ class Poly:
         return Poly(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        F = self.field
-        a, b = self.coeffs, self._operand(other)
-        if not a or not b:
-            return Poly(F, [])
-        out = [F.pzero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not F.is_zero(ca):
-                for j, cb in enumerate(b):
-                    out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-        return Poly(F, out)
+        return Poly(self.field, _mul(self.field, self.coeffs, self._operand(other)))
 
     def scale(self, value):
         F = self.field
@@ -158,25 +150,12 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly"):
-        self._operand(other)
-        F = self.field
-        if other.is_zero():
+        F, m = self.field, self._operand(other)
+        if not m:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.lc()
-        # every modulus in the package is monic: skip the inverse there
-        inv_lead = lead if lead == F.pone else F.inv(lead)
-        q = [F.pzero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = F.mul(rem[-1], inv_lead)
-            k = len(rem) - 1 - db
-            q[k] = c
-            for i, cb in enumerate(other.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, cb))
-            while rem and F.is_zero(rem[-1]):
-                rem.pop()
-        return Poly(F, q), Poly(F, rem)
+        r = list(self.coeffs)
+        q = _divrem(F, r, m)
+        return Poly(F, q), Poly(F, r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -208,10 +187,12 @@ class Poly:
     # -- gcd family ----------------------------------------------------------
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        F = self.field
+        a, b = list(self.coeffs), list(self._operand(other))
+        while b:
+            _divrem(F, a, b)
+            a, b = b, a
+        return Poly(F, a).monic()
 
     def xgcd(self, other: "Poly"):
         """Monic g plus s, t with s*self + t*other = g."""
@@ -332,32 +313,45 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-def _rem(F, r: list, m) -> list:
-    """r mod m (= r mod m/lc m) on payload lists, in place, zeros trimmed."""
-    sub, mul, zero = F.sub, F.mul, F.pzero
-    if m[-1] != F.pone:
-        inv = F.inv(m[-1])
-        m = [mul(c, inv) for c in m]
-    dm = len(m) - 1
-    while len(r) > dm:
-        c = r.pop()
-        if c != zero:
-            for i in range(dm):
-                r[i - dm] = sub(r[i - dm], mul(c, m[i]))
-    while r and r[-1] == zero:
-        r.pop()
-    return r
-
-
-def _mulmod(F, a, b, m) -> list:
-    """a * b mod m on payload sequences: schoolbook product, then ``_rem``."""
+def _mul(F, a, b) -> list:
+    """The schoolbook product of payload sequences a and b, as a list."""
     add, mul, zero = F.add, F.mul, F.pzero
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x != zero:
             for j, y in enumerate(b):
                 out[i + j] = add(out[i + j], mul(x, y))
-    return _rem(F, out, m)
+    return out
+
+
+def _divrem(F, r: list, m) -> list:
+    """The quotient of the payload list r by a nonzero m, with r left
+    holding the remainder, in place, zeros trimmed.  A monic m takes no
+    inverse, and an r already shorter than m costs one length check."""
+    dm = len(m) - 1
+    if len(r) <= dm:
+        return []
+    sub, mul, zero = F.sub, F.mul, F.pzero
+    inv = None if m[-1] == F.pone else F.inv(m[-1])
+    q = [zero] * (len(r) - dm)
+    while len(r) > dm:
+        c = r.pop()
+        if c != zero:
+            if inv is not None:
+                c = mul(c, inv)
+            q[len(r) - dm] = c
+            for i in range(dm):
+                r[i - dm] = sub(r[i - dm], mul(c, m[i]))
+    while r and r[-1] == zero:
+        r.pop()
+    return q
+
+
+def _mulmod(F, a, b, m) -> list:
+    """a * b mod m on payload sequences."""
+    r = _mul(F, a, b)
+    _divrem(F, r, m)
+    return r
 
 
 def _eval_int(coeffs, v: int) -> int:
@@ -405,10 +399,6 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
     one = F.pone
     small = []  # (coeffs, 1/g(0)) of irreducible g, 2 deg g <= max_degree
     for d in range(1, max_degree + 1):
-        # coefficient i of g*h, deg g = e, is the sum of g_j h_k over terms[e][i-1]
-        terms = {e: [[(j, i - j) for j in range(max(0, i - d + e), min(i, e) + 1)]
-                     for i in range(1, d)]
-                 for e in range(1, d // 2 + 1)}
         for t in payloads:
             if d > 1 and F.is_zero(t):
                 continue
@@ -419,12 +409,8 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
                     break
                 h0 = F.mul(t, g0_inv)
                 for tail in product(payloads, repeat=d - e - 1):
-                    h = (h0,) + tail + (one,)
                     idx = 0
-                    for ts in terms[e]:
-                        c = F.pzero
-                        for j, k in ts:
-                            c = F.add(c, F.mul(g[j], h[k]))
+                    for c in _mul(F, g, (h0,) + tail + (one,))[1:d]:
                         idx = idx * q + rank[c]
                     struck[idx] = 1
             for tail, hit in zip(product(payloads, repeat=d - 1), struck):
@@ -443,15 +429,17 @@ def residue_inverse(a: Poly, modulus: Poly) -> Poly:
 
 
 def residue_norm(a: Poly, modulus: Poly):
-    """The norm N(a) = Res(modulus, a) of a mod a monic modulus, by the
-    Euclidean remainder sequence (Modern Computer Algebra, 6.3), each
-    R = A mod B a ``_rem`` on payload lists: Res(A, B) = (-1)**(deg A deg B)
-    lc(B)**(deg A - deg R) Res(B, R), Res(A, c) = c**deg A for a constant c,
-    and 0 once a remainder vanishes.  O(d**2) field ops, d = deg modulus."""
+    """The norm N(a) = Res(p, a) of a mod p, the monic multiple of the
+    modulus, by the Euclidean remainder sequence (Modern Computer Algebra,
+    6.3), each R = A mod B a ``_divrem`` on payload lists:
+    Res(A, B) = (-1)**(deg A deg B) lc(B)**(deg A - deg R) Res(B, R),
+    Res(A, c) = c**deg A for a constant c, and 0 once a remainder
+    vanishes.  O(d**2) field ops, d = deg modulus."""
     F = a.field
-    A, B, acc = modulus.coeffs, a.coeffs, F.pone
+    A, B, acc = modulus.monic().coeffs, a.coeffs, F.pone
     while len(B) > 1:
-        R = _rem(F, list(A), B)
+        R = list(A)
+        _divrem(F, R, B)
         if (len(A) - 1) * (len(B) - 1) % 2:
             acc = F.neg(acc)
         acc = F.mul(acc, F.power(B[-1], len(A) - len(R)))
@@ -460,10 +448,11 @@ def residue_norm(a: Poly, modulus: Poly):
 
 
 def residue_is_square(a: Poly, modulus: Poly) -> bool:
-    """Whether a is a square in F_q[x]/(modulus), modulus monic irreducible
-    of degree d: zero is, and so is everything in characteristic 2.  The
-    norm is N(a) = a**((q**d-1)/(q-1)), so N(a)**((q-1)/2) =
-    a**((q**d-1)/2): Euler's criterion on N(a) in F_q is Euler's on a."""
+    """Whether a is a square in F_q[x]/(modulus), modulus irreducible of
+    degree d (``residue_norm`` takes it as its monic multiple): zero is,
+    and so is everything in characteristic 2.  The norm is N(a) =
+    a**((q**d-1)/(q-1)), so N(a)**((q-1)/2) = a**((q**d-1)/2): Euler's
+    criterion on N(a) in F_q is Euler's on a."""
     F = a.field
     q = F.order()
     if q is None:

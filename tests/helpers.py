@@ -416,6 +416,41 @@ def tiny_det(K, rows):
     return acc
 
 
+def _trimmed(F, coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == F.pzero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def schoolbook_product(F, a, b):
+    """Oracle for polynomial products: the coefficient tuple of a*b, for
+    payload sequences a and b (low degree first), one coefficient at a
+    time, c_k = sum of a_i b_(k-i); only F's add and mul."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        c = F.pzero
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            c = F.add(c, F.mul(a[i], b[k - i]))
+        out.append(c)
+    return _trimmed(F, out)
+
+
+def long_division(F, a, b):
+    """Oracle for polynomial division: (quotient, remainder) coefficient
+    tuples of a by a nonzero b, payload sequences low degree first.  Each
+    step subtracts c*x**k*b, c = lead(a) / lead(b), from the whole
+    dividend until its degree is below deg b; only F's sub, mul and inv."""
+    rem, db = list(_trimmed(F, a)), len(b) - 1
+    quot = [F.pzero] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        k = len(rem) - 1 - db
+        quot[k] = c = F.mul(rem[-1], F.inv(b[-1]))
+        rem = list(_trimmed(F, [F.sub(x, F.mul(c, b[i - k])) if i >= k else x
+                                for i, x in enumerate(rem)]))
+    return _trimmed(F, quot), tuple(rem)
+
+
 def residue_is_square(a, modulus):
     """Euler criterion in F_q[x]/(modulus) for irreducible modulus, odd q
     (oracle for the squareness decision of polys.residue_sqrt)."""

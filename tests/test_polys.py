@@ -14,13 +14,18 @@ from curvext.polys import (_nonsquare_power, iter_monic,
 from helpers import (TinyExt, _divisors, ben_or_monic_irreducible,
                      brute_residue_sqrts, count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
-                     irreducible_by_trial_division, nonsquare_power_by_scan,
-                     residue_is_square)
+                     irreducible_by_trial_division, long_division,
+                     nonsquare_power_by_scan, residue_is_square,
+                     schoolbook_product)
 
 Q = Rationals()
 F5 = PrimeField(5)
 F3 = PrimeField(3)
 F9 = ExtensionField(3, [1, 0, 1])
+F2 = PrimeField(2)
+F4 = ExtensionField(2, [1, 1, 1])
+F25 = ExtensionField(5, [2, 0, 1])      # tabled, like every q <= 32
+F49 = ExtensionField(7, [1, 0, 1])      # above the table cap
 
 
 def rand_poly(F, rng, max_deg):
@@ -36,24 +41,33 @@ def rand_poly(F, rng, max_deg):
     return Poly(F, coeffs)
 
 
-@pytest.mark.parametrize("F", [Q, F5, F9], ids=repr)
+@pytest.mark.parametrize("F", [Q, F5, F9, F25, F49], ids=repr)
 def test_divmod_identity(F):
+    """divmod against the long division of tests/helpers.py, which shares
+    no code with polys.py, on seeded pairs: non-monic and degree-0
+    divisors among them, and dividends already reduced, which come back
+    as the remainder over a zero quotient."""
     rng = random.Random(3)
-    for _ in range(60):
+    seen = Counter()
+    for _ in range(80):
         a = rand_poly(F, rng, 6)
         b = rand_poly(F, rng, 3)
         if b.is_zero():
             continue
         q, r = a.divmod(b)
-        assert q * b + r == a
+        assert (q.coeffs, r.coeffs) == long_division(F, a.coeffs, b.coeffs), (a, b)
+        assert Poly(F, schoolbook_product(F, q.coeffs, b.coeffs)) + r == a
         assert r.degree < b.degree
         # a monic divisor skips the inverse of its leading coefficient;
         # both paths give the same remainder and rescaled quotient
         qm, rm = a.divmod(b.monic())
         assert rm == r and qm == q.scale(b.lc())
+        seen.update({"non-monic": not b.is_monic(), "constant": b.degree == 0,
+                     "reduced": a.degree < b.degree})
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
-@pytest.mark.parametrize("F", [Q, F5], ids=repr)
+@pytest.mark.parametrize("F", [Q, F5, F9, F49], ids=repr)
 def test_xgcd_bezout(F):
     rng = random.Random(4)
     for _ in range(40):
@@ -65,6 +79,23 @@ def test_xgcd_bezout(F):
         assert s * a + t * b == g
         assert g.is_monic()
         assert (a % g).is_zero() and (b % g).is_zero()
+
+
+@pytest.mark.parametrize("F", [Q, F5, F49], ids=repr)
+def test_gcd_of_multiples_keeps_the_common_factor(F):
+    """gcd(a*c, b*c), the products built by the helpers' schoolbook
+    product, is monic, divisible by c (long division leaves no
+    remainder) and equal to xgcd's g, on seeded a, b and c != 0."""
+    rng = random.Random(13)
+    for _ in range(40):
+        a, b, c = (rand_poly(F, rng, 4) for _ in range(3))
+        if c.is_zero() or (a.is_zero() and b.is_zero()):
+            continue
+        ac, bc = (Poly(F, schoolbook_product(F, u.coeffs, c.coeffs)) for u in (a, b))
+        g = ac.gcd(bc)
+        assert g.is_monic(), (a, b, c)
+        assert long_division(F, g.coeffs, c.coeffs)[1] == (), (a, b, c)
+        assert g == ac.xgcd(bc)[0]
 
 
 def test_squarefree_detection():
@@ -283,11 +314,6 @@ def test_nonsquare_power_past_the_norm_family():
         assert _nonsquare_power(p, t) == nonsquare_power_by_scan(p, t, s)
 
 
-F2 = PrimeField(2)
-F4 = ExtensionField(2, [1, 1, 1])
-F25 = ExtensionField(5, [2, 0, 1])
-
-
 def _moduli(F, d, sample=None, seed=9):
     moduli = [p for p in iter_monic_irreducible(F, d) if p.degree == d]
     return moduli if sample is None else random.Random(seed).sample(moduli, sample)
@@ -309,23 +335,24 @@ def test_residue_sqrt_in_characteristic_2(F):
 
 @pytest.mark.parametrize("F", [F5, PrimeField(37), F25, F9, Q], ids=repr)
 def test_powmod_matches_repeated_multiplication(F):
-    """powmod against e-fold (acc * a) % m, built from ``Poly.__mul__`` and
-    ``Poly.divmod``, which powmod's payload-list kernels do not call:
-    seeded bases (most of degree >= deg m, so unreduced) and moduli, e = 0
-    and 1 among them, non-monic moduli (the same powers as their monic
-    form) and degree-0 moduli (every power from e = 1 on is 0)."""
+    """powmod against e-fold (acc * a) % m, built from the schoolbook
+    product and long division of tests/helpers.py, which share no code
+    with polys.py: seeded bases (most of degree >= deg m, so unreduced)
+    and moduli, e = 0 and 1 among them, non-monic moduli (the same powers
+    as their monic form) and degree-0 moduli (every power from e = 1 on
+    is 0)."""
     rng = random.Random(12)
     moduli = [m for m in (rand_poly(F, rng, 4) for _ in range(30)) if m]
     moduli += [Poly(F, [F.pone]), Poly(F, [F.neg(F.pone)])]
     assert any(m.degree > 0 and not m.is_monic() for m in moduli)
     for m in moduli:
         a = rand_poly(F, rng, 7)
-        acc = Poly.one(F)
+        acc = (F.pone,)
         for e in range(12):
             got = a.powmod(e, m)
-            assert got == acc == a.powmod(e, m.monic()), (a, e, m)
+            assert got.coeffs == acc == a.powmod(e, m.monic()).coeffs, (a, e, m)
             assert e == 0 or got.degree < m.degree
-            acc = (acc * a) % m
+            acc = long_division(F, schoolbook_product(F, acc, a.coeffs), m.coeffs)[1]
 
 
 # (field, modulus degree, moduli checked: None for all of them)
@@ -343,6 +370,22 @@ def test_residue_norm_matches_the_powmod_norm(F, d, sample):
         for tup in product(F.list_payloads(), repeat=d):
             a = Poly(F, tup)
             assert residue_norm(a, p) == a.powmod(e, p).coeff(0), (p, a)
+
+
+@pytest.mark.parametrize("F,c", [(F5, 2), (PrimeField(7), 3)], ids=repr)
+def test_norm_and_squareness_take_a_modulus_up_to_a_constant(F, c):
+    """A non-monic modulus c*m counts as m, for c a nonsquare constant,
+    on every residue of every monic irreducible quadratic and cubic:
+    read as Res(c*m, a) = c**deg a Res(m, a), the norm would turn every
+    square of odd degree into a nonsquare, while residue_sqrt finds it a
+    root."""
+    for d in (2, 3):
+        for m in _moduli(F, d):
+            cm = m.scale(c)
+            for tup in product(F.list_payloads(), repeat=d):
+                a = Poly(F, tup)
+                assert residue_norm(a, cm) == residue_norm(a, m), (m, a)
+                assert polys.residue_is_square(a, cm) == polys.residue_is_square(a, m)
 
 
 def test_residue_norm_is_multiplicative():
