@@ -160,6 +160,8 @@ class FieldDescriptor:
 
     def power(self, a, e: int):
         """a**e for an int e >= 0, by square and multiply."""
+        if e < 0:
+            raise InputError("negative power")
         out = self.pone
         while e:
             if e & 1:
@@ -295,6 +297,7 @@ class PrimeField(FieldDescriptor):
         self.p = p
         self.pzero = 0
         self.pone = 1 % p
+        self._sqrts = {}    # polys._fq_sqrt's answers; not part of == or hash
 
     def _coerce(self, value):
         if isinstance(value, int):
@@ -367,6 +370,8 @@ class PrimeField(FieldDescriptor):
         return FieldDescriptor.det(self, [x % p for x in entries], m)
 
     def power(self, a, e: int):
+        if e < 0:
+            raise InputError("negative power")
         return pow(a, e, self.p)
 
     def neg(self, a):
@@ -440,6 +445,7 @@ class ExtensionField(FieldDescriptor):
         self.minpoly = modulus.coeffs
         self.pzero = (0,) * self.k
         self.pone = (1,) + (0,) * (self.k - 1)
+        self._sqrts = {}    # as on PrimeField
         if p ** self.k <= _TABLE_MAX_ORDER:
             self._tabulate()
 

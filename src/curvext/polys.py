@@ -384,9 +384,10 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
     is sieved one block of constant term t at a time.  For d >= 2 the
     block t = 0 is skipped (x divides all of it).  Otherwise every
     product g*h is struck, for g irreducible of degree e <= d/2 with
-    g(0) != 0 and h monic of degree d - e with h(0) = t/g(0); a
-    reducible f has such a factor g, and what is left is yielded.  Each
-    block is sieved when it is first drawn from, so memory is one block
+    g(0) != 0 and h monic of degree d - e with h(0) = t/g(0), by its
+    coefficients 1..d-1 alone, the ones that index the block; a reducible
+    f has such a factor g, and what is left is yielded.  Each block is
+    sieved when it is first drawn from, so memory is one block
     of q**(d-1) flags plus the irreducibles of degree <= max_degree/2,
     and no candidate is tested on its own.
     """
@@ -399,6 +400,9 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
     one = F.pone
     small = []  # (coeffs, 1/g(0)) of irreducible g, 2 deg g <= max_degree
     for d in range(1, max_degree + 1):
+        # coefficient i of g*h, deg g = e, is the sum of g_j h_k over terms[e][i-1]
+        terms = {e: [[(j, i - j) for j in range(max(0, i - d + e), min(i, e) + 1)]
+                     for i in range(1, d)] for e in range(1, d // 2 + 1)}
         for t in payloads:
             if d > 1 and F.is_zero(t):
                 continue
@@ -409,8 +413,12 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
                     break
                 h0 = F.mul(t, g0_inv)
                 for tail in product(payloads, repeat=d - e - 1):
+                    h = (h0,) + tail + (one,)
                     idx = 0
-                    for c in _mul(F, g, (h0,) + tail + (one,))[1:d]:
+                    for ts in terms[e]:
+                        c = F.pzero
+                        for j, k in ts:
+                            c = F.add(c, F.mul(g[j], h[k]))
                         idx = idx * q + rank[c]
                     struck[idx] = 1
             for tail, hit in zip(product(payloads, repeat=d - 1), struck):
@@ -435,6 +443,8 @@ def residue_norm(a: Poly, modulus: Poly):
     Res(A, B) = (-1)**(deg A deg B) lc(B)**(deg A - deg R) Res(B, R),
     Res(A, c) = c**deg A for a constant c, and 0 once a remainder
     vanishes.  O(d**2) field ops, d = deg modulus."""
+    if not modulus:
+        raise InputError("zero modulus")
     F = a.field
     A, B, acc = modulus.monic().coeffs, a.coeffs, F.pone
     while len(B) > 1:
@@ -457,7 +467,7 @@ def residue_is_square(a: Poly, modulus: Poly) -> bool:
     q = F.order()
     if q is None:
         raise InputError("residue_is_square requires a finite field")
-    if q % 2 == 0:
+    if q % 2 == 0 and modulus:     # residue_norm refuses a zero modulus
         return True
     n = residue_norm(a, modulus)
     return F.is_zero(n) or F.power(n, (q - 1) // 2) == F.pone
@@ -466,19 +476,22 @@ def residue_is_square(a: Poly, modulus: Poly) -> bool:
 def residue_sqrt(a: Poly, modulus: Poly):
     """A square root of a in F_q[x]/(modulus), or None if a is a nonsquare.
 
-    Squareness is decided by the norm first, so a nonsquare costs no power
-    mod p.  For q odd and d <= 2 a root comes from roots in F_q (d = 1:
+    A zero modulus is refused.  a is reduced only if deg a >= d or its field
+    is another object, which ``%`` checks.  A nonsquare, decided by the norm,
+    costs no power mod p.  For q odd and d <= 2 a root comes from F_q (d = 1:
     the norm's; d = 2: ``_quadratic_sqrt``), else from ``_shanks`` on payload
     lists.  Of r and -r, returns the one of smaller padded payload-key tuple."""
     F = a.field
     q = F.order()
     if q is None:
         raise InputError("residue_sqrt requires a finite field")
+    if not modulus:
+        raise InputError("zero modulus")
     modulus = modulus.monic()
-    r = a % modulus
+    d, mc = modulus.degree, modulus.coeffs
+    r = a % modulus if a.degree >= d or modulus.field is not F else a
     if r.is_zero():
         return r
-    d, mc = modulus.degree, modulus.coeffs
     if d <= 2 and q % 2:
         n = residue_norm(r, modulus)
         nu = _fq_sqrt(F, n)
@@ -530,11 +543,13 @@ def _shanks(mul, power, one, a, order, nonsquare_power):
 
 
 def _fq_sqrt(F, a):
-    """A square root of the payload a in F_q, q odd, or None if a is 0 or
-    a nonsquare; the rounds' nonsquare is the first that Euler refuses."""
-    q, minus_one = F.order(), F.neg(F.pone)
-    return _shanks(F.mul, F.power, F.pone, a, q - 1, lambda t: F.power(next(
-        c for c in F.iter_payloads() if F.power(c, q // 2) == minus_one), t))
+    """A square root of the payload a in F_q, q odd, or None if a is 0 or a
+    nonsquare, kept in F._sqrts; the rounds' nonsquare is the first Euler refuses."""
+    if a not in F._sqrts:
+        q, minus_one = F.order(), F.neg(F.pone)
+        F._sqrts[a] = _shanks(F.mul, F.power, F.pone, a, q - 1, lambda t: F.power(
+            next(c for c in F.iter_payloads() if F.power(c, q // 2) == minus_one), t))
+    return F._sqrts[a]
 
 
 def _quadratic_sqrt(F, a0, a1, m, nu):

@@ -465,6 +465,31 @@ def residue_is_square(a, modulus):
     return r.powmod((qk - 1) // 2, modulus).is_one()
 
 
+def brute_square_roots(F):
+    """Oracle for polys._fq_sqrt: {a: set of every b with b*b = a} over
+    the squares a of a finite field F, 0 included; a nonsquare is no key.
+    One pass over F's payloads with F's own mul, nothing from polys."""
+    roots = {}
+    for b in F.iter_payloads():
+        roots.setdefault(F.mul(b, b), set()).add(b)
+    return roots
+
+
+def bound_mul(F, limit=10_000):
+    """Give the descriptor F a mul that fails an assertion past ``limit``
+    products, so a loop that never ends (square and multiply on a negative
+    exponent) fails its test instead of hanging it.  F is changed in
+    place, so pass a fresh descriptor; it is returned."""
+    mul, calls = F.mul, itertools.count(1)
+
+    def bounded(a, b):
+        assert next(calls) <= limit, f"more than {limit} products"
+        return mul(a, b)
+
+    F.mul = bounded
+    return F
+
+
 def brute_residue_sqrts(modulus):
     """Oracle for polys.residue_sqrt: {coefficient tuple of a: root} for
     every square a of F_q[x]/(modulus).

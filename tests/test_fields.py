@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from curvext import (ExtensionField, FieldDescriptor, FieldElement,
                      InputError, Poly, PrimeField, RationalFunction, Rationals,
                      field_from_json, field_to_json, make_curve)
 from curvext.fields import _TABLE_MAX_ORDER, rational_text
-from helpers import TinyExt
+from helpers import TinyExt, bound_mul
 
 F9 = ExtensionField(3, [1, 0, 1])       # t^2 + 1, irreducible mod 3
 F25 = ExtensionField(5, [2, 0, 1])      # t^2 + 2
@@ -169,6 +170,28 @@ def test_power_matches_repeated_multiplication(F):
         for e in range(12):
             assert F.power(a, e) == acc
             acc = F.mul(acc, a)
+
+
+# fresh descriptors, one per call: bound_mul changes the one it gets
+NEGATIVE_POWER_FIELDS = {
+    "Q": Rationals, "F_5": lambda: PrimeField(5),
+    "F_9": lambda: ExtensionField(3, [1, 0, 1]),
+    "F_25": lambda: ExtensionField(5, [2, 0, 1]),           # tabled
+    "F_49": lambda: ExtensionField(7, [1, 0, 1])}           # polynomial mul
+
+
+@pytest.mark.parametrize("name", NEGATIVE_POWER_FIELDS)
+def test_negative_powers_are_refused(name):
+    """A negative exponent is refused on every descriptor, as by
+    Poly.__pow__: square and multiply would never end on one (-1 >> 1 is
+    -1), which the bounded mul turns into a failure (on 1, whose powers
+    stay small over Q), and pow(a, -1, p) would quietly give an inverse."""
+    F = bound_mul(NEGATIVE_POWER_FIELDS[name]())
+    a = F.coerce(2)
+    for b, e in product((F.pone, a), (-1, -2, -7)):
+        with pytest.raises(InputError, match="negative power"):
+            F.power(b, e)
+    assert F.power(a, 0) == F.pone and F.power(a, 3) == F.mul(F.mul(a, a), a)
 
 
 def test_prime_dot_reduces_unreduced_and_negative_ints():

@@ -7,12 +7,13 @@ from itertools import product
 import pytest
 
 from curvext import (ExtensionField, InputError, Poly, PrimeField, Rationals,
-                     hensel_sqrt, polys)
-from curvext.polys import (_nonsquare_power, iter_monic,
+                     enumerate_closed_points, hensel_sqrt, make_curve, polys)
+from curvext.polys import (_fq_sqrt, _nonsquare_power, iter_monic,
                            iter_monic_irreducible, residue_inverse,
                            residue_norm, residue_sqrt)
 from helpers import (TinyExt, _divisors, ben_or_monic_irreducible,
-                     brute_residue_sqrts, count_monic_irreducible,
+                     bound_mul, brute_residue_sqrts, brute_square_roots,
+                     count_monic_irreducible,
                      divisor_rational_roots, hensel_sqrt_by_xgcd,
                      irreducible_by_trial_division, long_division,
                      nonsquare_power_by_scan, residue_is_square,
@@ -476,6 +477,131 @@ def test_reducible_quadratic_moduli_are_refused(F):
         assert refused >= q, p
 
 
+def _fresh_field(p, minpoly=None):
+    return PrimeField(p) if minpoly is None else ExtensionField(p, minpoly)
+
+
+@pytest.mark.parametrize("p,minpoly", [(3, None), (7, None), (37, None),
+                                       (101, None), (3, [1, 0, 1]),
+                                       (5, [2, 0, 1]),      # tabled
+                                       (7, [1, 0, 1])],     # polynomial mul
+                         ids=["F3", "F7", "F37", "F101", "F9", "F25", "F49"])
+def test_fq_sqrt_matches_the_squares_table(p, minpoly):
+    """_fq_sqrt on every element of a fresh descriptor, against the
+    brute-force squares table: a root of each nonzero square, None for 0
+    and for each nonsquare.  The answer, None too, is kept, and a second
+    call gives it again."""
+    F = _fresh_field(p, minpoly)
+    roots = brute_square_roots(F)
+    assert len(roots) == (F.order() + 1) // 2
+    for a in F.iter_payloads():
+        got = _fq_sqrt(F, a)
+        if F.is_zero(a) or a not in roots:
+            assert got is None, a
+        else:
+            assert got in roots[a], a
+        assert F._sqrts[a] == got and _fq_sqrt(F, a) == got
+    assert len(F._sqrts) == F.order()
+
+
+def test_fq_sqrt_memo_is_per_instance():
+    """Two equal PrimeField(37) keep separate memos: what one keeps the
+    other never reads, and neither memo enters == or hash."""
+    A, B = PrimeField(37), PrimeField(37)
+    assert _fq_sqrt(A, 4) in (2, 35) and _fq_sqrt(A, 2) is None   # 2: nonsquare
+    assert set(A._sqrts) == {4, 2} and B._sqrts == {}
+    A._sqrts[9] = "kept by A"
+    assert _fq_sqrt(A, 9) == "kept by A" and _fq_sqrt(B, 9) in (3, 34)
+    assert 9 not in PrimeField(37)._sqrts
+    assert A == B and hash(A) == hash(B) == hash(PrimeField(37))
+    assert Poly(A, [1, 2]) == Poly(B, [1, 2])
+
+
+class _Forgetful(dict):
+    """A memo that is never consulted: every query is computed anew."""
+
+    def __contains__(self, key):
+        return False
+
+
+def test_enumeration_takes_each_fq_root_once(monkeypatch):
+    """The work counter under the enumeration speed-up: the closed points
+    of g2/F37 to degree 2 run the F_q Tonelli-Shanks rounds (``_shanks``
+    with F's own mul) at most once per element of F37, where the same
+    enumeration with the memo bypassed runs them over a thousand times,
+    and both give the same point keys."""
+    calls = []
+    shanks = polys._shanks
+
+    def spy(mul, *args):
+        calls.append(mul)
+        return shanks(mul, *args)
+
+    monkeypatch.setattr(polys, "_shanks", spy)
+
+    def run(memo_bypassed):
+        F = PrimeField(37)
+        if memo_bypassed:
+            F._sqrts = _Forgetful()
+        calls.clear()
+        keys = [pt.key() for pt in enumerate_closed_points(
+            make_curve(F, [1, 1, 0, 0, 0, 1]), 2)]
+        assert all(mul == F.mul for mul in calls)
+        return keys, len(calls)
+
+    keys, rounds = run(False)
+    bypassed_keys, bypassed_rounds = run(True)
+    assert len(keys) == 721 and keys == bypassed_keys
+    assert 0 < rounds <= 37 < 1000 < bypassed_rounds
+
+
+@pytest.mark.parametrize("F", [F5, PrimeField(37), F25], ids=repr)
+def test_residue_sqrt_reduces_an_unreduced_residue(F):
+    """residue_sqrt(a, c*m) == residue_sqrt(a % m, m) for a of degree
+    >= deg m, c a unit other than 1, on 3 seeded irreducible m of each
+    degree 1..3: a square b*b plus a multiple of m, and a random
+    polynomial plus m*m, each a skipped reduction away from a wrong root."""
+    rng = random.Random(33)
+    units = F.list_payloads()[1:]
+    checked = squares = 0
+    for d in (1, 2, 3):
+        moduli = []
+        while len(moduli) < 3:
+            m = Poly(F, [rng.choice(units + [F.pzero]) for _ in range(d)] + [F.pone])
+            if m.is_irreducible() and m not in moduli:
+                moduli.append(m)
+        for m in moduli:
+            scaled = m.scale(rng.choice(units[1:]))
+            for _ in range(12):
+                b = rand_poly(F, rng, d - 1)
+                for a in (b * b + m * rand_poly(F, rng, d),
+                          rand_poly(F, rng, 2 * d + 1) + m * m):
+                    if a.degree < d:
+                        continue
+                    got = residue_sqrt(a, scaled)
+                    assert got == residue_sqrt(a % m, m), (m, a)
+                    checked += 1
+                    squares += got is not None
+    assert checked >= 150 and squares >= checked // 2
+
+
+@pytest.mark.parametrize("p,minpoly", [(5, None), (3, [1, 0, 1])],
+                         ids=["F5", "F9"])
+def test_zero_modulus_is_refused(p, minpoly):
+    """residue_norm, residue_is_square and residue_sqrt refuse a zero
+    modulus for every kind of residue, zero included, where they would
+    return a norm, a verdict or a root of nothing, raise
+    ZeroDivisionError or, over F9, loop on a power -1 (which the bounded
+    mul turns into a failure)."""
+    F = bound_mul(_fresh_field(p, minpoly))
+    zero = Poly(F, [])
+    for coeffs in ([], [2], [0, 1], [2, 1, 1]):
+        a = Poly.from_values(F, coeffs)
+        for fn in (residue_norm, polys.residue_is_square, residue_sqrt):
+            with pytest.raises(InputError, match="zero modulus"):
+                fn(a, zero)
+
+
 def test_hensel_sqrt_lifts():
     # y^2 = f near a split place: branch b has b^2 = f mod p; lift to p^r
     f = Poly(F5, [1, 0, 0, 1])               # x^3 + 1
@@ -617,6 +743,10 @@ def test_poly_guards():
     # discriminant then refuses the reducible modulus
     with pytest.raises(InputError, match="not irreducible"):
         residue_sqrt(Poly(F5, [0, 1]), Poly(F5, [0, 0, 1]))
+    # a residue over another field is refused, reduced or not
+    for a in (Poly(F3, [1]), Poly(F3, [1, 1, 1])):
+        with pytest.raises(InputError, match="different fields"):
+            residue_sqrt(a, Poly(F5, [2, 0, 1]))
     # a negative exponent is refused, as by Poly.__pow__, not looped on
     with pytest.raises(InputError, match="negative polynomial power"):
         Poly(F5, [2]).powmod(-1, Poly(F5, [1, 0, 1]))
