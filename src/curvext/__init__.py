@@ -23,9 +23,9 @@ from .extensions import (BoundaryMatrix, ExtensionClass, ExtensionDatum,
                          datum_to_json, det_test, make_datum,
                          prop1_certificate, search_semistable,
                          subspace_from_json)
-from .fields import (ExtensionField, FieldDescriptor, FieldElement,
-                     PrimeField, Rationals, field_from_json, field_to_json)
-from .linalg import Matrix, det, kernel_basis, rank, rref
+from .fields import (ExtensionField, FieldDescriptor, PrimeField, Rationals,
+                     field_from_json, field_to_json)
+from .linalg import Matrix, kernel_basis, rank, rref
 from .polys import Poly, hensel_sqrt, iter_monic, iter_monic_irreducible
 from .riemann_roch import (PrincipalityResult, RationalFunction, RRBasis,
                            coordinates, function_to_json, h0, h1,

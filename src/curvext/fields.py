@@ -15,11 +15,10 @@ irreducibility test are polynomial operations from ``polys``.
 
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),
 which the polynomial and linear-algebra kernels call directly to avoid
-wrapper overhead.  Library functions return payloads; ``F.element(v)``
-wraps one in a ``FieldElement``, the caller's wrapper with operator
-overloading.  ``F.coerce`` is the one way in for a caller's value: it
-unwraps an element of F and refuses a bool or an element of another
-field.  Five payload kernels carry the hot paths:
+wrapper overhead.  Payloads are the one value form: library functions
+return them and take them.  ``F.coerce`` is the one way in for a
+caller's value: it refuses a bool and hands the rest to the descriptor's
+``_coerce``.  Five payload kernels carry the hot paths:
 
 * ``dot``, the inner product of two payload sequences, on every
   descriptor.  The base class folds ``add`` and ``mul`` (Q and F_{p^k}
@@ -115,24 +114,11 @@ class FieldDescriptor:
     """
 
     def coerce(self, value):
-        """A caller's value as a payload: an element of this field unwraps,
-        one of another field or a bool is refused; ``_coerce`` takes the rest."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise InputError(f"mixed fields: {self!r} vs {value.field!r}")
-            return value.payload
+        """A caller's value as a payload: a bool is refused; ``_coerce`` takes
+        the rest."""
         if isinstance(value, bool):
             raise InputError("booleans are not field values")
         return self._coerce(value)
-
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce(value))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.pzero)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.pone)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -584,79 +570,6 @@ class ExtensionField(FieldDescriptor):
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}"
-
-
-class FieldElement:
-    """One field value: a descriptor plus a canonical payload.  An operand
-    that is no field value at all (not one of ``_OPERANDS``, say a function
-    on a curve) gets NotImplemented, so Python tries its reflected method."""
-
-    __slots__ = ("field", "payload")
-
-    def __init__(self, field: FieldDescriptor, payload):
-        self.field = field
-        self.payload = payload
-
-    def __add__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        F = self.field
-        return FieldElement(F, F.add(self.payload, F.coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        F = self.field
-        return FieldElement(F, F.sub(self.payload, F.coerce(other)))
-
-    def __rsub__(self, other):
-        F = self.field
-        return FieldElement(F, F.sub(F.coerce(other), self.payload))
-
-    def __mul__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        F = self.field
-        return FieldElement(F, F.mul(self.payload, F.coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        F = self.field
-        return FieldElement(F, F.div(self.payload, F.coerce(other)))
-
-    def __rtruediv__(self, other):
-        F = self.field
-        return FieldElement(F, F.div(F.coerce(other), self.payload))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.payload))
-
-    def __eq__(self, other):
-        try:
-            return self.payload == self.field.coerce(other)
-        except InputError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.payload))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.payload)
-
-    def is_zero(self):
-        return self.field.is_zero(self.payload)
-
-    def __repr__(self):
-        return f"{self.payload!r} in {self.field!r}"
-
-
-# what some descriptor's coerce takes, or refuses with its own message
-_OPERANDS = (FieldElement, int, Fraction, float, str, list, tuple)
 
 
 def field_from_json(obj) -> FieldDescriptor:

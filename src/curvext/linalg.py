@@ -1,19 +1,18 @@
 """Exact dense linear algebra over the coefficient fields.
 
-A ``Matrix`` holds payloads, and every result is payloads (``det`` one,
-``kernel_basis`` lists of them).  Rank, determinant, rref and kernel
-bases come from one forward pass per payload representation.  Over Q it
-is fraction-free (Bareiss recurrence on integer-scaled rows) to keep
+A ``Matrix`` holds payloads, and every result is payloads
+(``kernel_basis`` lists of them).  Rank, rref and kernel bases come from
+one forward pass per payload representation, whose pivots the
+descriptor's ``det`` kernel also reads beyond its closed forms.  Over Q
+it is fraction-free (Bareiss recurrence on integer-scaled rows) to keep
 entries at determinant size; rows that are all ints, as the Riemann-Roch
 constraint rows over Q are, go in as they are, and only Fraction rows
 are scaled row by row; over finite fields it is ordinary elimination
-below each pivot.  Rank reads the pivots of that pass, and so does the
-descriptor's ``det`` kernel beyond its closed forms (``det`` here calls
-that kernel on the row-major entries).  rref and kernel bases share one
-back-substitution to the reduced form, which is unique, so the choice of
-forward pass never shows in their results.  Pivoting is deterministic:
-the first row with a nonzero entry, scanning columns left to right, so
-results are reproducible across runs.
+below each pivot.  rref and kernel bases share one back-substitution to
+the reduced form, which is unique, so the choice of forward pass never
+shows in their results.  Pivoting is deterministic: the first row with
+a nonzero entry, scanning columns left to right, so results are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -199,13 +198,6 @@ def _echelon(F, rows):
 
 def rank(mat: Matrix) -> int:
     return len(_forward(mat.field, mat.rows)[1])
-
-
-def det(mat: Matrix):
-    """Payload determinant of a square matrix; the empty 0x0 one has 1."""
-    if mat.nrows != mat.ncols:
-        raise InputError("determinant of a non-square matrix")
-    return mat.field.det([v for row in mat.rows for v in row], mat.nrows)
 
 
 def kernel_basis(mat: Matrix):

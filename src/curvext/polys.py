@@ -44,7 +44,7 @@ class Poly:
 
     @classmethod
     def from_values(cls, field, values):
-        """Build from ints / Fractions / FieldElements, low degree first."""
+        """Build from caller values, each through ``coerce``, low degree first."""
         return cls(field, [field.coerce(v) for v in values])
 
     @classmethod
@@ -176,7 +176,7 @@ class Poly:
         return Poly(F, out)
 
     def evaluate(self, value):
-        """Horner evaluation; accepts a payload or FieldElement, returns a payload."""
+        """Horner evaluation at a value ``coerce`` takes; returns a payload."""
         F = self.field
         v = F.coerce(value)
         acc = F.pzero
@@ -430,6 +430,8 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
 
 
 def residue_inverse(a: Poly, modulus: Poly) -> Poly:
+    if not modulus:
+        raise InputError("zero modulus")
     g, s, _ = a.xgcd(modulus)
     if g.degree != 0:
         raise ZeroDivisionError(f"{a!r} is not invertible mod {modulus!r}")
@@ -442,9 +444,11 @@ def residue_norm(a: Poly, modulus: Poly):
     6.3), each R = A mod B a ``_divrem`` on payload lists:
     Res(A, B) = (-1)**(deg A deg B) lc(B)**(deg A - deg R) Res(B, R),
     Res(A, c) = c**deg A for a constant c, and 0 once a remainder
-    vanishes.  O(d**2) field ops, d = deg modulus."""
+    vanishes.  O(d**2) field ops, d = deg modulus.  A zero modulus, or one
+    over another field, is refused."""
     if not modulus:
         raise InputError("zero modulus")
+    a._operand(modulus)
     F = a.field
     A, B, acc = modulus.monic().coeffs, a.coeffs, F.pone
     while len(B) > 1:
@@ -462,15 +466,14 @@ def residue_is_square(a: Poly, modulus: Poly) -> bool:
     degree d (``residue_norm`` takes it as its monic multiple): zero is,
     and so is everything in characteristic 2.  The norm is N(a) =
     a**((q**d-1)/(q-1)), so N(a)**((q-1)/2) = a**((q**d-1)/2): Euler's
-    criterion on N(a) in F_q is Euler's on a."""
+    criterion on N(a) in F_q is Euler's on a.  The norm is taken in
+    characteristic 2 too, for ``residue_norm``'s refusals."""
     F = a.field
     q = F.order()
     if q is None:
         raise InputError("residue_is_square requires a finite field")
-    if q % 2 == 0 and modulus:     # residue_norm refuses a zero modulus
-        return True
     n = residue_norm(a, modulus)
-    return F.is_zero(n) or F.power(n, (q - 1) // 2) == F.pone
+    return q % 2 == 0 or F.is_zero(n) or F.power(n, (q - 1) // 2) == F.pone
 
 
 def residue_sqrt(a: Poly, modulus: Poly):

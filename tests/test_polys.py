@@ -588,18 +588,19 @@ def test_residue_sqrt_reduces_an_unreduced_residue(F):
 @pytest.mark.parametrize("p,minpoly", [(5, None), (3, [1, 0, 1])],
                          ids=["F5", "F9"])
 def test_zero_modulus_is_refused(p, minpoly):
-    """residue_norm, residue_is_square and residue_sqrt refuse a zero
-    modulus for every kind of residue, zero included, where they would
-    return a norm, a verdict or a root of nothing, raise
-    ZeroDivisionError or, over F9, loop on a power -1 (which the bounded
-    mul turns into a failure)."""
+    """The four residue functions refuse a zero modulus for every kind of
+    residue, zero included, where they would return a norm, a verdict or
+    a root of nothing, raise ZeroDivisionError or, over F9, loop on a
+    power -1 (which the bounded mul turns into a failure)."""
     F = bound_mul(_fresh_field(p, minpoly))
     zero = Poly(F, [])
     for coeffs in ([], [2], [0, 1], [2, 1, 1]):
         a = Poly.from_values(F, coeffs)
-        for fn in (residue_norm, polys.residue_is_square, residue_sqrt):
-            with pytest.raises(InputError, match="zero modulus"):
+        for fn in (residue_norm, polys.residue_is_square, residue_sqrt,
+                   residue_inverse):
+            with pytest.raises(InputError) as info:
                 fn(a, zero)
+            assert str(info.value) == "zero modulus"
 
 
 def test_hensel_sqrt_lifts():
@@ -731,11 +732,11 @@ def test_poly_guards():
     with pytest.raises(InputError):
         Poly(F5, [1]) + Poly(F3, [1])
     # an operand that is not a polynomial is named, not an AttributeError
-    p, two = Poly(F5, [1]), F5.element(2)
+    p = Poly(F5, [1])
     for op, other in [(lambda: p + 2, 2), (lambda: p - 2, 2),
                       (lambda: p * 2, 2), (lambda: p.divmod(3), 3),
                       (lambda: p % 3, 3), (lambda: p.powmod(2, 3), 3),
-                      (lambda: p + two, two), (lambda: p - "x", "x")]:
+                      (lambda: p - "x", "x")]:
         with pytest.raises(InputError) as err:
             op()
         assert str(err.value) == f"not a polynomial: {other!r}"
@@ -743,10 +744,20 @@ def test_poly_guards():
     # discriminant then refuses the reducible modulus
     with pytest.raises(InputError, match="not irreducible"):
         residue_sqrt(Poly(F5, [0, 1]), Poly(F5, [0, 0, 1]))
-    # a residue over another field is refused, reduced or not
-    for a in (Poly(F3, [1]), Poly(F3, [1, 1, 1])):
-        with pytest.raises(InputError, match="different fields"):
-            residue_sqrt(a, Poly(F5, [2, 0, 1]))
+    # a residue and a modulus over different fields are refused by all
+    # four residue functions, reduced or not, never given a norm of
+    # garbage (the F3 residue 2x + 1 mod F5's x^2 + 2 had norm 0 and was
+    # called a square; in characteristic 2 every residue was)
+    for K in (F3, F9, ExtensionField(2, [1, 1, 0, 1])):
+        pairs = [(Poly.from_values(K, cs), Poly(F5, [2, 0, 1]))
+                 for cs in ([1], [1, 2], [1, 1, 1])]
+        pairs.append((Poly(F5, [1, 2]), Poly.from_values(K, [1, 0, 1])))
+        for (a, modulus), fn in product(pairs, (residue_norm, residue_inverse,
+                                                polys.residue_is_square,
+                                                residue_sqrt)):
+            with pytest.raises(InputError) as info:
+                fn(a, modulus)
+            assert str(info.value) == "polynomials over different fields"
     # a negative exponent is refused, as by Poly.__pow__, not looped on
     with pytest.raises(InputError, match="negative polynomial power"):
         Poly(F5, [2]).powmod(-1, Poly(F5, [1, 0, 1]))

@@ -422,16 +422,20 @@ def test_rational_function_normal_form():
 
 def test_functions_add_only_functions_on_their_curve():
     """A function adds to and subtracts from a function on its own curve
-    and nothing else; a scalar still multiplies it."""
+    and nothing else; a scalar still multiplies it, on either side.  A
+    scalar on the left of - or / gets a TypeError."""
     curve = curve_g1_f5()
     x = RationalFunction.x(curve)
     message = "only a function on the same curve adds to or subtracts from"
-    for other in (1, curve.field.element(1), RationalFunction.x(curve_g1w_f3())):
+    for other in (1, RationalFunction.x(curve_g1w_f3())):
         for op in (lambda: x + other, lambda: x - other):
             with pytest.raises(InputError, match=message):
                 op()
     with pytest.raises(InputError, match=message):
-        1 + x
+        2 + x
+    for op in (lambda: 2 - x, lambda: 2 / x):
+        with pytest.raises(TypeError):
+            op()
     assert (x + x) - x == x and 2 * x == x + x == x * 2
 
 
