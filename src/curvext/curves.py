@@ -198,8 +198,7 @@ class CurvePoint:
     def conjugate(self) -> "CurvePoint":
         """Image under the hyperelliptic involution y -> -y."""
         if self.kind == "split":
-            return CurvePoint(self.curve, "split", self.xminpoly,
-                              (-self.ybranch) % self.xminpoly)
+            return CurvePoint(self.curve, "split", self.xminpoly, -self.ybranch)
         return self
 
     def key(self):

@@ -10,7 +10,8 @@ representations is equality in the field:
   residue polynomial, reduced modulo the defining polynomial.
 
 ``ExtensionField`` is built on ``polys.Poly``: its defining polynomial is
-a ``Poly`` over ``PrimeField(p)``, and reduction, inversion and the
+a ``Poly`` over ``PrimeField(p)``, and reduction, inversion (above the
+table cap, ``residue_inverse``'s Euclidean loop on payload lists) and the
 irreducibility test are polynomial operations from ``polys``.
 
 A descriptor owns the payload-level arithmetic (``add``, ``mul``, ...),

@@ -10,14 +10,15 @@ term at a time, holding one block's flags and the irreducibles of up to
 half the top degree.  A single polynomial given from outside is checked
 by Ben-Or's test, ``Poly.is_irreducible``.
 
-Residue fields F_q[x]/(p) of an irreducible p get inverses (``xgcd``),
-norms (a resultant with p), squareness by Euler's criterion on the norm
-in F_q, and square roots of squares: for deg p <= 2 and q odd by descent
-to square roots in F_q, else by Tonelli-Shanks; a nonsquare costs no
-``powmod``.  Every product and every division, of a Poly or on the
-payload lists of norms, powers, gcds and Tonelli-Shanks rounds, runs one
-of two loops: ``_mul`` and ``_divrem``.  A root is the first of the two
-in key order, so point enumeration is deterministic.
+Residue fields F_q[x]/(p) of an irreducible p get inverses by the
+extended Euclidean sequence, norms (a resultant with p), squareness by
+Euler's criterion on the norm in F_q, and square roots of squares: for
+deg p <= 2 and q odd by descent to F_q, else by Tonelli-Shanks; a
+nonsquare costs no ``powmod``.  Of a root's two signs the first in key
+order is returned, so point enumeration is deterministic.  Every sum,
+product and division, of a Poly or on the payload lists of inverses,
+norms, powers, gcds, Hensel lifts and Tonelli-Shanks rounds, runs one of
+three loops: ``_add``, ``_mul`` and ``_divrem``.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class Poly:
     @classmethod
     def one(cls, field):
         return cls(field, [field.pone])
-
-    @classmethod
-    def constant(cls, field, value):
-        return cls(field, [field.coerce(value)])
 
     @classmethod
     def x(cls, field):
@@ -111,19 +108,10 @@ class Poly:
         return coeffs
 
     def __add__(self, other):
-        F = self.field
-        a, b = self.coeffs, self._operand(other)
-        n = max(len(a), len(b))
-        out = [F.pzero] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        return Poly(self.field, _add(self.field, True, self.coeffs, self._operand(other)))
 
     def __sub__(self, other):
-        self._operand(other)
-        return self + (-other)
+        return Poly(self.field, _add(self.field, False, self.coeffs, self._operand(other)))
 
     def __neg__(self):
         F = self.field
@@ -193,22 +181,6 @@ class Poly:
             _divrem(F, a, b)
             a, b = b, a
         return Poly(F, a).monic()
-
-    def xgcd(self, other: "Poly"):
-        """Monic g plus s, t with s*self + t*other = g."""
-        F = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(F), Poly.zero(F)
-        t0, t1 = Poly.zero(F), Poly.one(F)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        c = F.inv(r0.lc())
-        return r0.scale(c), s0.scale(c), t0.scale(c)
 
     def is_squarefree(self) -> bool:
         """gcd with the derivative is constant; valid over Q and perfect F_q.
@@ -311,6 +283,17 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != self.field.pone else f"x^{i}")
         return " + ".join(reversed(parts))
+
+
+def _add(F, plus, a, b) -> list:
+    """a + b, or a - b if not plus, of payload sequences, zeros trimmed."""
+    op, zero = F.add if plus else F.sub, F.pzero
+    out = list(a) + [zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = op(out[i], c)
+    while out and out[-1] == zero:
+        out.pop()
+    return out
 
 
 def _mul(F, a, b) -> list:
@@ -430,12 +413,20 @@ def iter_monic_irreducible(field: FieldDescriptor, max_degree: int):
 
 
 def residue_inverse(a: Poly, modulus: Poly) -> Poly:
+    """a**-1 mod modulus by the extended Euclidean remainder sequence on
+    payload lists, carrying only a's cofactor.  A zero modulus, or one over
+    another field, is refused; an a not coprime to it raises ZeroDivisionError."""
     if not modulus:
         raise InputError("zero modulus")
-    g, s, _ = a.xgcd(modulus)
-    if g.degree != 0:
+    F, m = a.field, a._operand(modulus)
+    r0, r1, s0, s1 = list(a.coeffs), list(m), [F.pone], []
+    while r1:
+        q = _divrem(F, r0, r1)
+        r0, r1, s0, s1 = r1, r0, s1, _add(F, False, s0, _mul(F, q, s1))
+    if len(r0) != 1:
         raise ZeroDivisionError(f"{a!r} is not invertible mod {modulus!r}")
-    return s % modulus
+    c = F.inv(r0[0])
+    return Poly(F, [F.mul(x, c) for x in s0])
 
 
 def residue_norm(a: Poly, modulus: Poly):
@@ -601,34 +592,40 @@ def _nonsquare_power(modulus: Poly, t: int) -> Poly:
 def hensel_sqrt(f: Poly, p: Poly, branch: Poly, precision: int) -> Poly:
     """Lift branch to Y with Y**2 = f mod p**precision, Y = branch mod p.
 
-    Requires branch**2 = f mod p and branch invertible mod p (split place,
-    odd characteristic).  Newton iteration with a carried inverse (von zur
-    Gathen & Gerhard, Modern Computer Algebra, section 9.2): from Y correct
-    mod p**k and w = (2Y)**-1 mod p**k, the step Y <- Y - (Y**2 - f)*w is
-    correct mod p**(2k), and w <- w*(2 - 2Y*w) doubles w's precision for
-    the next step.  Only the first w is an inverse, taken mod p.  The
-    precisions run up the chain of halvings of ``precision`` rounded up,
-    so each modulus is the last one squared, divided by p when odd.
-    """
+    Requires an int precision >= 1, branch**2 = f mod p and branch
+    invertible mod p (split place, odd characteristic).  Newton iteration
+    with a carried inverse (von zur Gathen & Gerhard, Modern Computer
+    Algebra, section 9.2): from Y correct mod p**k and w = (2Y)**-1 mod
+    p**k, the step Y <- Y - (Y**2 - f)*w is correct mod p**(2k), and
+    w <- w*(2 - 2Y*w) doubles w's precision for the next step.  Only the
+    first w is an inverse, taken mod p.  The precisions run up the chain
+    of halvings of ``precision`` rounded up, so each modulus is the last
+    one squared, divided by p when odd; the steps run on payload lists."""
     F = f.field
     if F.characteristic() == 2:
         raise InputError("no Hensel square root in characteristic 2")
+    if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
+        raise InputError(f"precision must be an int >= 1, not {precision!r}")
     y = branch % p
     if not ((y * y - f) % p).is_zero():
         raise InputError("branch is not a square root of f at this place")
+    try:
+        w = residue_inverse(y.scale(2), p).coeffs
+    except ZeroDivisionError:
+        raise InputError(f"branch is not invertible modulo {p!r}") from None
     precs = []
     while precision > 1:
         precs.append(precision)
         precision = (precision + 1) // 2
-    if not precs:
-        return y
-    two = Poly.constant(F, 2)
-    w = residue_inverse(y.scale(2), p)
-    k, pk = 1, p
+    Y, pk, two = list(y.coeffs), p.coeffs, F.add(F.pone, F.pone)
     for target in reversed(precs):
-        pk = pk * pk if target == 2 * k else (pk * pk) // p
-        y = (y - (y * y - f) * w) % pk
+        pk = _mul(F, pk, pk)
+        if target % 2:
+            pk = _divrem(F, pk, p.coeffs)
+        Y = _add(F, False, Y, _mul(F, _add(F, False, _mul(F, Y, Y), f.coeffs), w))
+        _divrem(F, Y, pk)
         if target < precs[0]:       # w serves one more step
-            w = (w * (two - y.scale(2) * w)) % pk
-        k = target
-    return y
+            yw = _mul(F, Y, w)
+            w = _mul(F, w, _add(F, False, [two], _add(F, True, yw, yw)))
+            _divrem(F, w, pk)
+    return Poly(F, Y)

@@ -17,7 +17,7 @@ from curvext import (Divisor, ExtensionClass, ExtensionField,
                      enumerate_effective_divisors, kernel_basis,
                      make_curve, make_datum, rr_basis)
 from curvext.linalg import _echelon, linear_combination
-from curvext.polys import iter_monic, residue_inverse
+from curvext.polys import iter_monic
 
 # ---------------------------------------------------------------------------
 # fixture curves (label -> constructor args); all models verified squarefree
@@ -451,6 +451,34 @@ def long_division(F, a, b):
     return _trimmed(F, quot), tuple(rem)
 
 
+def euclid_inverse(a, modulus):
+    """Oracle for polys.residue_inverse: a**-1 mod modulus by the textbook
+    extended Euclidean algorithm on coefficient tuples, quotients by
+    ``long_division``, cofactor products by ``schoolbook_product``, both
+    cofactors carried, and the Bezout identity s*a + t*modulus = g
+    asserted at the end.  ZeroDivisionError unless g is constant."""
+    F = a.field
+
+    def combine(op, u, v):
+        n = max(len(u), len(v))
+        u, v = (tuple(w) + (F.pzero,) * (n - len(w)) for w in (u, v))
+        return _trimmed(F, [op(x, y) for x, y in zip(u, v)])
+
+    r0, r1 = a.coeffs, modulus.coeffs
+    s0, s1, t0, t1 = (F.pone,), (), (), (F.pone,)
+    while r1:
+        q, r = long_division(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, combine(F.sub, s0, schoolbook_product(F, q, s1))
+        t0, t1 = t1, combine(F.sub, t0, schoolbook_product(F, q, t1))
+    assert combine(F.add, schoolbook_product(F, s0, a.coeffs),
+                   schoolbook_product(F, t0, modulus.coeffs)) == r0
+    if len(r0) != 1:
+        raise ZeroDivisionError(f"{a!r} is not invertible mod {modulus!r}")
+    s = [F.mul(x, F.inv(r0[0])) for x in s0]
+    return Poly(F, long_division(F, s, modulus.coeffs)[1])
+
+
 def residue_is_square(a, modulus):
     """Euler criterion in F_q[x]/(modulus) for irreducible modulus, odd q
     (oracle for the squareness decision of polys.residue_sqrt)."""
@@ -530,15 +558,16 @@ def nonsquare_power_by_scan(modulus, t, s):
 
 def hensel_sqrt_by_xgcd(f, p, branch, precision):
     """Oracle for polys.hensel_sqrt: Newton doubling on Y <- (Y + f/Y)/2
-    with a fresh inverse of Y by xgcd modulo p**k at every step."""
+    with a fresh inverse of Y by ``euclid_inverse`` modulo p**k at every
+    step."""
     F = f.field
     y = branch % p
-    half = Poly.constant(F, F.inv(F.coerce(2)))
+    half = Poly(F, [F.inv(F.coerce(2))])
     k = 1
     while k < precision:
         k = min(2 * k, precision)
         pk = p ** k
-        inv_y = residue_inverse(y, pk)
+        inv_y = euclid_inverse(y, pk)
         y = ((y + (f % pk) * inv_y) * half) % pk
     return y
 
@@ -945,7 +974,7 @@ class _QuotRing:
         return -a
 
     def inv(self, a):
-        return residue_inverse(a, self.p)
+        return euclid_inverse(a, self.p)
 
     def is_zero(self, a):
         return a.is_zero()

@@ -183,6 +183,29 @@ def test_point_list_is_sorted_and_unshared():
             assert pt.conjugate() == pt
 
 
+@pytest.mark.parametrize("curve,degree", [
+    (curve_g1_f5(), 3), (curve_g2_f7(), 2),
+    (make_curve(ExtensionField(5, [2, 0, 1]), [1, 1, 0, 0, 0, 1]), 1)],
+    ids=["g1/F5", "g2/F7", "g2/F25"])
+def test_conjugate_negates_the_reduced_branch(curve, degree):
+    """The conjugate of a split place carries -b, already reduced mod p, and
+    is its own inverse: on every split place of an enumeration and on a
+    place built by closed_point from a ybranch of degree >= deg p."""
+    split = [pt for pt in enumerate_closed_points(curve, degree)
+             if pt.kind == "split"]
+    assert split
+    for pt in split:
+        c = pt.conjugate()
+        assert c.ybranch == (-pt.ybranch) % pt.xminpoly
+        assert c.xminpoly == pt.xminpoly and c.conjugate() == pt
+    p, b = split[-1].xminpoly, split[-1].ybranch
+    unreduced = b + p * Poly(curve.field, [curve.field.pone] * 3)
+    pt = curve.closed_point(p, unreduced)
+    assert pt == split[-1] and unreduced.degree >= p.degree
+    assert pt.conjugate().ybranch == (-unreduced) % p
+    assert pt.conjugate().conjugate() == pt
+
+
 # ---------------------------------------------------------------------------
 # valuations
 # ---------------------------------------------------------------------------

@@ -90,12 +90,17 @@ def test_f9_against_hand_rolled_tables():
                                        (3, [1, 0, 1]),          # F_9
                                        (5, [2, 0, 1]),          # F_25
                                        (3, [1, 2, 0, 1]),       # F_27
-                                       (3, [2, 1, 0, 0, 1])],   # F_81
-                         ids=["F4", "F8", "F9", "F25", "F27", "F81"])
+                                       (3, [2, 1, 0, 0, 1]),    # F_81
+                                       (7, [1, 0, 1]),          # F_49
+                                       (5, [1, 1, 0, 1])],      # F_125
+                         ids=["F4", "F8", "F9", "F25", "F27", "F81", "F49",
+                              "F125"])
 def test_extension_kernels_match_tiny_oracle(p, minpoly):
     """Fields up to order 32 do their arithmetic on tables, larger ones
-    on polynomials (F81 here); both agree with the tuple oracle on every
-    pair and every element, and refuse the inverse of 0 alike."""
+    on polynomials (F81, F49 and F125 here, whose inverses run the
+    Euclidean loop of ``residue_inverse``); both agree with the tuple
+    oracle on every pair and every element, and refuse the inverse of 0
+    alike."""
     F = ExtensionField(p, minpoly)
     K = TinyExt(p, minpoly)
     assert ("mul" in vars(F)) == (F.order() <= _TABLE_MAX_ORDER)

@@ -14,7 +14,7 @@ from curvext.polys import (_fq_sqrt, _nonsquare_power, iter_monic,
 from helpers import (TinyExt, _divisors, ben_or_monic_irreducible,
                      bound_mul, brute_residue_sqrts, brute_square_roots,
                      count_monic_irreducible,
-                     divisor_rational_roots, hensel_sqrt_by_xgcd,
+                     divisor_rational_roots, euclid_inverse, hensel_sqrt_by_xgcd,
                      irreducible_by_trial_division, long_division,
                      nonsquare_power_by_scan, residue_is_square,
                      schoolbook_product)
@@ -69,24 +69,45 @@ def test_divmod_identity(F):
 
 
 @pytest.mark.parametrize("F", [Q, F5, F9, F49], ids=repr)
-def test_xgcd_bezout(F):
+def test_residue_inverse_matches_the_euclid_oracle(F):
+    """residue_inverse against the helpers' extended Euclid, which shares
+    no code with polys.py, on seeded pairs: unreduced residues, non-monic
+    and degree-0 moduli, and pairs with a common factor g of degree >= 1,
+    which both refuse with ZeroDivisionError.  A returned inverse is
+    reduced and is one."""
     rng = random.Random(4)
-    for _ in range(40):
-        a = rand_poly(F, rng, 5)
-        b = rand_poly(F, rng, 5)
-        if a.is_zero() and b.is_zero():
+    seen = Counter()
+    for i in range(120):
+        a, m = rand_poly(F, rng, 6), rand_poly(F, rng, 4)
+        if i % 4 == 0:
+            g = rand_poly(F, rng, 2)
+            if g.degree >= 1:
+                a, m = a * g, (m if m else Poly.one(F)) * g
+        if m.is_zero():
             continue
-        g, s, t = a.xgcd(b)
-        assert s * a + t * b == g
-        assert g.is_monic()
-        assert (a % g).is_zero() and (b % g).is_zero()
+        try:
+            expected = euclid_inverse(a, m)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError) as err:
+                residue_inverse(a, m)
+            assert str(err.value) == f"{a!r} is not invertible mod {m!r}"
+            seen["not coprime"] += 1
+            continue
+        inv = residue_inverse(a, m)
+        assert inv == expected, (a, m)
+        assert inv.degree < m.degree
+        if m.degree >= 1:
+            assert (a * inv) % m == Poly.one(F)
+        seen.update({"unreduced": a.degree >= m.degree, "non-monic": not m.is_monic(),
+                     "degree-0 modulus": m.degree == 0})
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("F", [Q, F5, F49], ids=repr)
 def test_gcd_of_multiples_keeps_the_common_factor(F):
     """gcd(a*c, b*c), the products built by the helpers' schoolbook
-    product, is monic, divisible by c (long division leaves no
-    remainder) and equal to xgcd's g, on seeded a, b and c != 0."""
+    product, is monic and divisible by c (long division leaves no
+    remainder), on seeded a, b and c != 0."""
     rng = random.Random(13)
     for _ in range(40):
         a, b, c = (rand_poly(F, rng, 4) for _ in range(3))
@@ -96,7 +117,6 @@ def test_gcd_of_multiples_keeps_the_common_factor(F):
         g = ac.gcd(bc)
         assert g.is_monic(), (a, b, c)
         assert long_division(F, g.coeffs, c.coeffs)[1] == (), (a, b, c)
-        assert g == ac.xgcd(bc)[0]
 
 
 def test_squarefree_detection():
@@ -656,6 +676,18 @@ def test_newton_lift_keeps_its_checks():
     F2 = PrimeField(2)
     with pytest.raises(InputError):
         hensel_sqrt(Poly(F2, [1, 0, 0, 1]), Poly(F2, [0, 1]), Poly(F2, [1]), 3)
+    # a precision that is not an int >= 1 is refused, not answered by b mod p
+    x = Poly(F5, [0, 1])
+    for precision in (0, -3, 2.5, True, False, None, "2"):
+        with pytest.raises(InputError) as err:
+            hensel_sqrt(f, x, Poly(F5, [1]), precision)
+        assert str(err.value) == f"precision must be an int >= 1, not {precision!r}"
+    # a branch that is a root of f mod p but no unit there is refused at
+    # every precision: 0**2 = x**3 + x mod x over F5
+    for precision in (1, 2, 3, 8):
+        with pytest.raises(InputError) as err:
+            hensel_sqrt(Poly(F5, [0, 1, 0, 1]), x, Poly(F5, []), precision)
+        assert str(err.value) == f"branch is not invertible modulo {x!r}"
 
 
 def test_rational_roots_exact():
