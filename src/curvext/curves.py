@@ -384,6 +384,14 @@ def valuation(fn, point: CurvePoint) -> int:
 # enumeration over finite fields
 # ---------------------------------------------------------------------------
 
+def _check_int_bound(name, bound):
+    """Refuse a degree bound that is not an int (a bool, float or str)
+    before any comparison or range reads it; each caller owns its rule
+    for negative ints."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise InputError(f"{name} must be an int, not {bound!r}")
+
+
 def enumerate_closed_points(curve: HyperellipticCurve, max_degree: int):
     """All closed points of degree <= max_degree, sorted by point key.
 
@@ -399,7 +407,8 @@ def _points_by_degree(curve: HyperellipticCurve, max_degree: int):
     into the key-sorted point list.  The places over the irreducibles of
     degree k are found when degree k is drawn, and a nonsplit place over
     p waits until degree 2*deg(p).  Finite base fields only, checked at
-    the first draw."""
+    the first draw, as is the bound."""
+    _check_int_bound("max_degree", max_degree)
     F = curve.field
     if F.order() is None:
         raise InputError("point enumeration requires a finite field")
@@ -438,6 +447,7 @@ def enumerate_effective_divisors(curve: HyperellipticCurve, max_degree: int,
     ``points`` restricts the support to an explicit candidate list,
     which is also the only mode available over infinite fields.
     """
+    _check_int_bound("max_degree", max_degree)
     if points is None:
         by_degree = _points_by_degree(curve, max_degree)
     else:

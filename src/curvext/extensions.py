@@ -12,11 +12,11 @@ The boundary map of a class e, for a twist pair (L', M'), is the matrix
 e(s_i * t_j * u') over bases of L(M') and L(K-L'), where u' is the
 principality witness identifying L(K-L'+M') with L(N+K).  A twist
 reaches only the boundary map and Prop. 1: the destabilizer scan asks
-whether e kills L(N+K-D), that is, whether e lies in the row span of
-D's rows R_D on L(N+K) coordinates, and no twist changes that question
-or its degree bound.  Semistability certificates never assert
-instability from a failed sufficient test; only an explicit
-destabilizing witness does that.
+whether e kills L(N+K-D), that is, whether e lies in the span of D,
+which one forward pass over D's rows R_D on L(N+K) coordinates gives as
+independent rows, and no twist changes that question or its degree
+bound.  Semistability certificates never assert instability from a
+failed sufficient test; only an explicit destabilizing witness does that.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from operator import itemgetter
 
-from .curves import (Divisor, HyperellipticCurve, curve_from_json,
-                     divisor_from_json, divisor_to_json,
+from .curves import (Divisor, HyperellipticCurve, _check_int_bound,
+                     curve_from_json, divisor_from_json, divisor_to_json,
                      enumerate_effective_divisors)
 from .errors import ExhaustionError, InputError, InternalError
-from .linalg import Matrix, linear_combination, rank, rref
+from .linalg import Matrix, _forward, linear_combination, rank
 from .riemann_roch import (RationalFunction, _subspace_rows, coordinates,
                            is_principal, rr_basis)
 
@@ -71,23 +71,21 @@ class ExtensionDatum:
         L(N+K)."""
         return tuple(coordinates(fn, self.basis_NK))
 
-    def span_rows(self, D: Divisor) -> list:
-        """The rows R_D for an effective D: payload functionals on L(N+K)
-        coordinates whose common kernel is L(N+K-D).  A class kills
-        L(N+K-D) exactly when it lies in their row span, the span of D on
-        the curve embedded by |N+K|.  Each place's block is cached per
-        (place, multiplicity) in reduced echelon form."""
+    def _span_rows(self, D: Divisor) -> list:
+        """Independent rows of the span of an effective D on the curve
+        embedded by |N+K|: the pivot rows of one forward pass over D's
+        rows R_D, whose common kernel on L(N+K) coordinates is L(N+K-D)
+        (Bareiss integer rows over Q); their count is the span's rank.
+        Blocks of R_D are cached per (place, multiplicity) as built."""
         blocks = self._span_blocks
         rows = []
-        for pt, mult in D.items:
-            block = blocks.get((pt, mult))
+        for key in D.items:
+            block = blocks.get(key)
             if block is None:
-                block = blocks[pt, mult] = rref(Matrix._trusted(
-                    self.curve.field,
-                    _subspace_rows(self.basis_NK, pt, mult),
-                    self.class_dim)).rows
+                block = blocks[key] = _subspace_rows(self.basis_NK, *key)
             rows += block
-        return rows
+        rows, pivots, _ = _forward(self.curve.field, rows)
+        return rows[:len(pivots)]
 
     def pair_tensor(self):
         """T[i][j] = coordinates of s_i * s_j * u in the L(N+K) basis,
@@ -305,8 +303,11 @@ def brute_force_destabilizer(e: ExtensionClass, max_degree: int | None = None,
     fields an explicit candidate point set is required and the verdict
     "none" only covers that domain.
     """
-    if max_degree is not None and max_degree < 0:
-        raise InputError(f"degree cap must be nonnegative, got {max_degree}")
+    if max_degree is not None:
+        _check_int_bound("degree cap", max_degree)
+        if max_degree < 0:
+            raise InputError(
+                f"degree cap must be nonnegative, got {max_degree}")
     datum = e.datum
     full_bound = (datum.n - 1) // 2     # deg D < n/2, strict slope
     bound = full_bound if max_degree is None else min(full_bound, max_degree)
@@ -333,7 +334,8 @@ def _witness_scan(e: ExtensionClass, bound: int, base: Divisor,
                   multiplier: RationalFunction | None = None, points=None,
                   complete: bool = True) -> ScanResult:
     """First effective D of degree <= bound, in divisor enumeration
-    order, such that e kills L(N+K - D): e lies in the row span of R_D.
+    order, such that e kills L(N+K - D): e lies in D's span, decided by
+    one rank of the span's independent rows with e appended.
 
     base and the multiplier only name the re-verifier's route: the
     multiplier must map L(base - D) onto L(N+K - D), and None stands for
@@ -350,9 +352,8 @@ def _witness_scan(e: ExtensionClass, bound: int, base: Divisor,
     examined = 0
     for D in enumerate_effective_divisors(curve, bound, points=points):
         examined += 1
-        rows = datum.span_rows(D)
-        if rank(Matrix._trusted(F, rows + [e.coords], width)) == \
-                rank(Matrix._trusted(F, rows, width)):
+        span = datum._span_rows(D)
+        if rank(Matrix._trusted(F, span + [e.coords], width)) == len(span):
             _reverify_annihilation(e, rr_basis(curve, base - D), multiplier)
             return ScanResult(D, bound, examined, complete)
     return ScanResult(None, bound, examined, complete)

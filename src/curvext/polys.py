@@ -606,6 +606,8 @@ def hensel_sqrt(f: Poly, p: Poly, branch: Poly, precision: int) -> Poly:
         raise InputError("no Hensel square root in characteristic 2")
     if isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
         raise InputError(f"precision must be an int >= 1, not {precision!r}")
+    if p.is_zero():
+        raise InputError("zero modulus")
     y = branch % p
     if not ((y * y - f) % p).is_zero():
         raise InputError("branch is not a square root of f at this place")

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
-from .curves import enumerate_effective_divisors
+from .curves import _check_int_bound, enumerate_effective_divisors
 from .errors import InputError
 from .extensions import (ExtensionClass, ExtensionDatum, ScanResult,
                          _witness_scan)
@@ -52,6 +52,7 @@ def secant_member(e: ExtensionClass, d: int | None = None,
         if datum.n < 2:
             raise InputError("n = 0 datum has no default secant index")
         d = datum.n // 2 - 1
+    _check_int_bound("secant index", d)
     if d < 0:
         raise InputError("secant index must be nonnegative")
     return _witness_scan(e, d, datum.N + datum.curve.canonical_divisor(),
@@ -63,8 +64,8 @@ def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
 
     Enumerates, for each effective divisor D of degree <= d, the
     annihilator of L(N+K-D) in class space, every combination of the
-    rows R_D as built, and takes the union.  Exhaustive sweeps and the
-    experiment use this instead of per-class divisor scans.
+    independent rows of D's span, and takes the union.  Exhaustive sweeps
+    and the experiment use this instead of per-class divisor scans.
     """
     F = datum.curve.field
     if F.order() is None:
@@ -72,7 +73,7 @@ def secant_table(datum: ExtensionDatum, d: int) -> frozenset:
     width = datum.class_dim
     members = set()
     for D in enumerate_effective_divisors(datum.curve, d):
-        span = datum.span_rows(D)
+        span = datum._span_rows(D)
         coeffs = F.list_payloads() if span else []   # D = 0 has no rows
         for cs in _iproduct(coeffs, repeat=len(span)):
             members.add(tuple(linear_combination(F, cs, span, width)))

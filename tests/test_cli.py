@@ -448,6 +448,44 @@ def test_benchmark_cli_goldens_replay(tmp_path, monkeypatch, capsys):
     assert catalog["entries"] and differ == []
 
 
+def test_benchmark_tracer_counts_and_restores(monkeypatch):
+    """The benchmark's tracer, installed on this suite's curvext modules,
+    counts one rank (with its entries read off the Matrix argument), one
+    Ben-Or test and one boundary determinant, and uninstalling puts back
+    every attribute it rebound, so a refactor that breaks the traced
+    pass fails here and not only in the benchmark's self-test.
+    tracing.py and program.py are read from perfbench/ without writing
+    there (no bytecode cache)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    layers = importlib.import_module("program").LAYERS
+    modules = {name: importlib.import_module(f"curvext.{name}")
+               for name in layers}
+    modules["curvext"] = curvext
+    F5 = curvext.PrimeField(5)
+    datum = datum_on_infinity(curve_g1_f5(), 4)
+    tracer = tracing.Tracer(modules)
+    try:
+        tracer.install()
+        rebound = list(tracer._undo)
+        assert all(getattr(holder, attr) is not old
+                   for holder, attr, old in rebound)
+        assert modules["linalg"].rank(
+            curvext.Matrix(F5, [[1, 2], [3, 4], [0, 1]])) == 2
+        assert curvext.Poly(F5, [2, 0, 1]).is_irreducible()
+        datum.det_payload((1, 0, 0, 0))
+        totals = tracer.totals()
+    finally:
+        tracer.uninstall()
+    rank = totals["linalg.rank"]
+    assert (rank["calls"], rank["entries"]) == (1, 6)
+    assert totals["polys.Poly.is_irreducible"]["calls"] == 1
+    assert totals["extensions.ExtensionDatum.det_payload"]["calls"] == 1
+    assert rebound and all(getattr(holder, attr) is old
+                           for holder, attr, old in rebound)
+
+
 # values a mutant puts where the catalog has another JSON type, and field
 # specs that name no field; ints stay small, so no mutant asks for a size
 # that only the allocation would refuse

@@ -608,16 +608,18 @@ def test_residue_sqrt_reduces_an_unreduced_residue(F):
 @pytest.mark.parametrize("p,minpoly", [(5, None), (3, [1, 0, 1])],
                          ids=["F5", "F9"])
 def test_zero_modulus_is_refused(p, minpoly):
-    """The four residue functions refuse a zero modulus for every kind of
-    residue, zero included, where they would return a norm, a verdict or
-    a root of nothing, raise ZeroDivisionError or, over F9, loop on a
-    power -1 (which the bounded mul turns into a failure)."""
+    """The four residue functions and the Hensel lift refuse a zero
+    modulus for every kind of residue, zero included, where they would
+    return a norm, a verdict or a root of nothing, raise
+    ZeroDivisionError or, over F9, loop on a power -1 (which the bounded
+    mul turns into a failure)."""
     F = bound_mul(_fresh_field(p, minpoly))
     zero = Poly(F, [])
     for coeffs in ([], [2], [0, 1], [2, 1, 1]):
         a = Poly.from_values(F, coeffs)
         for fn in (residue_norm, polys.residue_is_square, residue_sqrt,
-                   residue_inverse):
+                   residue_inverse,
+                   lambda f, p: hensel_sqrt(f, p, f, 2)):
             with pytest.raises(InputError) as info:
                 fn(a, zero)
             assert str(info.value) == "zero modulus"

@@ -11,14 +11,16 @@ from curvext import (BoundInputs, Divisor, ExtensionClass, ExtensionDatum,
                      ExtensionField, InputError, InternalError, Matrix,
                      NotApplicable, PrimeField,
                      brute_force_destabilizer, clifford_sandwich, compute_m,
-                     det_test, enumerate_closed_points, make_curve,
+                     det_test, enumerate_closed_points,
+                     enumerate_effective_divisors, make_curve,
                      make_datum, offsecant_experiment, rank, sample_subspace,
                      secant_member, secant_table, theorem1_delta0,
                      theorem2_bound)
+from curvext.riemann_roch import _subspace_rows
 from helpers import (all_classes, chain_datum, curve_g1_f5, curve_g1_q,
                      curve_g1w_f3, curve_g2_f3, curve_g2_f5, curve_g2_f9,
                      datum_on_infinity, destabilizer_by_rr_basis,
-                     evaluation_class,
+                     evaluation_class, modp_rank,
                      secant_member_by_rr_basis, secant_table_by_kernel,
                      skew_reverification)
 
@@ -294,6 +296,30 @@ def test_secant_tables_match_the_kernel_oracle():
             assert secant_table(datum, d) == secant_table_by_kernel(datum, d)
 
 
+@pytest.mark.parametrize("make", [datum_on_infinity, chain_datum])
+def test_scans_past_the_nonspecial_range(make):
+    """Scans and tables to deg D >= n, where N+K-D can be special and the
+    rows R_D dependent: every class of the fixture against the per-divisor
+    oracle, tables against the kernel oracle, and for every divisor
+    scanned the count of span rows is the rank of the raw blocks, and is
+    deg D when deg D < n."""
+    for n, ds in ((2, (2, 3)), (4, (4,))):
+        datum = make(curve_g1w_f3(), n)
+        for d in ds:
+            for e in all_classes(datum):
+                assert_scans_match_the_oracle(e, d=d)
+            assert secant_table(datum, d) == secant_table_by_kernel(datum, d)
+        dependent = 0
+        for D in enumerate_effective_divisors(datum.curve, max(ds)):
+            raw = [row for pt, mult in D.items
+                   for row in _subspace_rows(datum.basis_NK, pt, mult)]
+            span = len(datum._span_rows(D))
+            assert span == modp_rank(raw, 3), D
+            assert D.degree >= n or span == D.degree, D
+            dependent += span < len(raw)
+        assert dependent
+
+
 def test_tables_over_a_field_too_large_to_list():
     """Over F_p, p = 2**64 - 59, Sigma_0 is the zero class alone and
     lists no field element; Sigma_1 and the experiment need every
@@ -360,6 +386,33 @@ def test_secant_guards_and_explicit_domains():
     assert res.witness == Divisor(qcurve, [(qP, 1)])
     with pytest.raises(InputError, match="secant tables need a finite base field"):
         secant_table(qdatum, 1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 1.0, "1"])
+def test_degree_bounds_must_be_ints(bad):
+    """A bound that is not an int, a bool included, is refused where it is
+    first read, before a comparison, min() or range() can take it or a
+    scan runs to it; a negative int keeps each caller's own message."""
+    curve = curve_g1w_f3()
+    datum = datum_on_infinity(curve, 4)
+    e = ExtensionClass.zero(datum)
+    calls = [("secant index", lambda b: secant_member(e, b)),
+             ("degree cap", lambda b: brute_force_destabilizer(e, b)),
+             ("max_degree", lambda b: secant_table(datum, b)),
+             ("max_degree", lambda b: list(enumerate_effective_divisors(
+                 curve, b, points=[curve.infinity()]))),
+             ("max_degree", lambda b: enumerate_closed_points(curve, b))]
+    for name, call in calls:
+        with pytest.raises(InputError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be an int, not {bad!r}"
+    for call, bound, message in [
+            (secant_member, -1, "secant index must be nonnegative"),
+            (brute_force_destabilizer, -3,
+             "degree cap must be nonnegative, got -3")]:
+        with pytest.raises(InputError) as info:
+            call(e, bound)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
